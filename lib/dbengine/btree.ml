@@ -92,41 +92,42 @@ let bulk_load t pairs =
 
 (* Index of the child to descend into: first separator > key determines
    the branch. *)
-let child_index keys key =
-  let n = Array.length keys in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if key < keys.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
+let child_index (keys : int array) key =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if key < keys.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
 
-let leaf_find keys key =
-  let n = Array.length keys in
-  let rec go lo hi =
-    if lo > hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      if keys.(mid) = key then Some mid
-      else if keys.(mid) < key then go (mid + 1) hi
-      else go lo (mid - 1)
-  in
-  go 0 (n - 1)
+(* Slot of [key] in a leaf's sorted keys, or -1. *)
+let leaf_slot (keys : int array) key =
+  let lo = ref 0 and hi = ref (Array.length keys - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let k = keys.(mid) in
+    if k = key then found := mid else if k < key then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
 
-let find_trace t key =
-  let rec go node acc =
-    let acc = addr_of t node :: acc in
-    match node.kind with
-    | Leaf { values } -> (
-        match leaf_find node.keys key with
-        | Some i -> (List.rev acc, Some values.(i))
-        | None -> (List.rev acc, None))
-    | Internal { children } -> go children.(child_index node.keys key) acc
-  in
-  go t.root []
+(* The one root-to-leaf descent: calls [visit] on each node's address,
+   root first, and hands the leaf's keys and values to [at_leaf]. *)
+let rec descend t node key ~visit ~at_leaf =
+  visit (addr_of t node);
+  match node.kind with
+  | Leaf { values } -> at_leaf node.keys values key
+  | Internal { children } ->
+      descend t children.(child_index node.keys key) key ~visit ~at_leaf
 
-let find t key = snd (find_trace t key)
+let lookup t key ~visit =
+  descend t t.root key ~visit ~at_leaf:(fun keys values key ->
+      let i = leaf_slot keys key in
+      if i >= 0 then values.(i) else -1)
+
+let find t key =
+  descend t t.root key ~visit:ignore ~at_leaf:(fun keys values key ->
+      let i = leaf_slot keys key in
+      if i >= 0 then Some values.(i) else None)
 
 let array_insert a i x =
   let n = Array.length a in
@@ -142,27 +143,29 @@ type ins = Ok | Split of int * node
 let insert t ~key ~value =
   let rec go node =
     match node.kind with
-    | Leaf lf -> (
-        match leaf_find node.keys key with
-        | Some i ->
-            lf.values.(i) <- value;
-            Ok
-        | None ->
-            let pos = child_index node.keys key in
-            node.keys <- array_insert node.keys pos key;
-            lf.values <- array_insert lf.values pos value;
-            t.n_keys <- t.n_keys + 1;
-            if Array.length node.keys <= t.fanout then Ok
-            else begin
-              let n = Array.length node.keys in
-              let mid = n / 2 in
-              let rkeys = Array.sub node.keys mid (n - mid) in
-              let rvals = Array.sub lf.values mid (n - mid) in
-              node.keys <- Array.sub node.keys 0 mid;
-              lf.values <- Array.sub lf.values 0 mid;
-              let right = new_node t rkeys (Leaf { values = rvals }) in
-              Split (rkeys.(0), right)
-            end)
+    | Leaf lf ->
+        let i = leaf_slot node.keys key in
+        if i >= 0 then begin
+          lf.values.(i) <- value;
+          Ok
+        end
+        else begin
+          let pos = child_index node.keys key in
+          node.keys <- array_insert node.keys pos key;
+          lf.values <- array_insert lf.values pos value;
+          t.n_keys <- t.n_keys + 1;
+          if Array.length node.keys <= t.fanout then Ok
+          else begin
+            let n = Array.length node.keys in
+            let mid = n / 2 in
+            let rkeys = Array.sub node.keys mid (n - mid) in
+            let rvals = Array.sub lf.values mid (n - mid) in
+            node.keys <- Array.sub node.keys 0 mid;
+            lf.values <- Array.sub lf.values 0 mid;
+            let right = new_node t rkeys (Leaf { values = rvals }) in
+            Split (rkeys.(0), right)
+          end
+        end
     | Internal inode -> (
         let ci = child_index node.keys key in
         match go inode.children.(ci) with

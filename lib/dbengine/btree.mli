@@ -1,7 +1,7 @@
 (** In-memory B+-tree with integer keys and values, plus the address trace
     of every traversal.
 
-    Used by index-scan operators: each lookup returns the simulated memory
+    Used by index-scan operators: each lookup reports the simulated memory
     addresses of the visited nodes, so that the randomness of tree descent
     over a skewed key distribution shows up as genuine cache behaviour —
     the mechanism the paper blames for Q18's unpredictable CPI
@@ -20,8 +20,13 @@ val insert : t -> key:int -> value:int -> unit
 
 val find : t -> int -> int option
 
-val find_trace : t -> int -> int list * int option
-(** [(addresses of nodes visited root->leaf, value if found)]. *)
+val lookup : t -> int -> visit:(int -> unit) -> int
+(** [lookup t key ~visit] descends from the root to the leaf that holds or
+    would hold [key], calling [visit] on the address of each node on the
+    way, root first, and returns the value stored under [key], or -1 when
+    there is none.  It allocates nothing beyond what [visit] does, so
+    index operators call it once per probe; {!find} walks the same
+    descent and tells a stored -1 from a missing key. *)
 
 val range_trace : t -> lo:int -> hi:int -> (int -> int -> unit) -> int list
 (** Visit all (key, value) with lo <= key <= hi, calling the function on

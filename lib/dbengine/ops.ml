@@ -80,31 +80,30 @@ let index_scan ctx ~region ~btree ~heap ~key_gen ~probes ?(instr_per_level = 70)
     else begin
       let stop = min probes (!done_probes + probes_per_step) in
       let blocked = ref false in
+      let key = ref 0 and depth = ref 0 in
+      let visit node_addr =
+        incr depth;
+        Sink.data_ref sink node_addr;
+        (* Binary-search comparisons inside a node: directions follow the
+           key bits — data-dependent, hard to predict. *)
+        Sink.branch sink ~pc:pc_cmp ~taken:(!key land 1 = 0);
+        Sink.branch sink ~pc:(pc_cmp + 8) ~taken:(!key land 2 = 0)
+      in
       (try
          while !done_probes < stop do
-           let key = key_gen ctx.rng in
-           let path, value = Btree.find_trace btree key in
-           let depth = List.length path in
-           Sink.instrs sink ~region ((depth * instr_per_level) + 40);
-           List.iter
-             (fun node_addr ->
-               Sink.data_ref sink node_addr;
-               (* Binary-search comparisons inside a node: directions follow
-                  the key bits — data-dependent, hard to predict. *)
-               Sink.branch sink ~pc:pc_cmp ~taken:(key land 1 = 0);
-               Sink.branch sink ~pc:(pc_cmp + 8) ~taken:(key land 2 = 0))
-             path;
-           (match value with
-           | Some row when row >= 0 && row < heap.Heap.rows
-                           && Rng.bernoulli ctx.rng heap_prob ->
-               let addr = Heap.addr_of_row heap row in
-               Sink.data_ref sink addr;
-               if page_io ctx sink addr then begin
-                 incr done_probes;
-                 blocked := true;
-                 raise Exit
-               end
-           | Some _ | None -> ());
+           key := key_gen ctx.rng;
+           depth := 0;
+           let row = Btree.lookup btree !key ~visit in
+           Sink.instrs sink ~region ((!depth * instr_per_level) + 40);
+           if row >= 0 && row < heap.Heap.rows && Rng.bernoulli ctx.rng heap_prob then begin
+             let addr = Heap.addr_of_row heap row in
+             Sink.data_ref sink addr;
+             if page_io ctx sink addr then begin
+               incr done_probes;
+               blocked := true;
+               raise Exit
+             end
+           end;
            incr done_probes
          done
        with Exit -> ());

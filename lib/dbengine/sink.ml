@@ -15,8 +15,10 @@ type t = {
 type drained = {
   instrs : int;
   region_instrs : (int * int) array;
+  n_refs : int;
   addrs : int array;
   writes : bool array;
+  n_branches : int;
   branch_pcs : int array;
   branch_taken : bool array;
   io_waits : int;
@@ -75,10 +77,13 @@ let drain (t : t) =
         Stats.Det.hashtbl_bindings t.regions
         |> List.map (fun (r, c) -> (r, !c))
         |> Array.of_list;
-      addrs = Gv.Int.to_array t.addrs;
-      writes = Gv.Bool.to_array t.writes;
-      branch_pcs = Gv.Int.to_array t.branch_pcs;
-      branch_taken = Gv.Bool.to_array t.branch_taken;
+      (* Views, not copies: the next write to the sink reuses them. *)
+      n_refs = Gv.Int.length t.addrs;
+      addrs = Gv.Int.data t.addrs;
+      writes = Gv.Bool.data t.writes;
+      n_branches = Gv.Int.length t.branch_pcs;
+      branch_pcs = Gv.Int.data t.branch_pcs;
+      branch_taken = Gv.Bool.data t.branch_taken;
       io_waits = t.io;
       extra_refs = t.extra_refs;
       extra_branches = t.extra_branches;

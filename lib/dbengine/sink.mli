@@ -10,10 +10,12 @@ type t
 type drained = {
   instrs : int;
   region_instrs : (int * int) array;  (** (region id, instrs) pairs *)
-  addrs : int array;
-  writes : bool array;
-  branch_pcs : int array;
-  branch_taken : bool array;
+  n_refs : int;
+  addrs : int array;  (** the data references are its first [n_refs] entries *)
+  writes : bool array;  (** parallel to [addrs] *)
+  n_branches : int;
+  branch_pcs : int array;  (** the branches are its first [n_branches] entries *)
+  branch_taken : bool array;  (** parallel to [branch_pcs] *)
   io_waits : int;
   extra_refs : int;  (** logical references beyond the emitted sample *)
   extra_branches : int;
@@ -38,4 +40,7 @@ val total_instrs : t -> int
 val n_refs : t -> int
 val io_waits : t -> int
 val drain : t -> drained
-(** Return everything accumulated and reset the sink. *)
+(** Return everything accumulated and reset the sink.  The four event
+    arrays are the sink's own buffers, not copies, and may be longer than
+    their counts: they stay valid only until the sink is next written
+    to. *)

@@ -12,8 +12,6 @@ val create : ?history_bits:int -> table_bits:int -> unit -> t
     [history_bits] (default = [table_bits]) caps the global history
     length. *)
 
-(** Predicted direction for the branch at [pc]; no state change. *)
-
 val update : t -> pc:int -> taken:bool -> bool
 (** Predict, then train with the actual direction and shift the history.
     Returns [true] when the prediction was wrong (a mispredict). *)

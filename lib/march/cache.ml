@@ -1,11 +1,14 @@
+(* Each set's tags are kept in recency order: way 0 is the most recently
+   used line and way [ways - 1] the least.  A hit rotates its line to the
+   front; a miss drops the last way and inserts at the front.  Never-used
+   ways hold -1 and sit behind every valid way, so they are filled before
+   any valid line is evicted (DESIGN.md §12a). *)
 type t = {
   sets : int;
   ways : int;
   line_bits : int;
   line_bytes : int;
-  tags : int array;  (* sets * ways; -1 = invalid *)
-  stamps : int array;  (* LRU timestamps, parallel to tags *)
-  mutable tick : int;
+  tags : int array;  (* sets * ways, each set in recency order; -1 = invalid *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -29,44 +32,46 @@ let create ~size_bytes ~ways ~line_bytes =
     line_bits = log2 line_bytes;
     line_bytes;
     tags = Array.make (sets * ways) (-1);
-    stamps = Array.make (sets * ways) 0;
-    tick = 0;
     hits = 0;
     misses = 0;
   }
 
-let set_of t addr =
-  let line = addr asr t.line_bits in
-  (line land (t.sets - 1), line)
-
 let access t addr =
-  let set, line = set_of t addr in
-  let base = set * t.ways in
-  t.tick <- t.tick + 1;
-  let rec find w = if w >= t.ways then -1 else if t.tags.(base + w) = line then w else find (w + 1) in
-  let w = find 0 in
-  if w >= 0 then begin
-    t.stamps.(base + w) <- t.tick;
+  let line = addr asr t.line_bits in
+  let tags = t.tags in
+  let base = (line land (t.sets - 1)) * t.ways in
+  let front = tags.(base) in
+  if front = line then begin
     t.hits <- t.hits + 1;
     true
   end
   else begin
-    (* Evict the LRU way. *)
-    let victim = ref 0 in
-    for i = 1 to t.ways - 1 do
-      if t.stamps.(base + i) < t.stamps.(base + !victim) then victim := i
+    (* One pass: move each way back by one until the line turns up (a
+       hit) or the last way falls off the end (a miss). *)
+    let last = base + t.ways - 1 in
+    let carry = ref front and w = ref (base + 1) and found = ref false in
+    while (not !found) && !w <= last do
+      let cur = tags.(!w) in
+      tags.(!w) <- !carry;
+      if cur = line then found := true
+      else begin
+        carry := cur;
+        incr w
+      end
     done;
-    t.tags.(base + !victim) <- line;
-    t.stamps.(base + !victim) <- t.tick;
-    t.misses <- t.misses + 1;
-    false
+    tags.(base) <- line;
+    if !found then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    !found
   end
 
 let probe t addr =
-  let set, line = set_of t addr in
-  let base = set * t.ways in
-  let rec find w = w < t.ways && (t.tags.(base + w) = line || find (w + 1)) in
-  find 0
+  let line = addr asr t.line_bits in
+  let base = (line land (t.sets - 1)) * t.ways in
+  let w = ref 0 in
+  while !w < t.ways && t.tags.(base + !w) <> line do
+    incr w
+  done;
+  !w < t.ways
 
 let accesses t = t.hits + t.misses
 
@@ -80,8 +85,6 @@ let reset_stats t =
 
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.tick <- 0;
   reset_stats t
 
 let sets t = t.sets

@@ -1,7 +1,10 @@
 (** Set-associative LRU cache model.
 
-    Addresses are byte addresses in an [int]; the cache tracks line tags
-    only (no data).  Replacement is true LRU via per-way timestamps. *)
+    Addresses are non-negative byte addresses in an [int]; the cache
+    tracks line tags only (no data).  Replacement is true LRU: each set's
+    tags are stored in recency order, most recent first, so a hit rotates
+    its line to the front and a miss drops the last way.  Never-used ways
+    sit at the back and are filled first.  {!access} allocates nothing. *)
 
 type t
 

@@ -28,7 +28,8 @@ val create : Config.t -> t
 val config : t -> Config.t
 val run : t -> Quantum.t -> result
 val cpi : result -> instrs:int -> float
-(** Clear all microarchitectural state and statistics. *)
+(** Cycles per instruction of a result: [cycles / instrs].  Raises
+    [Invalid_argument] when [instrs <= 0]. *)
 
 val pollute : t -> fraction:float -> unit
 (** Evict roughly [fraction] of the L1/L2 contents by touching conflicting

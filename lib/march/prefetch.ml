@@ -10,7 +10,6 @@ type t = {
   line_bytes : int;
   mutable tick : int;
   mutable confirmed_total : int;
-  mutable issued : int;
 }
 
 let create ?(streams = 8) ?(degree = 4) ?(line_bytes = 64) () =
@@ -21,7 +20,6 @@ let create ?(streams = 8) ?(degree = 4) ?(line_bytes = 64) () =
     line_bytes;
     tick = 0;
     confirmed_total = 0;
-    issued = 0;
   }
 
 let on_miss t addr =
@@ -45,9 +43,7 @@ let on_miss t addr =
         s.confirmed <- true;
         t.confirmed_total <- t.confirmed_total + 1
       end;
-      let fetches = List.init t.degree (fun k -> (line + 1 + k) * t.line_bytes) in
-      t.issued <- t.issued + t.degree;
-      fetches
+      List.init t.degree (fun k -> (line + 1 + k) * t.line_bytes)
   | None ->
       (* Allocate a tracker, evicting the least recently advanced. *)
       let victim = ref t.slots.(0) in
@@ -67,5 +63,4 @@ let reset t =
       s.stamp <- 0)
     t.slots;
   t.tick <- 0;
-  t.confirmed_total <- 0;
-  t.issued <- 0
+  t.confirmed_total <- 0

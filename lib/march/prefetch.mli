@@ -22,6 +22,4 @@ val on_miss : t -> int -> int list
 val confirmed_streams : t -> int
 (** Total streams confirmed so far (statistics). *)
 
-(** Total prefetches issued. *)
-
 val reset : t -> unit

@@ -68,6 +68,8 @@ let stream ?(period = 20_000) ?(code_lines_per_quantum = 48) (w : Model.t) ~cpu 
     | `Ok ->
         since_switch := !since_switch + period;
         if !since_switch >= w.Model.switch_period then switch_thread ());
+    (* [d]'s event arrays view the sink's buffers; [Cpu.run] consumes them
+       below, before the next [fill] overwrites them. *)
     let d = Sink.drain sink in
     let inst_lines, inst_weight =
       Code_map.code_lines w.Model.code rng ~region_instrs:d.Sink.region_instrs
@@ -79,10 +81,11 @@ let stream ?(period = 20_000) ?(code_lines_per_quantum = 48) (w : Model.t) ~cpu 
     let instrs = max 1 d.Sink.instrs in
     let quantum =
       March.Quantum.make ~instrs ~inst_lines ~inst_weight ~ref_addrs:d.Sink.addrs
-        ~ref_writes:d.Sink.writes
-        ~ref_weight:(weight_of (Array.length d.Sink.addrs) d.Sink.extra_refs)
+        ~n_refs:d.Sink.n_refs
+        ~ref_weight:(weight_of d.Sink.n_refs d.Sink.extra_refs)
         ~branch_pcs:d.Sink.branch_pcs ~branch_taken:d.Sink.branch_taken
-        ~branch_weight:(weight_of (Array.length d.Sink.branch_pcs) d.Sink.extra_branches)
+        ~n_branches:d.Sink.n_branches
+        ~branch_weight:(weight_of d.Sink.n_branches d.Sink.extra_branches)
         ~extra_other_cycles:(float_of_int d.Sink.io_waits *. io_stall_cycles)
         ()
     in

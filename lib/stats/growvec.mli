@@ -12,6 +12,11 @@ module Int : sig
   (** Reset length to zero; capacity is retained. *)
 
   val to_array : t -> int array
+
+  val data : t -> int array
+  (** The backing array, without copying: only its first [length t]
+      elements are the vector's.  A later [push] overwrites it, or
+      replaces it when the vector grows. *)
 end
 
 module Bool : sig
@@ -22,5 +27,6 @@ module Bool : sig
   val get : t -> int -> bool
   val length : t -> int
   val clear : t -> unit
-  val to_array : t -> bool array
+  val data : t -> bool array
+  (** As {!Int.data}. *)
 end

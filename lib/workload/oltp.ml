@@ -82,6 +82,7 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
     let fill sink ~budget =
       let start = Sink.total_instrs sink in
       let blocked = ref false in
+      let visit node_addr = Sink.data_ref sink node_addr in
       while (not !blocked) && Sink.total_instrs sink - start < budget do
         (* One transaction. *)
         let _, _, regions = txn_types.(Dist.categorical_draw mix trng) in
@@ -94,19 +95,17 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
           (* Uniformly random key by default: no locality, so misses
              spread evenly over the whole run.  [key_skew] bends this. *)
           let key = draw_key trng ~skew:params.key_skew (Btree.n_keys index) in
-          let path, row = Btree.find_trace index key in
-          List.iter (fun a -> Sink.data_ref sink a) path;
+          let row = Btree.lookup index key ~visit in
           Sink.branch sink ~pc:(region_base * 1024) ~taken:(key land 1 = 0);
-          match row with
-          | Some r when r < accounts.Heap.rows ->
-              let addr = Heap.addr_of_row accounts r in
-              Sink.data_ref sink ~write:(Rng.bernoulli trng 0.3) addr;
-              if not (Dbengine.Bufcache.touch buf addr) then
-                if Rng.bernoulli trng params.yield_prob then begin
-                  Sink.io_wait sink;
-                  blocked := true
-                end
-          | Some _ | None -> ()
+          if row >= 0 && row < accounts.Heap.rows then begin
+            let addr = Heap.addr_of_row accounts row in
+            Sink.data_ref sink ~write:(Rng.bernoulli trng 0.3) addr;
+            if not (Dbengine.Bufcache.touch buf addr) then
+              if Rng.bernoulli trng params.yield_prob then begin
+                Sink.io_wait sink;
+                blocked := true
+              end
+          end
         done;
         (* Log append: sequential writes, always cached. *)
         let log_row = !log_cursor mod log.Heap.rows in

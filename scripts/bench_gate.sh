@@ -15,7 +15,8 @@
 # to catch a real hot-path regression.  It also enforces the floor that
 # motivated the fast path in the first place: tree_build and cv_curve
 # must stay >= 2x faster than their Reference implementations (that
-# ratio is intra-run, so it needs no normalisation).
+# ratio is intra-run, so it needs no normalisation).  Kernels without a
+# reference (driver_run) carry no speedup_vs_ref and show "-".
 #
 # POSIX sh + awk only; no jq.
 set -eu
@@ -41,6 +42,7 @@ awk -v tol=1.5 -v minspeed=2.0 '
     name = line; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
     med = line; sub(/.*"median_ms": */, "", med); sub(/,.*/, "", med)
     spd = line; sub(/.*"speedup_vs_ref": */, "", spd); sub(/[},].*/, "", spd)
+    if (line !~ /"speedup_vs_ref"/) spd = -1
     if (nfile == 1) { bmed[name] = med + 0; border[++bn] = name }
     else { fmed[name] = med + 0; fspd[name] = spd + 0 }
   }
@@ -60,7 +62,8 @@ awk -v tol=1.5 -v minspeed=2.0 '
       ratio = (fmed[n] / calib[2]) / (bmed[n] / calib[1])
       verdict = (ratio > tol) ? "SLOWDOWN" : "ok"
       if (ratio > tol) fail = 1
-      printf "%-16s %12.3f %12.3f %9.2fx %9.2fx  %s\n", n, bmed[n], fmed[n], ratio, fspd[n], verdict
+      vsref = (fspd[n] < 0) ? "-" : sprintf("%.2fx", fspd[n])
+      printf "%-16s %12.3f %12.3f %9.2fx %10s  %s\n", n, bmed[n], fmed[n], ratio, vsref, verdict
       if ((n == "tree_build" || n == "cv_curve") && fspd[n] < minspeed) {
         printf "%-16s speedup_vs_ref %.2fx below %.1fx floor: FAIL\n", n, fspd[n], minspeed
         fail = 1

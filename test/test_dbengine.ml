@@ -61,14 +61,19 @@ let test_btree_insert_overwrites () =
 let test_btree_trace_path () =
   let t = Btree.create ~fanout:8 ~node_bytes:512 ~base_addr:0x1000 () in
   Btree.bulk_load t (Array.init 5000 (fun i -> (i, i)));
-  let path, v = Btree.find_trace t 1234 in
-  Alcotest.(check (option int)) "found" (Some 1234) v;
-  Alcotest.(check int) "path length = height" (Btree.height t) (List.length path);
+  let path = ref [] in
+  let v = Btree.lookup t 1234 ~visit:(fun a -> path := a :: !path) in
+  Alcotest.(check int) "found" 1234 v;
+  Alcotest.(check int) "path length = height" (Btree.height t) (List.length !path);
   List.iter
     (fun addr ->
       Alcotest.(check bool) "addr in index space" true
         (addr >= 0x1000 && addr < 0x1000 + Btree.footprint_bytes t))
-    path
+    !path;
+  (* bulk_load creates the root last, so it has the highest address. *)
+  Alcotest.(check int) "root visited first" (0x1000 + Btree.footprint_bytes t - 512)
+    (List.hd (List.rev !path));
+  Alcotest.(check int) "absent key" (-1) (Btree.lookup t 5000 ~visit:ignore)
 
 let test_btree_height_logarithmic () =
   let t = Btree.create ~fanout:32 ~node_bytes:512 ~base_addr:0 () in
@@ -112,7 +117,9 @@ let prop_btree_matches_hashtbl =
           Btree.insert t ~key:k ~value:v;
           Hashtbl.replace h k v)
         pairs;
-      Hashtbl.fold (fun k v acc -> acc && Btree.find t k = Some v) h true)
+      Hashtbl.fold
+        (fun k v acc -> acc && Btree.find t k = Some v && Btree.lookup t k ~visit:ignore = v)
+        h true)
 
 (* ------------------------------ Cache_lru -------------------------- *)
 
@@ -173,7 +180,7 @@ let test_sink_accumulate_drain () =
   Sink.account_refs s 10;
   let d = Sink.drain s in
   Alcotest.(check int) "instrs" 175 d.Sink.instrs;
-  Alcotest.(check int) "refs" 2 (Array.length d.Sink.addrs);
+  Alcotest.(check int) "refs" 2 d.Sink.n_refs;
   Alcotest.(check bool) "write flag" true d.Sink.writes.(1);
   Alcotest.(check int) "io" 1 d.Sink.io_waits;
   Alcotest.(check int) "extra refs" 10 d.Sink.extra_refs;
@@ -182,7 +189,7 @@ let test_sink_accumulate_drain () =
   (* Drained sink is empty. *)
   let d2 = Sink.drain s in
   Alcotest.(check int) "empty after drain" 0 d2.Sink.instrs;
-  Alcotest.(check int) "no refs after drain" 0 (Array.length d2.Sink.addrs)
+  Alcotest.(check int) "no refs after drain" 0 d2.Sink.n_refs
 
 (* -------------------------------- Ops ------------------------------ *)
 
@@ -205,10 +212,11 @@ let test_seq_scan_sequential_addresses () =
   let sink = Sink.create () in
   ignore (run_op_to_completion op sink ~max_steps:1000);
   let d = Sink.drain sink in
-  Alcotest.(check int) "one ref per 64B row line" 512 (Array.length d.Sink.addrs);
-  let sorted = Array.copy d.Sink.addrs in
+  Alcotest.(check int) "one ref per 64B row line" 512 d.Sink.n_refs;
+  let addrs = Array.sub d.Sink.addrs 0 d.Sink.n_refs in
+  let sorted = Array.copy addrs in
   Array.sort compare sorted;
-  Alcotest.(check (array int)) "addresses sequential" sorted d.Sink.addrs;
+  Alcotest.(check (array int)) "addresses sequential" sorted addrs;
   Alcotest.(check bool) "instrs attributed" true (d.Sink.instrs > 0)
 
 let test_seq_scan_reset () =
@@ -236,8 +244,8 @@ let test_index_scan_touches_btree () =
   let d = Sink.drain sink in
   (* Each probe visits height nodes + 1 heap row. *)
   let expected = 64 * (Btree.height bt + 1) in
-  Alcotest.(check int) "refs per probe" expected (Array.length d.Sink.addrs);
-  Alcotest.(check bool) "branches emitted" true (Array.length d.Sink.branch_pcs > 0)
+  Alcotest.(check int) "refs per probe" expected d.Sink.n_refs;
+  Alcotest.(check bool) "branches emitted" true (d.Sink.n_branches > 0)
 
 let test_sort_passes () =
   let s = Addr_space.create () in
@@ -247,8 +255,10 @@ let test_sort_passes () =
   let d = Sink.drain sink in
   (* 8 runs, fanin 2 -> 3 merge passes; each pass reads+writes every line. *)
   let lines = 65536 / 64 in
-  Alcotest.(check int) "refs = passes * lines * 2" (3 * lines * 2) (Array.length d.Sink.addrs);
-  let writes = Array.fold_left (fun a w -> if w then a + 1 else a) 0 d.Sink.writes in
+  Alcotest.(check int) "refs = passes * lines * 2" (3 * lines * 2) d.Sink.n_refs;
+  let writes =
+    Array.fold_left (fun a w -> if w then a + 1 else a) 0 (Array.sub d.Sink.writes 0 d.Sink.n_refs)
+  in
   Alcotest.(check int) "half are writes" (3 * lines) writes
 
 let test_hash_join_phases () =
@@ -260,7 +270,7 @@ let test_hash_join_phases () =
   ignore (run_op_to_completion op sink ~max_steps:1000);
   let d = Sink.drain sink in
   (* build: 128*(read+write), probe: 256*(read+read) *)
-  Alcotest.(check int) "total refs" ((128 * 2) + (256 * 2)) (Array.length d.Sink.addrs)
+  Alcotest.(check int) "total refs" ((128 * 2) + (256 * 2)) d.Sink.n_refs
 
 let test_aggregate_refs () =
   let s = Addr_space.create () in
@@ -269,7 +279,7 @@ let test_aggregate_refs () =
   let sink = Sink.create () in
   ignore (run_op_to_completion op sink ~max_steps:1000);
   let d = Sink.drain sink in
-  Alcotest.(check int) "row + group per row" 400 (Array.length d.Sink.addrs)
+  Alcotest.(check int) "row + group per row" 400 d.Sink.n_refs
 
 let test_compute_instrs_only () =
   let op = Ops.compute (ctx ()) ~region:6 ~instrs:10_000 () in
@@ -277,7 +287,7 @@ let test_compute_instrs_only () =
   ignore (run_op_to_completion op sink ~max_steps:100);
   let d = Sink.drain sink in
   Alcotest.(check int) "exact instrs" 10_000 d.Sink.instrs;
-  Alcotest.(check int) "no refs" 0 (Array.length d.Sink.addrs)
+  Alcotest.(check int) "no refs" 0 d.Sink.n_refs
 
 let test_op_blocks_on_buffer_miss () =
   let s = Addr_space.create () in

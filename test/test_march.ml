@@ -142,6 +142,141 @@ let test_tlb_lru () =
   Alcotest.(check bool) "page 0 resident" true (Tlb.access t 0x0000);
   Alcotest.(check bool) "page 1 evicted" false (Tlb.access t 0x1000)
 
+(* -------------------------- LRU equivalence ------------------------ *)
+
+(* Naive timestamp LRU over groups of [ways] slots, the representation the
+   cache and the TLB replaced: each slot holds a tag and the tick of its
+   last access, never-used slots hold tag -1 and stamp 0, and a miss
+   evicts the lowest-indexed slot with the smallest stamp. *)
+module Stamp_lru = struct
+  type t = { ways : int; tags : int array; stamps : int array; mutable tick : int }
+
+  let create ~groups ~ways =
+    let n = groups * ways in
+    { ways; tags = Array.make n (-1); stamps = Array.make n 0; tick = 0 }
+
+  let find t ~group tag =
+    let base = group * t.ways in
+    let rec go w =
+      if w = t.ways then -1 else if t.tags.(base + w) = tag then base + w else go (w + 1)
+    in
+    go 0
+
+  let access t ~group tag =
+    t.tick <- t.tick + 1;
+    let i = find t ~group tag in
+    if i >= 0 then begin
+      t.stamps.(i) <- t.tick;
+      true
+    end
+    else begin
+      let base = group * t.ways in
+      let victim = ref base in
+      for w = base + 1 to base + t.ways - 1 do
+        if t.stamps.(w) < t.stamps.(!victim) then victim := w
+      done;
+      t.tags.(!victim) <- tag;
+      t.stamps.(!victim) <- t.tick;
+      false
+    end
+
+  let clear t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamps 0 (Array.length t.stamps) 0;
+    t.tick <- 0
+end
+
+(* Random geometries, including one set (fully associative) and one way,
+   and streams over about three times the cache's lines, so lines are
+   reused and evicted; [None] is a [Cache.clear]. *)
+let gen_cache_case =
+  QCheck2.Gen.(
+    let* sets = oneofl [ 1; 2; 4; 16 ] in
+    let* ways = oneofl [ 1; 2; 3; 4; 8; 12 ] in
+    let* line_bytes = oneofl [ 16; 64; 128 ] in
+    let addr =
+      map2
+        (fun l off -> (l * line_bytes) + off)
+        (int_bound (3 * sets * ways))
+        (int_bound (line_bytes - 1))
+    in
+    let op = frequency [ (1, return None); (80, map Option.some addr) ] in
+    let* ops = list_size (int_range 1 500) op in
+    return (sets, ways, line_bytes, ops))
+
+let prop_cache_matches_stamp_lru =
+  QCheck2.Test.make ~name:"cache agrees with timestamp LRU" ~count:300 gen_cache_case
+    (fun (sets, ways, line_bytes, ops) ->
+      let c = Cache.create ~size_bytes:(sets * ways * line_bytes) ~ways ~line_bytes in
+      let m = Stamp_lru.create ~groups:sets ~ways in
+      let misses = ref 0 and accesses = ref 0 in
+      let same_op = function
+        | None ->
+            Cache.clear c;
+            Stamp_lru.clear m;
+            misses := 0;
+            accesses := 0;
+            Cache.accesses c = 0
+        | Some addr ->
+            let line = addr / line_bytes in
+            let expected = Stamp_lru.access m ~group:(line mod sets) line in
+            incr accesses;
+            if not expected then incr misses;
+            Cache.access c addr = expected
+      in
+      let resident addr =
+        let line = addr / line_bytes in
+        Cache.probe c addr = (Stamp_lru.find m ~group:(line mod sets) line >= 0)
+      in
+      List.for_all same_op ops
+      && Cache.accesses c = !accesses
+      && Cache.miss_rate c
+         = (if !accesses = 0 then 0.0 else float_of_int !misses /. float_of_int !accesses)
+      && List.for_all (fun l -> resident (l * line_bytes)) (List.init (3 * sets * ways) Fun.id))
+
+let gen_tlb_case =
+  QCheck2.Gen.(
+    let* entries = oneofl [ 1; 2; 3; 4; 7; 8; 16; 64 ] in
+    let* page_bytes = oneofl [ 256; 4096 ] in
+    let addr =
+      map2
+        (fun p off -> (p * page_bytes) + off)
+        (int_bound (2 * entries))
+        (int_bound (page_bytes - 1))
+    in
+    let* addrs = list_size (int_range 1 800) addr in
+    return (entries, page_bytes, addrs))
+
+let prop_tlb_matches_stamp_lru =
+  QCheck2.Test.make ~name:"tlb agrees with timestamp LRU" ~count:300 gen_tlb_case
+    (fun (entries, page_bytes, addrs) ->
+      let t = Tlb.create ~entries ~page_bytes in
+      let m = Stamp_lru.create ~groups:1 ~ways:entries in
+      let misses = ref 0 in
+      List.for_all
+        (fun addr ->
+          let expected = Stamp_lru.access m ~group:0 (addr / page_bytes) in
+          if not expected then incr misses;
+          Tlb.access t addr = expected)
+        addrs
+      && Tlb.misses t = !misses)
+
+let test_lru_no_allocation () =
+  let c = Cache.create ~size_bytes:32768 ~ways:4 ~line_bytes:64 in
+  let t = Tlb.create ~entries:64 ~page_bytes:4096 in
+  let rng = Stats.Rng.create 7 in
+  (* 1 MB of addresses: both hits and evicting misses at both levels. *)
+  let addrs = Array.init 100_000 (fun _ -> Stats.Rng.int rng (1 lsl 20)) in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length addrs - 1 do
+    ignore (Cache.access c addrs.(i) : bool);
+    ignore (Tlb.access t addrs.(i) : bool)
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before);
+  Alcotest.(check bool) "misses and hits both seen" true
+    (Tlb.misses t > 1000 && Tlb.misses t < 99_000)
+
 (* ------------------------------ Config ----------------------------- *)
 
 let test_config_presets_valid () =
@@ -330,6 +465,10 @@ let () =
           Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "LRU" `Quick test_tlb_lru;
         ] );
+      ( "lru equivalence",
+        Alcotest.test_case "no allocation" `Quick test_lru_no_allocation
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_cache_matches_stamp_lru; prop_tlb_matches_stamp_lru ] );
       ( "config",
         [
           Alcotest.test_case "presets valid" `Quick test_config_presets_valid;

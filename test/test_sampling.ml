@@ -61,6 +61,54 @@ let test_driver_validation () =
   Alcotest.check_raises "samples" (Invalid_argument "Driver.run: samples must be positive")
     (fun () -> ignore (Driver.run w ~cpu ~rng:(Rng.create 1) ~samples:0))
 
+(* MD5 over every sample's eip, tid, instrs, os_instrs and the IEEE bits
+   of its cycles and breakdown, for 400 samples of a quick-geometry run
+   (seed 42, scale 0.25).  These pairs reach simulator paths no golden
+   transcript covers: xeon, the stream prefetcher (pentium4+pf), and the
+   B-tree-heavy server and DSS models at reduced length.  The expected
+   digests were taken before the allocation-free rewrite of the cache,
+   TLB, CPU loop, sink hand-off and B-tree descent, and must never be
+   regenerated to make a simulator change pass. *)
+let sample_digest ~name ~machine =
+  let w = (Catalog.find name).Catalog.build ~seed:42 ~scale:0.25 in
+  let run =
+    Driver.run w ~cpu:(March.Cpu.create machine) ~rng:(Rng.split_label 42 name) ~samples:400
+  in
+  let b = Buffer.create (400 * 72) in
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let add_float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  Array.iter
+    (fun (s : Driver.sample) ->
+      add_int s.eip;
+      add_int s.tid;
+      add_int s.instrs;
+      add_int s.os_instrs;
+      add_float s.cycles;
+      let bd = s.breakdown in
+      add_float bd.March.Breakdown.work;
+      add_float bd.fe;
+      add_float bd.exe;
+      add_float bd.other)
+    run.Driver.samples;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_driver_pinned_digests () =
+  let cfg = function
+    | "pentium4+pf" -> March.Config.(with_prefetch pentium4)
+    | name -> March.Config.by_name name
+  in
+  List.iter
+    (fun (name, machine, expected) ->
+      Alcotest.(check string) (name ^ " on " ^ machine) expected
+        (sample_digest ~name ~machine:(cfg machine)))
+    [
+      ("odb_c", "itanium2", "98ba8fe482626e3de1aadbabae627bab");
+      ("odb_h_q18", "itanium2", "ce10ffce32effe29ca1eb870fcf85ca1");
+      ("mcf", "xeon", "2461333afb3ee3c160a10001b6327a21");
+      ("swim", "pentium4+pf", "c3219ec712051e524034230b5758f4c1");
+      ("sjas", "itanium2", "9938f786da52a2fbd88a0b64ba56d8a7");
+    ]
+
 (* -------------------------------- Eipv ----------------------------- *)
 
 let test_eipv_interval_count () =
@@ -163,6 +211,7 @@ let () =
           Alcotest.test_case "spec vs server switch rate" `Quick
             test_driver_spec_vs_server_switch_rates;
           Alcotest.test_case "validation" `Quick test_driver_validation;
+          Alcotest.test_case "pinned sample digests" `Quick test_driver_pinned_digests;
         ] );
       ( "eipv",
         [

@@ -105,11 +105,11 @@ let test_synth_sequential_pattern_is_sequential () =
   ignore (th.Model.fill sink ~budget:20_000);
   let d = Sink.drain sink in
   let increasing = ref 0 in
-  for i = 1 to Array.length d.Sink.addrs - 1 do
+  for i = 1 to d.Sink.n_refs - 1 do
     if d.Sink.addrs.(i) > d.Sink.addrs.(i - 1) then incr increasing
   done;
   Alcotest.(check bool) "mostly increasing addresses" true
-    (float_of_int !increasing /. float_of_int (max 1 (Array.length d.Sink.addrs - 1)) > 0.9)
+    (float_of_int !increasing /. float_of_int (max 1 (d.Sink.n_refs - 1)) > 0.9)
 
 let test_synth_validation () =
   Alcotest.check_raises "bad duration" (Invalid_argument "Synth.phase: bad duration range")
