@@ -471,6 +471,141 @@ let run_online_report () =
     ((Unix.gettimeofday () -. r0) /. float_of_int reps *. 1000.0)
     (Array.length intervals)
 
+(* ------------------------------ loadgen ----------------------------- *)
+
+(* The one load generator, behind --load, --soak and the sharded-health
+   kernel of --serve.  It forks [clients] processes against an already
+   running server; each sends [script r] for r = 0 .. per_client - 1 over
+   one connection.  [interval] > 0 paces each client on a fixed tick grid
+   (a slow response eats into the following gap instead of stretching the
+   run); 0 fires as fast as responses come back.  Every response is
+   checked, not assumed: a typed admission refusal counts as [refused],
+   any other error or a payload that differs from the first answer that
+   client got to the same request counts as [mismatched].  A request with
+   no answer is lost: [sent - got].  Children report through temp files;
+   one that never reported lost all its requests.  Like the serve
+   phase's server fork, it must run before this process spawns any
+   worker domain. *)
+type load = {
+  sent : int;
+  got : int;
+  ok : int;
+  refused : int;
+  mismatched : int;
+  latencies : float array;  (* us per answered request, sorted *)
+  wall : float;  (* seconds from the first fork to the last exit *)
+}
+
+let drive ~address ~clients ~per_client ~interval ~script =
+  let files =
+    List.init clients (fun i -> Filename.temp_file "repro_load" (string_of_int i))
+  in
+  flush stdout;
+  let w0 = Unix.gettimeofday () in
+  let client file =
+    let got = ref 0 and ok = ref 0 and refused = ref 0 and mismatched = ref 0 in
+    let refs = Hashtbl.create 3 in
+    let lat = Array.make per_client (-1.0) in
+    (try
+       Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+           let t0 = Unix.gettimeofday () in
+           for r = 0 to per_client - 1 do
+             let tick = t0 +. (float_of_int r *. interval) in
+             let now = Unix.gettimeofday () in
+             if tick > now then Unix.sleepf (tick -. now);
+             let req = script r in
+             let s = Unix.gettimeofday () in
+             match Serve.Client.call_raw conn req with
+             | Error _ -> ()
+             | Ok payload -> (
+                 incr got;
+                 lat.(r) <- (Unix.gettimeofday () -. s) *. 1e6;
+                 match Serve.Protocol.decode_response payload with
+                 | Ok
+                     (Serve.Protocol.Error
+                        {
+                          code =
+                            ( Serve.Protocol.Rate_limited | Serve.Protocol.Too_large
+                            | Serve.Protocol.Overloaded | Serve.Protocol.Timeout
+                            | Serve.Protocol.Busy );
+                          _;
+                        }) ->
+                     incr refused
+                 | Ok (Serve.Protocol.Error _) | Error _ -> incr mismatched
+                 | Ok _ -> (
+                     match Hashtbl.find_opt refs req with
+                     | None ->
+                         Hashtbl.replace refs req payload;
+                         incr ok
+                     | Some reference ->
+                         if String.equal reference payload then incr ok else incr mismatched))
+           done)
+     with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
+    let out = open_out file in
+    Printf.fprintf out "%d %d %d %d\n" !got !ok !refused !mismatched;
+    Array.iter (fun v -> if v >= 0.0 then Printf.fprintf out "%.1f\n" v) lat;
+    close_out out;
+    Unix._exit 0
+  in
+  let pids =
+    List.map (fun file -> match Unix.fork () with 0 -> client file | pid -> pid) files
+  in
+  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+  let wall = Unix.gettimeofday () -. w0 in
+  let latencies = ref [] in
+  let got, ok, refused, mismatched =
+    List.fold_left
+      (fun ((g, o, r, m) as acc) file ->
+        let ic = open_in file in
+        let counts =
+          match input_line ic with
+          | line ->
+              Scanf.sscanf line "%d %d %d %d" (fun a b c d -> (g + a, o + b, r + c, m + d))
+          | exception End_of_file -> acc
+        in
+        (try
+           while true do
+             latencies := float_of_string (input_line ic) :: !latencies
+           done
+         with End_of_file -> ());
+        close_in ic;
+        Sys.remove file;
+        counts)
+      (0, 0, 0, 0) files
+  in
+  let latencies = Array.of_list !latencies in
+  Array.sort compare latencies;
+  { sent = clients * per_client; got; ok; refused; mismatched; latencies; wall }
+
+(* The --load and --soak request mix. *)
+let health_analyze_quadrant r =
+  match r mod 3 with
+  | 0 -> Serve.Protocol.Health
+  | 1 -> Serve.Protocol.Analyze "gzip"
+  | _ -> Serve.Protocol.Quadrant "gzip"
+
+(* [--name VALUE] flags; errors are prefixed with [mode]. *)
+let flag_value args name =
+  let rec go = function
+    | [] -> None
+    | k :: v :: _ when String.equal k name -> Some v
+    | _ :: rest -> go rest
+  in
+  go args
+
+let positive_flag ~mode args name default =
+  match flag_value args name with
+  | None -> default
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 1 -> n
+      | Some _ | None -> failwith (Printf.sprintf "%s: %s expects a positive integer" mode name))
+
+let socket_flag ~mode args =
+  match flag_value args "--socket" with
+  | Some s -> Serve.Server.Unix_socket s
+  | None -> failwith (mode ^ ": --socket PATH required")
+
 (* ----------------------------- serve RPC ---------------------------- *)
 
 (* Requests/sec and latency percentiles over a Unix socket, for a tiny
@@ -518,53 +653,32 @@ let sharded_health_rps ~io_shards ~clients ~per_client =
     (try Sys.remove sock with Sys_error _ -> ());
     ignore (Unix.waitpid [] pid)
   in
-  try
-    (* Readiness probe, outside the timed window. *)
-    Serve.Client.with_connection ~retry_for:200 address (fun conn ->
-        match Serve.Client.call conn Serve.Protocol.Health with
-        | Ok (Serve.Protocol.Health_ok _) -> ()
-        | Ok r -> failwith (Serve.Protocol.render_response r)
-        | Error m -> failwith m);
-    let w0 = Unix.gettimeofday () in
-    let pids =
-      List.init clients (fun _ ->
-          match Unix.fork () with
-          | 0 ->
-              let status =
-                try
-                  Serve.Client.with_connection ~retry_for:200 address
-                    (fun conn ->
-                      let ok = ref 0 in
-                      for _ = 1 to per_client do
-                        match Serve.Client.call conn Serve.Protocol.Health with
-                        | Ok (Serve.Protocol.Health_ok _) -> incr ok
-                        | Ok _ | Error _ -> ()
-                      done;
-                      if !ok = per_client then 0 else 1)
-                with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> 1
-              in
-              Unix._exit status
-          | pid -> pid)
-    in
-    let lost =
-      List.fold_left
-        (fun acc pid ->
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> acc
-          | _ -> acc + 1)
-        0 pids
-    in
-    let dt = Unix.gettimeofday () -. w0 in
-    Serve.Client.with_connection ~retry_for:200 address (fun conn ->
-        ignore (Serve.Client.call conn Serve.Protocol.Shutdown));
-    finish ();
-    if lost > 0 then
-      failwith (Printf.sprintf "%d client(s) lost responses" lost);
-    float_of_int (clients * per_client) /. dt
-  with Failure m ->
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ());
-    finish ();
-    failwith ("sharded health: " ^ m)
+  let l =
+    try
+      (* Readiness probe, outside the timed window. *)
+      Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+          match Serve.Client.call conn Serve.Protocol.Health with
+          | Ok (Serve.Protocol.Health_ok _) -> ()
+          | Ok r -> failwith (Serve.Protocol.render_response r)
+          | Error m -> failwith m);
+      let l =
+        drive ~address ~clients ~per_client ~interval:0.0 ~script:(fun _ ->
+            Serve.Protocol.Health)
+      in
+      Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+          ignore (Serve.Client.call conn Serve.Protocol.Shutdown));
+      l
+    with Failure m ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ());
+      finish ();
+      failwith ("sharded health: " ^ m)
+  in
+  finish ();
+  if l.ok < l.sent then
+    failwith
+      (Printf.sprintf "sharded health: %d of %d responses lost, refused or mismatched"
+         (l.sent - l.ok) l.sent);
+  float_of_int l.sent /. l.wall
 
 let run_serve_report () =
   let sock = Filename.temp_file "repro_serve_bench" ".sock" in
@@ -672,270 +786,61 @@ let run_serve_report () =
         finish ();
         Printf.printf "serve RPC bench failed: %s\n\n%!" m)
 
-(* ------------------------------ loadgen ----------------------------- *)
+(* ------------------------------ load/soak ---------------------------- *)
 
 (* `bench/main.exe -- --load --socket PATH [--clients N] [--requests M]`:
-   the load generator behind scripts/load_test.sh.  Forks N client
-   processes against an already-running server; each cycles
-   health/analyze/quadrant, byte-compares every successful response
-   against the first one it saw for that request, and classifies typed
-   admission refusals separately.  Prints one summary line and exits
-   non-zero on any lost or mismatched response — refusals are fine (the
-   script runs a phase with rate limiting on and expects some), silent
-   corruption is not. *)
+   the load generator behind scripts/load_test.sh.  Each client cycles
+   health/analyze/quadrant as fast as the server answers.  Prints one
+   summary line and exits non-zero on any lost or mismatched response —
+   refusals are fine (the script runs a phase with rate limiting on and
+   expects some), silent corruption is not. *)
 let run_load args =
-  let rec opt name = function
-    | [] -> None
-    | k :: v :: _ when String.equal k name -> Some v
-    | _ :: rest -> opt name rest
-  in
-  let socket =
-    match opt "--socket" args with
-    | Some s -> s
-    | None -> failwith "load: --socket PATH required"
-  in
-  let int_opt name default =
-    match opt name args with
-    | None -> default
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> n
-        | Some _ | None ->
-            failwith (Printf.sprintf "load: %s expects a positive integer" name))
-  in
-  let clients = int_opt "--clients" 8 in
-  let per_client = int_opt "--requests" 60 in
-  let address = Serve.Server.Unix_socket socket in
-  let script r =
-    match r mod 3 with
-    | 0 -> Serve.Protocol.Health
-    | 1 -> Serve.Protocol.Analyze "gzip"
-    | _ -> Serve.Protocol.Quadrant "gzip"
-  in
-  let files =
-    List.init clients (fun i -> Filename.temp_file "repro_load" (string_of_int i))
-  in
-  flush stdout;
-  let pids =
-    List.map
-      (fun file ->
-        match Unix.fork () with
-        | 0 ->
-            let got = ref 0
-            and ok = ref 0
-            and refused = ref 0
-            and mismatched = ref 0 in
-            let refs = Hashtbl.create 3 in
-            (try
-               Serve.Client.with_connection ~retry_for:200 address (fun conn ->
-                   for r = 0 to per_client - 1 do
-                     match Serve.Client.call_raw conn (script r) with
-                     | Error _ -> ()
-                     | Ok payload -> (
-                         incr got;
-                         match Serve.Protocol.decode_response payload with
-                         | Ok
-                             (Serve.Protocol.Error
-                                {
-                                  code =
-                                    ( Serve.Protocol.Rate_limited
-                                    | Serve.Protocol.Too_large
-                                    | Serve.Protocol.Overloaded
-                                    | Serve.Protocol.Timeout
-                                    | Serve.Protocol.Busy );
-                                  _;
-                                }) ->
-                             incr refused
-                         | Ok (Serve.Protocol.Error _) | Error _ ->
-                             incr mismatched
-                         | Ok _ -> (
-                             match Hashtbl.find_opt refs (r mod 3) with
-                             | None ->
-                                 Hashtbl.replace refs (r mod 3) payload;
-                                 incr ok
-                             | Some reference ->
-                                 if String.equal reference payload then incr ok
-                                 else incr mismatched))
-                   done)
-             with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-            let out = open_out file in
-            Printf.fprintf out "%d %d %d %d\n" !got !ok !refused !mismatched;
-            close_out out;
-            Unix._exit 0
-        | pid -> pid)
-      files
-  in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  let got, ok, refused, mismatched =
-    List.fold_left
-      (fun (g, o, r, m) file ->
-        let ic = open_in file in
-        let line = input_line ic in
-        close_in ic;
-        Sys.remove file;
-        Scanf.sscanf line "%d %d %d %d" (fun a b c d ->
-            (g + a, o + b, r + c, m + d)))
-      (0, 0, 0, 0) files
-  in
-  let sent = clients * per_client in
-  let lost = sent - got in
+  let address = socket_flag ~mode:"load" args in
+  let clients = positive_flag ~mode:"load" args "--clients" 8 in
+  let per_client = positive_flag ~mode:"load" args "--requests" 60 in
+  let l = drive ~address ~clients ~per_client ~interval:0.0 ~script:health_analyze_quadrant in
+  let lost = l.sent - l.got in
   Printf.printf
     "load: clients=%d requests/client=%d sent=%d got=%d ok=%d refused=%d mismatched=%d lost=%d\n%!"
-    clients per_client sent got ok refused mismatched lost;
-  if lost > 0 || mismatched > 0 then begin
+    clients per_client l.sent l.got l.ok l.refused l.mismatched lost;
+  if lost > 0 || l.mismatched > 0 then begin
     Printf.printf "load: FAIL\n%!";
     exit 1
   end
 
-(* -------------------------------- soak ------------------------------ *)
-
 (* `bench/main.exe -- --soak --socket PATH [--clients N] [--rps R]
-   [--duration SECONDS] [--json]`: the paced load generator behind
-   scripts/soak_test.sh.  Unlike --load (which fires as fast as the
-   socket allows), each forked client schedules its requests against a
-   fixed tick grid so the offered load is a target requests/sec held for
-   a target duration — a soak, not a burst.  Every response is verified
-   exactly as in --load (byte-compare per request shape, typed refusals
-   counted separately), per-request latencies are merged across clients
-   into p50/p99, and the run fails on any lost or mismatched response.
-   The JSON report carries the calibration figure and the core count so
-   scripts/soak_test.sh can hold p99 to a machine-normalized budget from
-   the committed BENCH_soak.json baseline. *)
+   [--duration SECONDS] [--json]`: the paced run behind
+   scripts/soak_test.sh.  Same mix and checks as --load, but each client
+   is paced so the offered load is a target requests/sec held for a
+   target duration — a soak, not a burst.  Latencies merged across
+   clients give p50/p99, and the run fails on any lost or mismatched
+   response.  The JSON report carries the calibration figure and the
+   core count so scripts/soak_test.sh can hold p99 to a
+   machine-normalized budget from the committed BENCH_soak.json
+   baseline. *)
 let run_soak args =
-  let rec opt name = function
-    | [] -> None
-    | k :: v :: _ when String.equal k name -> Some v
-    | _ :: rest -> opt name rest
-  in
-  let socket =
-    match opt "--socket" args with
-    | Some s -> s
-    | None -> failwith "soak: --socket PATH required"
-  in
-  let int_opt name default =
-    match opt name args with
-    | None -> default
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> n
-        | Some _ | None ->
-            failwith (Printf.sprintf "soak: %s expects a positive integer" name))
-  in
-  let clients = int_opt "--clients" 4 in
-  let rps = int_opt "--rps" 200 in
-  let duration = int_opt "--duration" 5 in
+  let address = socket_flag ~mode:"soak" args in
+  let clients = positive_flag ~mode:"soak" args "--clients" 4 in
+  let rps = positive_flag ~mode:"soak" args "--rps" 200 in
+  let duration = positive_flag ~mode:"soak" args "--duration" 5 in
   let json = List.mem "--json" args in
-  let address = Serve.Server.Unix_socket socket in
   let per_client = max 1 (rps * duration / clients) in
   let interval = float_of_int duration /. float_of_int per_client in
-  let script r =
-    match r mod 3 with
-    | 0 -> Serve.Protocol.Health
-    | 1 -> Serve.Protocol.Analyze "gzip"
-    | _ -> Serve.Protocol.Quadrant "gzip"
-  in
   (* Machine-speed probe before the forks, outside the paced window. *)
   let calib_ms = time_reps 5 calibration_kernel in
-  let files =
-    List.init clients (fun i -> Filename.temp_file "repro_soak" (string_of_int i))
-  in
-  flush stdout;
-  let w0 = Unix.gettimeofday () in
-  let pids =
-    List.map
-      (fun file ->
-        match Unix.fork () with
-        | 0 ->
-            let got = ref 0
-            and ok = ref 0
-            and refused = ref 0
-            and mismatched = ref 0 in
-            let refs = Hashtbl.create 3 in
-            let lat = Array.make per_client (-1.0) in
-            (try
-               Serve.Client.with_connection ~retry_for:200 address (fun conn ->
-                   let t0 = Unix.gettimeofday () in
-                   for r = 0 to per_client - 1 do
-                     (* Fixed tick grid: a slow response eats into the
-                        following gap instead of stretching the run. *)
-                     let tick = t0 +. (float_of_int r *. interval) in
-                     let now = Unix.gettimeofday () in
-                     if tick > now then Unix.sleepf (tick -. now);
-                     let s = Unix.gettimeofday () in
-                     (match Serve.Client.call_raw conn (script r) with
-                     | Error _ -> ()
-                     | Ok payload -> (
-                         incr got;
-                         lat.(r) <- (Unix.gettimeofday () -. s) *. 1e6;
-                         match Serve.Protocol.decode_response payload with
-                         | Ok
-                             (Serve.Protocol.Error
-                                {
-                                  code =
-                                    ( Serve.Protocol.Rate_limited
-                                    | Serve.Protocol.Too_large
-                                    | Serve.Protocol.Overloaded
-                                    | Serve.Protocol.Timeout
-                                    | Serve.Protocol.Busy );
-                                  _;
-                                }) ->
-                             incr refused
-                         | Ok (Serve.Protocol.Error _) | Error _ ->
-                             incr mismatched
-                         | Ok _ -> (
-                             match Hashtbl.find_opt refs (r mod 3) with
-                             | None ->
-                                 Hashtbl.replace refs (r mod 3) payload;
-                                 incr ok
-                             | Some reference ->
-                                 if String.equal reference payload then incr ok
-                                 else incr mismatched)))
-                   done)
-             with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-            let out = open_out file in
-            Printf.fprintf out "%d %d %d %d\n" !got !ok !refused !mismatched;
-            Array.iter (fun v -> if v >= 0.0 then Printf.fprintf out "%.1f\n" v) lat;
-            close_out out;
-            Unix._exit 0
-        | pid -> pid)
-      files
-  in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  let dt = Unix.gettimeofday () -. w0 in
-  let latencies = ref [] in
-  let got, ok, refused, mismatched =
-    List.fold_left
-      (fun (g, o, r, m) file ->
-        let ic = open_in file in
-        let counts =
-          Scanf.sscanf (input_line ic) "%d %d %d %d" (fun a b c d ->
-              (g + a, o + b, r + c, m + d))
-        in
-        (try
-           while true do
-             latencies := float_of_string (input_line ic) :: !latencies
-           done
-         with End_of_file -> ());
-        close_in ic;
-        Sys.remove file;
-        counts)
-      (0, 0, 0, 0) files
-  in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
+  let l = drive ~address ~clients ~per_client ~interval ~script:health_analyze_quadrant in
   let p50, p99 =
-    if Array.length sorted = 0 then (0.0, 0.0)
-    else (percentile sorted 50.0, percentile sorted 99.0)
+    if Array.length l.latencies = 0 then (0.0, 0.0)
+    else (percentile l.latencies 50.0, percentile l.latencies 99.0)
   in
-  let sent = clients * per_client in
-  let lost = sent - got in
-  let achieved = float_of_int got /. dt in
+  let lost = l.sent - l.got in
+  let achieved = float_of_int l.got /. l.wall in
   let cores = Domain.recommended_domain_count () in
   let summary =
     Printf.sprintf
       "soak: clients=%d rps=%d duration=%ds sent=%d got=%d ok=%d refused=%d \
        mismatched=%d lost=%d p50=%.1fus p99=%.1fus achieved=%.0frps cores=%d"
-      clients rps duration sent got ok refused mismatched lost p50 p99 achieved
+      clients rps duration l.sent l.got l.ok l.refused l.mismatched lost p50 p99 achieved
       cores
   in
   if json then begin
@@ -959,28 +864,20 @@ let run_soak args =
       \  \"calibration_ms\": %.4f,\n\
       \  \"cores\": %d\n\
        }\n"
-      clients rps duration sent got ok refused mismatched lost achieved p50 p99
+      clients rps duration l.sent l.got l.ok l.refused l.mismatched lost achieved p50 p99
       calib_ms cores;
     Printf.eprintf "%s\n%!" summary
   end
   else print_endline summary;
-  if lost > 0 || mismatched > 0 then begin
-    Printf.eprintf "soak: FAIL (lost=%d mismatched=%d)\n%!" lost mismatched;
+  if lost > 0 || l.mismatched > 0 then begin
+    Printf.eprintf "soak: FAIL (lost=%d mismatched=%d)\n%!" lost l.mismatched;
     exit 1
   end
 
 (* -------------------------------- main ------------------------------ *)
 
 let jobs_of_args args =
-  let rec go = function
-    | "--jobs" :: n :: _ -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 -> j
-        | Some _ | None -> failwith "bench: --jobs expects a positive integer")
-    | _ :: rest -> go rest
-    | [] -> Parallel.Pool.default_jobs ()
-  in
-  go args
+  positive_flag ~mode:"bench" args "--jobs" (Parallel.Pool.default_jobs ())
 
 (* Atlas throughput: wall-clock for the zoo characterization sweep at
    reduced fidelity, serial vs pooled.  Deliberately not part of the

@@ -1,12 +1,12 @@
-type t = { cache : Cache_lru.t; page_bytes : int }
+type t = { pages : Stats.Lru.t; page_bytes : int }
 
 let create ~pages ~page_bytes =
   if pages <= 0 then invalid_arg "Bufcache.create: pages must be positive";
-  { cache = Cache_lru.create ~capacity:pages; page_bytes }
+  { pages = Stats.Lru.create ~capacity:pages; page_bytes }
 
-let touch t addr = Cache_lru.access t.cache (addr / t.page_bytes)
+let touch t addr = Stats.Lru.access t.pages (addr / t.page_bytes)
 
 let hit_ratio t =
-  let a = Cache_lru.accesses t.cache in
-  if a = 0 then 1.0 else float_of_int (Cache_lru.hits t.cache) /. float_of_int a
-
+  let hits = Stats.Lru.hits t.pages in
+  let a = hits + Stats.Lru.misses t.pages in
+  if a = 0 then 1.0 else float_of_int hits /. float_of_int a

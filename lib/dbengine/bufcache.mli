@@ -7,7 +7,8 @@
 type t
 
 val create : pages:int -> page_bytes:int -> t
-(** Capacity is rounded up so the set count is a power of two. *)
+(** Holds exactly [pages] pages, replaced least recently used first
+    ({!Stats.Lru}). *)
 
 val touch : t -> int -> bool
 (** [touch t addr] returns [true] on a buffer hit. *)

@@ -1,8 +1,8 @@
-(** Fully-associative data-TLB model with exact LRU replacement.
+(** Fully-associative data-TLB model with exact LRU replacement
+    ({!Stats.Lru} over page numbers).
 
     TLB walks contribute to the OTHER stall component in the CPI
-    breakdown.  A page-to-entry hash index and a recency list make each
-    access O(1) in the number of entries, and {!access} allocates
+    breakdown.  {!access} is O(1) in the number of entries and allocates
     nothing. *)
 
 type t

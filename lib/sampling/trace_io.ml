@@ -4,7 +4,7 @@
      then one line per sample:
      "<eip> <tid> <instrs> <cycles> <work> <fe> <exe> <other> <os_instrs>
       <nregions> (<region> <instrs>)*"
-     last line: "fuzzytrace-end <body_bytes> <adler32>"
+     last line: "fuzzytrace-end <body_bytes> <adler32>" (Stats.Checksum)
    Floats are printed with %h (hex floats) so round-trips are exact.  The
    trailer declares the byte length and Adler-32 checksum of everything
    before it, so a truncated or bit-flipped archive is rejected with a
@@ -15,17 +15,6 @@
    version 2. *)
 
 let version = 2
-
-(* Adler-32 (RFC 1950) — same checksum the serve wire format uses, kept
-   local because lib/serve depends on this library, not vice versa. *)
-let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  (!b lsl 16) lor !a
 
 let render_run (run : Driver.run) =
   let buf = Buffer.create 65536 in
@@ -46,9 +35,7 @@ let render_run (run : Driver.run) =
     run.Driver.samples;
   Buffer.contents buf
 
-let to_string run =
-  let body = render_run run in
-  Printf.sprintf "%sfuzzytrace-end %d %d\n" body (String.length body) (adler32 body)
+let to_string run = Stats.Checksum.seal ~tag:"fuzzytrace" (render_run run)
 
 let save (run : Driver.run) ~path =
   (* Write to a temp file in the target directory and rename into place:
@@ -68,37 +55,6 @@ let save (run : Driver.run) ~path =
 
 let fail_fmt fmt = Printf.ksprintf failwith fmt
 
-(* Validate the trailer and return the body it covers.  Every corruption
-   mode gets its own message: missing/garbled trailer (foreign file or
-   cut off mid-line), length mismatch (truncated or grown) and checksum
-   mismatch (bit flips with the length intact). *)
-let checked_body ~path content =
-  let len = String.length content in
-  if len = 0 then fail_fmt "Trace_io.load: %s: empty file" path;
-  if content.[len - 1] <> '\n' then
-    fail_fmt "Trace_io.load: %s: truncated (no final newline)" path;
-  let trailer_start =
-    match String.rindex_from_opt content (len - 2) '\n' with
-    | Some i -> i + 1
-    | None -> 0
-  in
-  let trailer = String.sub content trailer_start (len - 1 - trailer_start) in
-  let body = String.sub content 0 trailer_start in
-  let declared_len, declared_sum =
-    try Scanf.sscanf trailer "fuzzytrace-end %d %d%!" (fun a b -> (a, b))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-      fail_fmt "Trace_io.load: %s: missing end-of-trace trailer (truncated or not a trace)"
-        path
-  in
-  if String.length body <> declared_len then
-    fail_fmt "Trace_io.load: %s: truncated: %d body bytes, trailer declares %d" path
-      (String.length body) declared_len;
-  let sum = adler32 body in
-  if sum <> declared_sum then
-    fail_fmt "Trace_io.load: %s: checksum mismatch (corrupt trace): %#x, trailer declares %#x"
-      path sum declared_sum;
-  body
-
 let of_string ~label:path content =
   if String.length content = 0 then fail_fmt "Trace_io.load: %s: empty file" path;
   let file_version =
@@ -109,7 +65,11 @@ let of_string ~label:path content =
   let body =
     (* v1 predates the trailer: nothing to validate against, so the body
        is the whole file.  Everything newer must carry a valid trailer. *)
-    if file_version = 1 then content else checked_body ~path content
+    if file_version = 1 then content
+    else
+      match Stats.Checksum.unseal ~tag:"fuzzytrace" content with
+      | Ok body -> body
+      | Error reason -> fail_fmt "Trace_io.load: %s: %s" path reason
   in
   let lines = String.split_on_char '\n' body in
   let header, sample_lines =

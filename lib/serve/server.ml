@@ -85,16 +85,6 @@ and message =
          the metrics count (None = ok), applied only if the subscriber
          is still connected *)
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off remaining =
-    if remaining > 0 then
-      match Unix.write_substring fd s off remaining with
-      | n -> go (off + n) (remaining - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off remaining
-  in
-  go 0 len
-
 let close_quietly fd =
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
@@ -738,12 +728,10 @@ let run ?(on_event = fun _ -> ()) cfg address =
                 Printf.sprintf "connection limit reached (max %d)"
                   cfg.max_connections
             in
-            let frame =
-              Wire.encode
-                (Protocol.encode_response
-                   (Protocol.Error { code = Protocol.Busy; message }))
+            let refusal =
+              Protocol.encode_response (Protocol.Error { code = Protocol.Busy; message })
             in
-            (try write_all fd frame with Unix.Unix_error (_, _, _) -> ());
+            (try Wire.write_frame fd refusal with Unix.Unix_error (_, _, _) -> ());
             close_quietly fd
           end
           else begin

@@ -32,17 +32,6 @@ let error_to_string = function
   | Bad_checksum -> "payload checksum mismatch"
   | Truncated -> "truncated frame"
 
-(* Adler-32 (RFC 1950): two running sums mod 65521. *)
-let adler32 s =
-  let base = 65521 in
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod base;
-      b := (!b + !a) mod base)
-    s;
-  (!b lsl 16) lor !a
-
 let put_u16 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr (v land 0xff))
@@ -66,7 +55,7 @@ let encode payload =
   Buffer.add_string buf magic;
   put_u16 buf version;
   put_u32 buf (String.length payload);
-  put_u32 buf (adler32 payload);
+  put_u32 buf (Stats.Checksum.adler32 payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -81,7 +70,7 @@ let decode_header ?(max_payload = default_max_payload) bytes =
       if len > max_payload then Error (Oversized len)
       else Ok (len, get_u32 bytes 10)
 
-let check_payload payload ~checksum = adler32 payload = checksum
+let check_payload payload ~checksum = Stats.Checksum.adler32 payload = checksum
 
 let decode ?max_payload frame =
   match decode_header ?max_payload frame with
@@ -95,12 +84,13 @@ let decode ?max_payload frame =
 (* ------------------------- blocking transport ----------------------- *)
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
+  let rec go off =
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
 
 let write_frame fd payload = write_all fd (encode payload)
 

@@ -12,6 +12,10 @@
       bytes 14..   payload
     v}
 
+    The checksum is {!Stats.Checksum.adler32}, shared with the text
+    archives; the header stays binary and comes first so a reader can
+    refuse an oversized frame before reading its payload.
+
     Every integer is written big-endian with a fixed width and floats are
     written as their IEEE-754 bit patterns, so encoding is a pure
     function of the value — the same message encodes to the same bytes
@@ -36,9 +40,6 @@ type error =
 
 val error_to_string : error -> string
 
-val adler32 : string -> int
-(** Adler-32 of the whole string (RFC 1950), in [0, 2^32). *)
-
 val encode : string -> string
 (** [encode payload] is the full frame: header followed by [payload]. *)
 
@@ -60,7 +61,8 @@ val check_payload : string -> checksum:int -> bool
     incrementally through {!Session}. *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** Frame the payload and write it fully ([Unix] write loop). *)
+(** Frame the payload and write it fully to a blocking descriptor
+    ([Unix] write loop, retried on [EINTR]). *)
 
 val read_frame : ?max_payload:int -> Unix.file_descr -> (string, error) result
 (** Read exactly one frame, blocking; EOF mid-frame is [Truncated]. *)

@@ -18,7 +18,7 @@
      fuzzystore-end <body_len> <adler32>\n
 
    The trailer declares the length and Adler-32 of everything before it
-   (Trace_io v2 discipline), and the embedded key must byte-match the
+   (Stats.Checksum, the trailer Trace_io v2 archives carry too), and the embedded key must byte-match the
    requested key, so a truncated, bit-flipped or hash-colliding file is
    detected before any payload byte is interpreted.  Invalid entries are
    never errors: they quarantine and read as misses, because the caller
@@ -47,18 +47,9 @@ type stats = {
   quarantined : int;
 }
 
-let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  (!b lsl 16) lor !a
-
 let digest_of_key key =
-  Printf.sprintf "%s-%08x-%x" (Digest.to_hex (Digest.string key)) (adler32 key)
-    (String.length key)
+  Printf.sprintf "%s-%08x-%x" (Digest.to_hex (Digest.string key))
+    (Stats.Checksum.adler32 key) (String.length key)
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -96,37 +87,13 @@ let frame ~key ~payload =
   Buffer.add_char b '\n';
   Buffer.add_string b payload;
   Buffer.add_char b '\n';
-  let body = Buffer.contents b in
-  Printf.sprintf "%sfuzzystore-end %d %d\n" body (String.length body) (adler32 body)
+  Stats.Checksum.seal ~tag:"fuzzystore" (Buffer.contents b)
 
 (* Validate a whole entry file; [Error reason] for anything short of a
    byte-exact, checksummed, current-format entry. *)
 let unframe content =
-  let len = String.length content in
   let ( let* ) r f = Result.bind r f in
-  let* () = if len = 0 then Error "empty file" else Ok () in
-  let* () =
-    if content.[len - 1] <> '\n' then Error "truncated (no final newline)" else Ok ()
-  in
-  let trailer_start =
-    match String.rindex_from_opt content (len - 2) '\n' with Some i -> i + 1 | None -> 0
-  in
-  let trailer = String.sub content trailer_start (len - 1 - trailer_start) in
-  let body = String.sub content 0 trailer_start in
-  let* declared_len, declared_sum =
-    try Scanf.sscanf trailer "fuzzystore-end %d %d%!" (fun a b -> Ok (a, b))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> Error "missing trailer"
-  in
-  let* () =
-    if String.length body <> declared_len then
-      Error
-        (Printf.sprintf "truncated: %d body bytes, trailer declares %d" (String.length body)
-           declared_len)
-    else Ok ()
-  in
-  let* () =
-    if adler32 body <> declared_sum then Error "checksum mismatch" else Ok ()
-  in
+  let* body = Stats.Checksum.unseal ~tag:"fuzzystore" content in
   let* format, key_len, payload_len, header_len =
     try
       Scanf.sscanf body "fuzzystore %d %d %d\n%n" (fun f k p n -> Ok (f, k, p, n))
@@ -171,32 +138,30 @@ let quarantine t path =
 
 (* ------------------------------ access ------------------------------ *)
 
-let find t ~key =
-  let digest = digest_of_key key in
+(* The one entry reader.  [Some (key, payload)] for a byte-exact entry
+   whose embedded key [owns] accepts; [None] for a missing file, and
+   [None] after quarantining anything else. *)
+let read_entry t digest ~owns =
   let path = path_of_digest t digest in
-  let miss () =
-    bump t (fun t -> t.misses <- t.misses + 1);
-    None
-  in
   match read_file path with
-  | exception Sys_error _ -> miss ()
+  | exception Sys_error _ -> None
   | content -> (
       match unframe content with
-      | Error _ ->
+      | Ok (key, payload) when owns key -> Some (key, payload)
+      | Ok _ | Error _ ->
           quarantine t path;
-          miss ()
-      | Ok (stored_key, payload) ->
-          if String.equal stored_key key then begin
-            bump t (fun t -> t.hits <- t.hits + 1);
-            Some payload
-          end
-          else begin
-            (* Full-key comparison backstops the digest: a collision is
-               indistinguishable from corruption and is handled the same
-               way. *)
-            quarantine t path;
-            miss ()
-          end)
+          None)
+
+let find t ~key =
+  (* The full-key comparison backstops the digest: a collision is
+     indistinguishable from corruption and is handled the same way. *)
+  match read_entry t (digest_of_key key) ~owns:(String.equal key) with
+  | Some (_, payload) ->
+      bump t (fun t -> t.hits <- t.hits + 1);
+      Some payload
+  | None ->
+      bump t (fun t -> t.misses <- t.misses + 1);
+      None
 
 (* A caller decoded the payload of a [find] hit and found it malformed
    (the container checksum passed, the semantic layer did not — format
@@ -246,35 +211,26 @@ let digests t =
       else [])
     (sorted_dir t.dir)
 
+(* Entry files are named by the digest of the key they embed. *)
+let owned_by digest key = digest_of_key key = digest
+
 (* Fold validated entries in digest order; invalid ones quarantine and
    are skipped, exactly as [find] would treat them. *)
 let fold t ~init ~f =
   List.fold_left
     (fun acc digest ->
-      let path = path_of_digest t digest in
-      match read_file path with
-      | exception Sys_error _ -> acc
-      | content -> (
-          match unframe content with
-          | Ok (key, payload) when digest_of_key key = digest -> f acc ~key ~payload
-          | Ok _ | Error _ ->
-              quarantine t path;
-              acc))
+      match read_entry t digest ~owns:(owned_by digest) with
+      | Some (key, payload) -> f acc ~key ~payload
+      | None -> acc)
     init (digests t)
 
 let verify t =
   let ok, bad =
     List.fold_left
       (fun (ok, bad) digest ->
-        let path = path_of_digest t digest in
-        match read_file path with
-        | exception Sys_error _ -> (ok, digest :: bad)
-        | content -> (
-            match unframe content with
-            | Ok (key, _) when digest_of_key key = digest -> (ok + 1, bad)
-            | Ok _ | Error _ ->
-                quarantine t path;
-                (ok, digest :: bad)))
+        match read_entry t digest ~owns:(owned_by digest) with
+        | Some _ -> (ok + 1, bad)
+        | None -> (ok, digest :: bad))
       (0, []) (digests t)
   in
   (ok, List.rev bad)

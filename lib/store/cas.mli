@@ -3,7 +3,7 @@
     Entries are immutable files [dir/<2-char shard>/<digest>] where the
     digest combines an MD5 of the key with the repo's usual Adler-32 +
     length discipline.  Each file carries a length + Adler-32 trailer
-    (Trace_io v2 style) and embeds its full key, so truncation, bit-flips
+    ({!Stats.Checksum}, as Trace_io v2 archives do) and embeds its full key, so truncation, bit-flips
     and digest collisions are all detected on read.  Invalid entries are
     never errors: they are moved to [dir/quarantine/] and read as misses.
     Writes are temp-file + rename, so concurrent readers and crashed

@@ -53,7 +53,10 @@ EVLOOP_ARGS=""
 [ -x "$BENCH" ] || { echo "soak: $BENCH not built (run dune build @all)" >&2; exit 1; }
 command -v curl > /dev/null 2>&1 || { echo "soak: curl is required" >&2; exit 1; }
 mkdir -p "$OUT"
-rm -f "$SOCK"
+# The port loop below reads server.err as soon as the server is started
+# in the background, possibly before the redirection truncates it: a
+# previous run's file would hand it that run's port.
+rm -f "$SOCK" "$OUT/server.out" "$OUT/server.err"
 
 SERVER_PID=""
 
@@ -101,9 +104,13 @@ done
 METRICS_URL="http://127.0.0.1:$MPORT/metrics"
 HEALTH_URL="http://127.0.0.1:$MPORT/health"
 
-# Readiness: /health answers 200 while the server is accepting.
-code=$(curl -s -o /dev/null -w '%{http_code}' "$HEALTH_URL" || true)
-[ "$code" = "200" ] || fail "/health returned $code while serving (want 200)"
+# Readiness: /health answers 200 while the server is accepting.  A
+# failure reports curl's exit status and error text with the code.
+rc=0
+code=$(curl -sS --max-time 5 -o /dev/null -w '%{http_code}' "$HEALTH_URL" \
+    2> "$OUT/health.err") || rc=$?
+[ "$code" = "200" ] \
+  || fail "/health returned $code while serving (want 200; curl exit $rc: $(cat "$OUT/health.err"))"
 
 # Warm the analysis cache outside the paced window so soak p99 measures
 # the steady state, not the one cold analysis.

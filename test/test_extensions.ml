@@ -362,6 +362,30 @@ let qcheck_trace_v1_short_read =
       | exception Failure _ -> true
       | _ -> false)
 
+(* Archives written before Trace_io's trailer moved to Stats.Checksum,
+   pinned so a format change cannot pass unnoticed: gzip on itanium2 at
+   the quick config with intervals 4, samples_per_interval 10, kmax 3,
+   folds 2 and scale 0.05.  The v1 file is the same run with header
+   "fuzzytrace 1" and no trailer. *)
+let read_fixture name =
+  let ic = open_in_bin (Filename.concat "fixtures" name) in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_trace_fixtures () =
+  let v2 = read_fixture "trace-v2.fuzzytrace" in
+  let from_v2 = Sampling.Trace_io.of_string ~label:"v2 fixture" v2 in
+  let from_v1 =
+    Sampling.Trace_io.of_string ~label:"v1 fixture" (read_fixture "trace-v1.fuzzytrace")
+  in
+  Alcotest.(check int) "fixture sample count" 40
+    (Array.length from_v2.Sampling.Driver.samples);
+  Alcotest.(check string) "v2 re-encodes byte for byte" v2
+    (Sampling.Trace_io.to_string from_v2);
+  Alcotest.(check string) "v1 decodes to the same run" v2
+    (Sampling.Trace_io.to_string from_v1)
+
 (* ----------------------------- Phase_detect ------------------------- *)
 
 let phase_eipv () =
@@ -440,6 +464,7 @@ let () =
           Alcotest.test_case "roundtrip exact" `Quick test_trace_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_trace_rejects_garbage;
           Alcotest.test_case "loads version-1 archives" `Quick test_trace_loads_v1;
+          Alcotest.test_case "pinned v1/v2 fixtures" `Quick test_trace_fixtures;
           Alcotest.test_case "trailer truncation detected at every byte" `Quick
             test_trace_trailer_truncation_every_byte;
           QCheck_alcotest.to_alcotest qcheck_trace_corruption;

@@ -247,30 +247,36 @@ let gen_tlb_case =
     let* addrs = list_size (int_range 1 800) addr in
     return (entries, page_bytes, addrs))
 
+(* The TLB and the buffer cache are both Stats.Lru over page numbers. *)
 let prop_tlb_matches_stamp_lru =
   QCheck2.Test.make ~name:"tlb agrees with timestamp LRU" ~count:300 gen_tlb_case
     (fun (entries, page_bytes, addrs) ->
       let t = Tlb.create ~entries ~page_bytes in
+      let b = Dbengine.Bufcache.create ~pages:entries ~page_bytes in
       let m = Stamp_lru.create ~groups:1 ~ways:entries in
       let misses = ref 0 in
       List.for_all
         (fun addr ->
           let expected = Stamp_lru.access m ~group:0 (addr / page_bytes) in
           if not expected then incr misses;
-          Tlb.access t addr = expected)
+          Tlb.access t addr = expected && Dbengine.Bufcache.touch b addr = expected)
         addrs
-      && Tlb.misses t = !misses)
+      && Tlb.misses t = !misses
+      && Dbengine.Bufcache.hit_ratio b
+         = float_of_int (List.length addrs - !misses) /. float_of_int (List.length addrs))
 
 let test_lru_no_allocation () =
   let c = Cache.create ~size_bytes:32768 ~ways:4 ~line_bytes:64 in
   let t = Tlb.create ~entries:64 ~page_bytes:4096 in
+  let b = Dbengine.Bufcache.create ~pages:64 ~page_bytes:4096 in
   let rng = Stats.Rng.create 7 in
-  (* 1 MB of addresses: both hits and evicting misses at both levels. *)
+  (* 1 MB of addresses: both hits and evicting misses in all three. *)
   let addrs = Array.init 100_000 (fun _ -> Stats.Rng.int rng (1 lsl 20)) in
   let before = Gc.minor_words () in
   for i = 0 to Array.length addrs - 1 do
     ignore (Cache.access c addrs.(i) : bool);
-    ignore (Tlb.access t addrs.(i) : bool)
+    ignore (Tlb.access t addrs.(i) : bool);
+    ignore (Dbengine.Bufcache.touch b addrs.(i) : bool)
   done;
   let after = Gc.minor_words () in
   Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before);

@@ -19,11 +19,6 @@ let acfg = { Fuzzy.Analysis.quick with Fuzzy.Analysis.jobs = 1 }
 
 (* ------------------------------- wire ------------------------------- *)
 
-let test_adler32 () =
-  (* RFC 1950 reference value. *)
-  Alcotest.(check int) "adler32(Wikipedia)" 0x11E60398 (W.adler32 "Wikipedia");
-  Alcotest.(check int) "adler32 of empty" 1 (W.adler32 "")
-
 let check_wire_error name expected = function
   | Stdlib.Error e ->
       Alcotest.(check string) name expected (W.error_to_string e)
@@ -1090,7 +1085,6 @@ let () =
     [
       ( "wire",
         [
-          Alcotest.test_case "adler32 vector" `Quick test_adler32;
           Alcotest.test_case "frame rejections" `Quick test_frame_rejections;
           Alcotest.test_case "primitive extremes" `Quick test_primitive_extremes;
         ]

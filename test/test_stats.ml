@@ -456,6 +456,47 @@ let test_growvec_bool () =
   Alcotest.(check bool) "get" false (Stats.Growvec.Bool.get v 62);
   Alcotest.(check int) "length" 64 (Stats.Growvec.Bool.length v)
 
+(* ----------------------------- Checksum ---------------------------- *)
+
+let test_adler32 () =
+  (* RFC 1950 reference value. *)
+  Alcotest.(check int) "adler32(Wikipedia)" 0x11E60398 (Stats.Checksum.adler32 "Wikipedia");
+  Alcotest.(check int) "adler32 of empty" 1 (Stats.Checksum.adler32 "")
+
+let body = "header 1\nline two\n"
+let sealed = Stats.Checksum.seal ~tag:"fuzzytest" body
+
+let test_seal_roundtrip () =
+  Alcotest.(check string) "trailer line"
+    (Printf.sprintf "%sfuzzytest-end %d %d\n" body (String.length body)
+       (Stats.Checksum.adler32 body))
+    sealed;
+  Alcotest.(check (result string string)) "unseal returns the body" (Ok body)
+    (Stats.Checksum.unseal ~tag:"fuzzytest" sealed)
+
+(* Each way a sealed blob can be damaged, and the word its error must
+   carry. *)
+let unseal_rejections =
+  let flipped =
+    String.mapi (fun i c -> if i = 3 then Char.chr (Char.code c lxor 1) else c) sealed
+  in
+  [
+    ("empty", "", "empty");
+    ("no final newline", String.sub sealed 0 (String.length sealed - 1), "no final newline");
+    ("no trailer", body, "missing fuzzytest-end trailer");
+    ("other tag", Stats.Checksum.seal ~tag:"other" body, "missing fuzzytest-end trailer");
+    ("wrong length", String.sub sealed 1 (String.length sealed - 1), "truncated: 17 body bytes");
+    ("wrong checksum", flipped, "checksum mismatch");
+  ]
+
+let test_unseal_rejects (_, blob, reason) () =
+  match Stats.Checksum.unseal ~tag:"fuzzytest" blob with
+  | Ok _ -> Alcotest.fail "damaged blob accepted"
+  | Error e ->
+      let n = String.length reason in
+      let rec has i = i + n <= String.length e && (String.sub e i n = reason || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "error %S does not name %S" e reason
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -535,4 +576,11 @@ let () =
           Alcotest.test_case "int vector" `Quick test_growvec_int;
           Alcotest.test_case "bool vector" `Quick test_growvec_bool;
         ] );
+      ( "checksum",
+        Alcotest.test_case "adler32 vector" `Quick test_adler32
+        :: Alcotest.test_case "seal/unseal round trip" `Quick test_seal_roundtrip
+        :: List.map
+             (fun ((name, _, _) as case) ->
+               Alcotest.test_case ("unseal rejects " ^ name) `Quick (test_unseal_rejects case))
+             unseal_rejections );
     ]

@@ -142,6 +142,35 @@ let test_cas_fold_order () =
   Alcotest.(check bool) "deterministic digest order" true
     (digests = List.sort compare digests)
 
+(* An entry file written before Cas's trailer moved to Stats.Checksum
+   (gzip, the config of test_extensions' trace fixtures).  Re-putting its
+   key and payload must write the same bytes, and its payload must carry
+   the pinned v2 trace archive. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_cas_fixture () =
+  let entry = read_file "fixtures/store-entry.fuzzystore" in
+  let key, payload =
+    Scanf.sscanf entry "fuzzystore %d %d %d\n%n" (fun _ key_len payload_len pos ->
+        (String.sub entry pos key_len, String.sub entry (pos + key_len + 1) payload_len))
+  in
+  let cas = Store.Cas.open_dir ~dir:(fresh_dir ()) in
+  Store.Cas.put cas ~key payload;
+  Alcotest.(check string) "put writes the pinned bytes" entry
+    (read_file (Store.Cas.path_of_digest cas (Store.Cas.digest_of_key key)));
+  Alcotest.(check (option string)) "find returns the payload" (Some payload)
+    (Store.Cas.find cas ~key);
+  match Store.Codec.decode_entry payload with
+  | Error reason -> Alcotest.failf "fixture payload: %s" reason
+  | Ok (run, _) ->
+      Alcotest.(check string) "payload carries the pinned trace"
+        (read_file "fixtures/trace-v2.fuzzytrace")
+        (Sampling.Trace_io.to_string run)
+
 (* Any single-byte flip or truncation of an entry file must read as a
    quarantined miss — and a fresh put of the same key must work again. *)
 let qcheck_cas_corruption =
@@ -299,6 +328,7 @@ let () =
         [
           Alcotest.test_case "put/find/immutability" `Quick test_cas_put_find;
           Alcotest.test_case "fold order deterministic" `Quick test_cas_fold_order;
+          Alcotest.test_case "pinned entry fixture" `Quick test_cas_fixture;
           QCheck_alcotest.to_alcotest qcheck_cas_corruption;
           Alcotest.test_case "verify and deterministic gc" `Quick test_cas_verify_and_gc;
         ] );
