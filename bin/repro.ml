@@ -564,12 +564,6 @@ let serve_cmd =
           evloop;
           admission;
           metrics_port;
-          store_counters =
-            (fun () ->
-              Option.map
-                (fun c ->
-                  (c.Store.Cas.hits, c.Store.Cas.misses, c.Store.Cas.writes, c.Store.Cas.corrupt))
-                (Store.Result_cache.counters ()));
         }
       in
       (* Lifecycle chatter goes to stderr; stdout carries only the final

@@ -5,19 +5,16 @@ type t = {
   run : Analysis.config -> string;
 }
 
-let cache : (string, Analysis.t) Hashtbl.t = Hashtbl.create 32
-let cache_mutex = Mutex.create ()
-
-(* [jobs] is deliberately absent from the key: the parallel layer
+(* The memory tier and the in-flight table key on the workload name and
+   the whole config, compared structurally, so two configs share an entry
+   only if every field is equal — floats by value, as the store's hex-float
+   key compares them.  [jobs] is pinned to one value: the parallel layer
    guarantees bit-identical results for every jobs value, so analyses are
-   shared across jobs settings.  Every other config field is included —
-   kmax/folds/kopt_tol shape the CV curve just as much as the sampling
-   knobs do. *)
-let cache_key (config : Analysis.config) name =
-  Printf.sprintf "%s|%d|%f|%s|%d|%d|%d|%d|%d|%f" name config.Analysis.seed
-    config.Analysis.scale config.Analysis.machine.March.Config.name config.Analysis.intervals
-    config.Analysis.samples_per_interval config.Analysis.period config.Analysis.kmax
-    config.Analysis.folds config.Analysis.kopt_tol
+   shared across jobs settings. *)
+let key_of (config : Analysis.config) name = (name, { config with Analysis.jobs = 1 })
+
+let cache : (string * Analysis.config, Analysis.t) Hashtbl.t = Hashtbl.create 32
+let cache_mutex = Mutex.create ()
 
 (* ------------------------------------------------------------------ *)
 (* Second cache tier: the persistent content-addressed store.  The store
@@ -41,7 +38,8 @@ let set_disk_tier t = disk_tier := t
    waits inside Parallel.Pool.map it can steal a queued task for the very
    key it is computing.  Blocking there would wait on its own broadcast,
    hence the owner id — a re-entrant miss computes inline instead. *)
-let inflight : (string, Condition.t * int) Hashtbl.t = Hashtbl.create 8
+let inflight : (string * Analysis.config, Condition.t * int) Hashtbl.t =
+  Hashtbl.create 8
 
 let compute_tiers config name =
   match !disk_tier with
@@ -55,7 +53,7 @@ let compute_tiers config name =
           a)
 
 let rec analyze_cached config name =
-  let key = cache_key config name in
+  let key = key_of config name in
   let self = (Domain.self () :> int) in
   Mutex.lock cache_mutex;
   match Hashtbl.find_opt cache key with
@@ -99,13 +97,13 @@ let rec analyze_cached config name =
               raise e))
 
 let preload (a : Analysis.t) =
-  let key = cache_key a.Analysis.config a.Analysis.name in
+  let key = key_of a.Analysis.config a.Analysis.name in
   Mutex.lock cache_mutex;
   if not (Hashtbl.mem cache key) then Hashtbl.add cache key a;
   Mutex.unlock cache_mutex
 
 let cached config name =
-  let key = cache_key config name in
+  let key = key_of config name in
   Mutex.lock cache_mutex;
   let hit = Hashtbl.mem cache key in
   Mutex.unlock cache_mutex;

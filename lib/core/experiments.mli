@@ -20,9 +20,10 @@ val find : string -> t
 val analyze_cached : Analysis.config -> string -> Analysis.t
 (** Memoised {!Analysis.analyze}: several experiments reuse the same
     workload runs (ODB-C and SjAS appear in Figures 2-7); the cache keys
-    on workload name and configuration (but not on [jobs] — results are
-    identical for every jobs value).  Thread-safe: the cache is
-    mutex-guarded so pool workers can share it.
+    on workload name and every configuration field, compared by value,
+    except [jobs] (results are identical for every jobs value).
+    Thread-safe: the cache is mutex-guarded so pool workers can share
+    it.
 
     Lookup is tiered: the in-memory table first, then the attached
     persistent store (if {!set_disk_tier} installed one), then compute —

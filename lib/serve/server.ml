@@ -12,10 +12,6 @@ type config = {
   evloop : Evloop.backend option;
       (* None = best available (epoll on Linux, else select) *)
   admission : Admission.config;
-  store_counters : unit -> (int * int * int * int) option;
-      (* (hits, misses, writes, corrupt) of the attached persistent
-         store, or None when serving without one.  A callback so serve
-         stays independent of lib/store; polled before each snapshot. *)
   metrics_port : int option;
       (* loopback TCP port for the HTTP /metrics + /health endpoint
          (0 = OS-assigned, reported via on_event); None = no endpoint *)
@@ -35,7 +31,6 @@ let config_of_analysis analysis =
     backlog = default_backlog;
     evloop = None;
     admission = Admission.off;
-    store_counters = (fun () -> None);
     metrics_port = None;
   }
 
@@ -55,17 +50,6 @@ type pending = {
          latency histogram when the shared response is routed out *)
   deadline : float option;
   mutable cancelled : bool;
-}
-
-(* One scrape connection on the HTTP metrics endpoint (shard 0 only).
-   HTTP/1.0: read one request head, write one response, close. *)
-type http_conn = {
-  hid : int;
-  hfd : Unix.file_descr;
-  hbuf : Buffer.t;
-  mutable hout : string;  (* full response once the head has parsed *)
-  mutable hout_off : int;
-  mutable hdone : bool;  (* response built; close after the last write *)
 }
 
 (* One accept/IO domain.  A shard owns its sessions and its evloop
@@ -124,9 +108,10 @@ let run ?(on_event = fun _ -> ()) cfg address =
   in
   let admission = Admission.create cfg.admission in
   let sync_store_counters () =
-    match cfg.store_counters () with
-    | Some (hits, misses, writes, corrupt) ->
-        Metrics.set_store metrics ~hits ~misses ~writes ~corrupt
+    match Store.Result_cache.counters () with
+    | Some c ->
+        Metrics.set_store metrics ~hits:c.Store.Cas.hits ~misses:c.Store.Cas.misses
+          ~writes:c.Store.Cas.writes ~corrupt:c.Store.Cas.corrupt
     | None -> ()
   in
   let sync_admission_counters () =
@@ -217,11 +202,6 @@ let run ?(on_event = fun _ -> ()) cfg address =
              bound);
         Some fd
   in
-  let http_conns : (int, http_conn) Hashtbl.t = Hashtbl.create 8 in
-  let next_http_id = ref 0 in
-  let sorted_http_conns () =
-    List.map snd (Stats.Det.hashtbl_bindings http_conns)
-  in
   let exposition () =
     let snapshot, latency, queue_depth, inflight_now =
       locked (fun () ->
@@ -255,80 +235,25 @@ let run ?(on_event = fun _ -> ()) cfg address =
     | "GET", _ -> Metrics_http.Http.response ~status:404 "not found\n"
     | _, _ -> Metrics_http.Http.response ~status:405 "method not allowed\n"
   in
-  let drop_http c =
-    Hashtbl.remove http_conns c.hid;
-    Evloop.remove shards.(0).ev c.hfd;
-    close_quietly c.hfd
-  in
-  let http_accept_loop mfd =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true mfd with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          let id = !next_http_id in
-          incr next_http_id;
-          Hashtbl.replace http_conns id
-            {
-              hid = id;
-              hfd = fd;
-              hbuf = Buffer.create 256;
-              hout = "";
-              hout_off = 0;
-              hdone = false;
-            };
-          Evloop.add shards.(0).ev fd ~read:true ~write:false
-    done
-  in
-  let http_read c =
-    let buf = Bytes.create 4096 in
-    match Unix.read c.hfd buf 0 (Bytes.length buf) with
-    | exception
-        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        drop_http c
-    | 0 -> drop_http c
-    | n ->
-        Buffer.add_subbytes c.hbuf buf 0 n;
-        if not c.hdone then begin
-          let head = Buffer.to_bytes c.hbuf in
-          match Metrics_http.Http.parse_request head (Bytes.length head) with
-          | Metrics_http.Http.Incomplete -> ()
-          | Metrics_http.Http.Bad m ->
-              c.hout <- Metrics_http.Http.response ~status:400 (m ^ "\n");
-              c.hdone <- true
-          | Metrics_http.Http.Request r ->
-              c.hout <- http_response r;
-              c.hdone <- true
-        end
-  in
-  let http_flush c =
-    (* The same loop pass may have dropped this connection already. *)
-    if Hashtbl.mem http_conns c.hid then begin
-      let continue = ref c.hdone in
-      while !continue do
-        let remaining = String.length c.hout - c.hout_off in
-        if remaining <= 0 then begin
-          drop_http c;  (* response fully written: HTTP/1.0, so close *)
-          continue := false
-        end
-        else
-          match Unix.write_substring c.hfd c.hout c.hout_off remaining with
-          | n -> c.hout_off <- c.hout_off + n
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception
-              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              continue := false  (* evloop write interest resumes this *)
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-              drop_http c;
-              continue := false
-      done
-    end
+  (* A scrape is a session on shard 0 with a negative id.  Scrape ids
+     come from their own range, so RPC connection ids — and with them
+     shard placement and "conn:<id>" admission identities — never depend
+     on scrape traffic; scrapes are neither counted nor admitted. *)
+  let is_scrape sess = Session.id sess < 0 in
+  (* HTTP/1.0: once the head has arrived, queue the one response and
+     close after it. *)
+  let answer_scrape sess =
+    let reply response =
+      Session.put_response sess ~seq:(Session.alloc_seq sess) response;
+      Session.mark_close sess
+    in
+    if not (Session.closing sess) then
+      let head, len = Session.input sess in
+      match Metrics_http.Http.parse_request head len with
+      | Metrics_http.Http.Incomplete -> ()
+      | Metrics_http.Http.Bad m ->
+          reply (Metrics_http.Http.response ~status:400 (m ^ "\n"))
+      | Metrics_http.Http.Request r -> reply (http_response r)
   in
 
   let sorted_sessions sh =
@@ -339,16 +264,17 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Hashtbl.remove sh.sessions (Session.id sess);
     Evloop.remove sh.ev (Session.fd sess);
     close_quietly (Session.fd sess);
-    locked (fun () ->
-        decr active;
-        Metrics.set_active metrics !active;
-        let peer = Session.peer sess in
-        match Hashtbl.find_opt peer_refs peer with
-        | None -> ()
-        | Some 1 ->
-            Hashtbl.remove peer_refs peer;
-            Admission.forget admission ~peer
-        | Some n -> Hashtbl.replace peer_refs peer (n - 1))
+    if not (is_scrape sess) then
+      locked (fun () ->
+          decr active;
+          Metrics.set_active metrics !active;
+          let peer = Session.peer sess in
+          match Hashtbl.find_opt peer_refs peer with
+          | None -> ()
+          | Some 1 ->
+              Hashtbl.remove peer_refs peer;
+              Admission.forget admission ~peer
+          | Some n -> Hashtbl.replace peer_refs peer (n - 1))
   in
   let code_of = function
     | Protocol.Error { code; _ } -> Some (Protocol.error_code_to_string code)
@@ -686,9 +612,10 @@ let run ?(on_event = fun _ -> ()) cfg address =
         else drop_session sh sess
     | n ->
         Session.feed sess buf n;
-        drain_frames sess
+        if is_scrape sess then answer_scrape sess else drain_frames sess
   in
   let next_conn_id = ref 0 in
+  let next_scrape_id = ref (-1) in
   (* Only from [sh]'s own thread: shard 0 for its own connections, the
      others when an [Accepted] message arrives. *)
   let add_session sh id fd peer =
@@ -696,69 +623,79 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Hashtbl.replace sh.sessions id sess;
     Evloop.add sh.ev fd ~read:true ~write:false
   in
-  (* Shard 0 only.  One readiness event may announce many queued
-     connections: drain the whole accept backlog until EAGAIN. *)
-  let accept_loop () =
+  (* Shard 0 only, for either listener.  One readiness event may announce
+     many queued connections: drain the whole accept backlog until
+     EAGAIN, handing each connection to [admit]. *)
+  let accept_all lfd admit =
     let continue = ref true in
     while !continue do
-      match Unix.accept ~cloexec:true listen_fd with
+      match Unix.accept ~cloexec:true lfd with
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           continue := false
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
           ()
-      | fd, addr ->
-          let refused =
-            locked (fun () ->
-                if Atomic.get draining || !active >= cfg.max_connections then begin
-                  Metrics.incr_refused metrics;
-                  true
-                end
-                else begin
-                  incr active;
-                  Metrics.incr_accepted metrics;
-                  Metrics.set_active metrics !active;
-                  false
-                end)
-          in
-          if refused then begin
-            let message =
-              if Atomic.get draining then "server is draining"
-              else
-                Printf.sprintf "connection limit reached (max %d)"
-                  cfg.max_connections
-            in
-            let refusal =
-              Protocol.encode_response (Protocol.Error { code = Protocol.Busy; message })
-            in
-            (try Wire.write_frame fd refusal with Unix.Unix_error (_, _, _) -> ());
-            close_quietly fd
+      | fd, addr -> admit fd addr
+    done
+  in
+  let admit_rpc fd addr =
+    let refused =
+      locked (fun () ->
+          if Atomic.get draining || !active >= cfg.max_connections then begin
+            Metrics.incr_refused metrics;
+            true
           end
           else begin
-            (* Non-blocking: a client that stops reading must never stall
-               a shard — flush_session writes only what the socket
-               accepts and the evloop waits for writability. *)
-            Unix.set_nonblock fd;
-            let id = !next_conn_id in
-            incr next_conn_id;
-            (* TCP peers share an admission identity per address, so one
-               host cannot widen its budget by opening connections; local
-               Unix-socket peers are indistinguishable and get a
-               per-connection identity instead. *)
-            let peer =
-              match addr with
-              | Unix.ADDR_INET (ip, _) -> Unix.string_of_inet_addr ip
-              | Unix.ADDR_UNIX _ -> Printf.sprintf "conn:%d" id
-            in
-            let sh = shards.(shard_of_conn id) in
-            locked (fun () ->
-                Hashtbl.replace peer_refs peer
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt peer_refs peer));
-                Metrics.incr_shard_accept metrics ~shard:sh.idx);
-            if sh.idx = 0 then add_session sh id fd peer
-            else post sh (Accepted { id; fd; peer })
-          end
-    done
+            incr active;
+            Metrics.incr_accepted metrics;
+            Metrics.set_active metrics !active;
+            false
+          end)
+    in
+    if refused then begin
+      let message =
+        if Atomic.get draining then "server is draining"
+        else
+          Printf.sprintf "connection limit reached (max %d)" cfg.max_connections
+      in
+      let refusal =
+        Protocol.encode_response (Protocol.Error { code = Protocol.Busy; message })
+      in
+      (try Wire.write_frame fd refusal with Unix.Unix_error (_, _, _) -> ());
+      close_quietly fd
+    end
+    else begin
+      (* Non-blocking: a client that stops reading must never stall a
+         shard — flush_session writes only what the socket accepts and
+         the evloop waits for writability. *)
+      Unix.set_nonblock fd;
+      let id = !next_conn_id in
+      incr next_conn_id;
+      (* TCP peers share an admission identity per address, so one host
+         cannot widen its budget by opening connections; local
+         Unix-socket peers are indistinguishable and get a
+         per-connection identity instead. *)
+      let peer =
+        match addr with
+        | Unix.ADDR_INET (ip, _) -> Unix.string_of_inet_addr ip
+        | Unix.ADDR_UNIX _ -> Printf.sprintf "conn:%d" id
+      in
+      let sh = shards.(shard_of_conn id) in
+      locked (fun () ->
+          Hashtbl.replace peer_refs peer
+            (1 + Option.value ~default:0 (Hashtbl.find_opt peer_refs peer));
+          Metrics.incr_shard_accept metrics ~shard:sh.idx);
+      if sh.idx = 0 then add_session sh id fd peer
+      else post sh (Accepted { id; fd; peer })
+    end
+  in
+  (* Scrapes are never refused: /health must keep answering (503) for
+     the whole drain. *)
+  let admit_scrape fd _ =
+    Unix.set_nonblock fd;
+    let id = !next_scrape_id in
+    decr next_scrape_id;
+    add_session shards.(0) id fd "scrape"
   in
   let process_inbox sh =
     Mutex.lock sh.inbox_mutex;
@@ -926,21 +863,12 @@ let run ?(on_event = fun _ -> ()) cfg address =
           Evloop.modify sh.ev (Session.fd s) ~read:true
             ~write:(Session.has_output s))
         (sorted_sessions sh);
-      if sh.idx = 0 then
-        List.iter
-          (fun c ->
-            Evloop.modify sh.ev c.hfd ~read:(not c.hdone)
-              ~write:(c.hdone && c.hout_off < String.length c.hout))
-          (sorted_http_conns ());
       Evloop.wait sh.ev ~timeout_ms:100;
-      if sh.idx = 0 && Evloop.readable sh.ev listen_fd then accept_loop ();
       if sh.idx = 0 then begin
-        (match metrics_listen with
-        | Some mfd when Evloop.readable sh.ev mfd -> http_accept_loop mfd
-        | Some _ | None -> ());
-        List.iter
-          (fun c -> if Evloop.readable sh.ev c.hfd then http_read c)
-          (sorted_http_conns ())
+        if Evloop.readable sh.ev listen_fd then accept_all listen_fd admit_rpc;
+        match metrics_listen with
+        | Some mfd when Evloop.readable sh.ev mfd -> accept_all mfd admit_scrape
+        | Some _ | None -> ()
       end;
       process_inbox sh;
       List.iter
@@ -951,7 +879,6 @@ let run ?(on_event = fun _ -> ()) cfg address =
       if sh.idx = 0 then expire_waiting sh;
       submit_ready ();
       List.iter (fun sess -> flush_session sh sess) (sorted_sessions sh);
-      if sh.idx = 0 then List.iter http_flush (sorted_http_conns ());
       shard_loop sh
     end
   in
@@ -969,15 +896,10 @@ let run ?(on_event = fun _ -> ()) cfg address =
       (Array.sub shards 1 (nshards - 1))
   in
   shard_loop shards.(0);
-  (* The metrics endpoint dies with shard 0: drop scrape connections and
-     the listener before the shard's evloop closes. *)
-  List.iter drop_http (sorted_http_conns ());
-  Option.iter
-    (fun mfd ->
-      Evloop.remove shards.(0).ev mfd;
-      close_quietly mfd)
-    metrics_listen;
+  (* The metrics endpoint dies with shard 0, which drops any scrape
+     still connected. *)
   finish_shard shards.(0);
+  Option.iter close_quietly metrics_listen;
   Array.iter Parallel.Io.join workers;
   on_event "drained; shutting down";
   close_quietly listen_fd;

@@ -43,7 +43,12 @@
     {b Operational surface.}  With [metrics_port] set, shard 0 also
     serves a loopback HTTP/1.0 endpoint: [GET /metrics] renders the
     Prometheus text exposition ({!Exposition}) and [GET /health] answers
-    200 while accepting and 503 for the whole drain window.  Request
+    200 while accepting and 503 for the whole drain window.  Each scrape
+    is a {!Session} on shard 0 with an id from its own (negative) range,
+    read and flushed by the same loop as the RPC connections; a scrape
+    answered during the drain is written before shard 0 exits.  The
+    stats snapshot reports the counters of the store attached through
+    [Store.Result_cache], if any.  Request
     latency (arrival to response, read via {!Clock}) feeds per-verb
     histograms that appear {e only} in the exposition — the binary
     [stats] RPC stays clock-free and byte-deterministic. *)
@@ -63,15 +68,13 @@ type config = {
   backlog : int;  (** listen(2) backlog *)
   evloop : Evloop.backend option;  (** [None] = {!Evloop.best} *)
   admission : Admission.config;  (** {!Admission.off} disables all gates *)
-  store_counters : unit -> (int * int * int * int) option;
-      (** (hits, misses, writes, corrupt) of the attached persistent
-          result store, or [None] when serving without one.  Polled
-          before each metrics snapshot; a callback so serve does not
-          depend on lib/store. *)
   metrics_port : int option;
       (** loopback TCP port for the HTTP [/metrics] + [/health]
           endpoint; [Some 0] binds an OS-assigned port (reported through
-          [on_event] as "metrics listening on ..."); [None] = none *)
+          [on_event] as "metrics listening on ..."); [None] = none.
+          Scrapes never count as connections: they do not take RPC
+          connection ids, the [max_connections] cap or admission
+          budgets, and are answered even while draining. *)
 }
 
 val default_backlog : int
@@ -81,8 +84,7 @@ val config_of_analysis : Fuzzy.Analysis.config -> config
 (** Defaults: pipeline from {!Online.Pipeline.default} with the given
     analysis config; queue 64; 32 connections; no timeout;
     {!Wire.default_max_payload}; one IO shard; {!default_backlog}; best
-    evloop backend; admission off; no store counters; no metrics
-    endpoint. *)
+    evloop backend; admission off; no metrics endpoint. *)
 
 val run : ?on_event:(string -> unit) -> config -> address -> Metrics.snapshot
 (** Bind, listen and serve until drained ([Shutdown] request or

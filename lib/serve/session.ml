@@ -45,6 +45,8 @@ let feed t src n =
   Bytes.blit src 0 t.inbuf t.in_len n;
   t.in_len <- t.in_len + n
 
+let input t = (t.inbuf, t.in_len)
+
 let consume t n =
   Bytes.blit t.inbuf n t.inbuf 0 (t.in_len - n);
   t.in_len <- t.in_len - n

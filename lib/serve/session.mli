@@ -26,6 +26,12 @@ val peer : t -> string
 val feed : t -> bytes -> int -> unit
 (** Append the first [n] bytes just read from the socket. *)
 
+val input : t -> bytes * int
+(** The buffered input not yet consumed as frames, and its length, for
+    a connection that parses its own format (a scrape's HTTP head).  The
+    bytes are the session's own buffer: read them before the next
+    {!feed}. *)
+
 val next_frame : t -> max_payload:int -> (string option, Wire.error) result
 (** Extract the next complete frame's payload, if one is buffered.
     [Ok None] means "need more bytes".  A checksum/magic/version/size

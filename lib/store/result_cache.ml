@@ -10,20 +10,22 @@
 
 let state : Cas.t option ref = ref None
 
+(* The one store reader: a payload that does not decode is quarantined
+   and reads as a miss. *)
+let probe cas config name =
+  let key = Codec.canonical_key config name in
+  match Cas.find cas ~key with
+  | None -> None
+  | Some payload -> (
+      match Codec.decode_entry payload with
+      | Ok (run, curve) -> Some (Fuzzy.Analysis.of_parts config ~name ~run ~curve)
+      | Error _ ->
+          Cas.reject cas ~key;
+          None)
+
 let attach ~dir =
   let cas = Cas.open_dir ~dir in
   state := Some cas;
-  let probe config name =
-    let key = Codec.canonical_key config name in
-    match Cas.find cas ~key with
-    | None -> None
-    | Some payload -> (
-        match Codec.decode_entry payload with
-        | Ok (run, curve) -> Some (Fuzzy.Analysis.of_parts config ~name ~run ~curve)
-        | Error _ ->
-            Cas.reject cas ~key;
-            None)
-  in
   let persist config name analysis =
     let key = Codec.canonical_key config name in
     (* Persist failures (read-only store, disk full) must never fail the
@@ -31,7 +33,8 @@ let attach ~dir =
     try Cas.put cas ~key (Codec.encode_entry analysis)
     with Sys_error _ | Unix.Unix_error (_, _, _) -> ()
   in
-  Fuzzy.Experiments.set_disk_tier (Some { Fuzzy.Experiments.probe; persist })
+  Fuzzy.Experiments.set_disk_tier
+    (Some { Fuzzy.Experiments.probe = probe cas; persist })
 
 let detach () =
   Fuzzy.Experiments.set_disk_tier None;
@@ -43,7 +46,7 @@ let warm ~jobs () =
   match !state with
   | None -> 0
   | Some cas ->
-      (* Collect keys first, then re-read each through [find] so warm
+      (* Collect keys first, then re-read each through [probe] so warm
          loads show up in the hit counter like any other store read. *)
       let keys =
         List.rev (Cas.fold cas ~init:[] ~f:(fun acc ~key ~payload:_ -> key :: acc))
@@ -53,17 +56,11 @@ let warm ~jobs () =
           match Codec.parse_key ~jobs key with
           | None -> loaded (* foreign stamp or format: leave in place *)
           | Some (config, name) -> (
-              match Cas.find cas ~key with
+              match probe cas config name with
               | None -> loaded
-              | Some payload -> (
-                  match Codec.decode_entry payload with
-                  | Error _ ->
-                      Cas.reject cas ~key;
-                      loaded
-                  | Ok (run, curve) ->
-                      Fuzzy.Experiments.preload
-                        (Fuzzy.Analysis.of_parts config ~name ~run ~curve);
-                      loaded + 1)))
+              | Some a ->
+                  Fuzzy.Experiments.preload a;
+                  loaded + 1))
         0 keys
 
 let counters () = Option.map Cas.counters !state

@@ -7,7 +7,7 @@
 # configuration — the byte-equality guarantee DESIGN.md §11 argues for.
 # The HTTP operational endpoint rides along: the server runs with
 # --metrics-port 0, GET /metrics must pass scripts/check_metrics.sh,
-# GET /health must answer 200 and unknown paths 404.
+# GET /health must answer 200 and unknown paths 404; curl is required.
 #
 # Uses the built binary directly (not `dune exec`) so the background
 # server and the foreground client don't fight over the dune lock.
@@ -33,6 +33,7 @@ EVLOOP_ARGS=""
 [ -n "${SERVE_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${SERVE_EVLOOP}"
 
 [ -x "$EXE" ] || { echo "serve-smoke: $EXE not built (run dune build @all)" >&2; exit 1; }
+command -v curl > /dev/null 2>&1 || { echo "serve-smoke: curl is required" >&2; exit 1; }
 mkdir -p "$OUT"
 rm -f "$SOCK"
 
@@ -79,25 +80,20 @@ grep -q "requests.total" "$OUT/stats.out" \
   || fail "stats response missing requests.total"
 
 # Operational endpoint: /metrics must pass the exposition lint,
-# /health must answer 200 while serving, unknown paths 404.  Skipped
-# (with a note) only if the host has no curl.
-if command -v curl > /dev/null 2>&1; then
-    MPORT=$(sed -n 's|.*metrics listening on http://127\.0\.0\.1:\([0-9]*\)/metrics.*|\1|p' \
-        "$OUT/server.err")
-    [ -n "$MPORT" ] || fail "no 'metrics listening' line on server stderr"
-    curl -s "http://127.0.0.1:$MPORT/metrics" > "$OUT/metrics.txt" \
-      || fail "GET /metrics failed"
-    sh scripts/check_metrics.sh "$OUT/metrics.txt" \
-      || fail "/metrics fails the exposition lint"
-    grep -q '^repro_requests_total ' "$OUT/metrics.txt" \
-      || fail "/metrics missing repro_requests_total"
-    code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$MPORT/health" || true)
-    [ "$code" = "200" ] || fail "/health returned $code while serving (want 200)"
-    code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$MPORT/nope" || true)
-    [ "$code" = "404" ] || fail "unknown path returned $code (want 404)"
-else
-    echo "serve-smoke: curl not found; skipping HTTP endpoint checks" >&2
-fi
+# /health must answer 200 while serving, unknown paths 404.
+MPORT=$(sed -n 's|.*metrics listening on http://127\.0\.0\.1:\([0-9]*\)/metrics.*|\1|p' \
+    "$OUT/server.err")
+[ -n "$MPORT" ] || fail "no 'metrics listening' line on server stderr"
+curl -s "http://127.0.0.1:$MPORT/metrics" > "$OUT/metrics.txt" \
+  || fail "GET /metrics failed"
+sh scripts/check_metrics.sh "$OUT/metrics.txt" \
+  || fail "/metrics fails the exposition lint"
+grep -q '^repro_requests_total ' "$OUT/metrics.txt" \
+  || fail "/metrics missing repro_requests_total"
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$MPORT/health" || true)
+[ "$code" = "200" ] || fail "/health returned $code while serving (want 200)"
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$MPORT/nope" || true)
+[ "$code" = "404" ] || fail "unknown path returned $code (want 404)"
 
 # `repro serve --status` renders the same snapshot without serving.
 bounded "$EXE" serve --status --socket "$SOCK" > "$OUT/status.out" \

@@ -769,25 +769,44 @@ let metrics_port_of errfile =
   in
   poll 200
 
-(* One HTTP/1.0 exchange: connect, send a GET, read to EOF (the server
-   always closes), split status code from body. *)
-let http_get port path =
+(* Start a --metrics-port 0 server, wait for its port, run [f], stop. *)
+let with_http_server ?extra f =
+  let sock, pid, errfile = start_server_http ?extra () in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server (sock, pid);
+      try Sys.remove errfile with Sys_error _ -> ())
+    (fun () -> f ~port:(metrics_port_of errfile) (Serve.Server.Unix_socket sock))
+
+(* One HTTP/1.0 exchange: connect, send [chunks] ([pause] seconds after
+   each, so each chunk reaches the server as a read of its own), read to
+   EOF (the server always closes), split status code from body.  The
+   receive timeout turns a connection the server never closes into a
+   failure instead of a hang. *)
+let http_exchange ?(pause = 0.0) port chunks =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
       try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
-      ignore (Unix.write_substring fd req 0 (String.length req));
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      List.iter
+        (fun chunk ->
+          ignore (Unix.write_substring fd chunk 0 (String.length chunk));
+          if pause > 0.0 then Unix.sleepf pause)
+        chunks;
       let b = Buffer.create 4096 in
       let chunk = Bytes.create 4096 in
       let rec drain () =
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes b chunk 0 n;
-          drain ()
-        end
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes b chunk 0 n;
+            drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "server did not close the HTTP connection"
       in
       drain ();
       let all = Buffer.contents b in
@@ -812,6 +831,9 @@ let http_get port path =
         else body_at (i + 1)
       in
       (code, body_at 0))
+
+let http_get port path =
+  http_exchange port [ Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path ]
 
 (* The exposition is deterministic for a scripted session except where
    it is deliberately clock-fed (histogram buckets and sums) or
@@ -853,14 +875,8 @@ let scripted_scrape ~shards =
   let extra =
     if shards = 1 then [] else [ "--io-shards"; string_of_int shards ]
   in
-  let sock, pid, errfile = start_server_http ~extra () in
-  Fun.protect
-    ~finally:(fun () ->
-      stop_server (sock, pid);
-      try Sys.remove errfile with Sys_error _ -> ())
-    (fun () ->
-      let port = metrics_port_of errfile in
-      Serve.Client.with_connection ~retry_for:200 (Serve.Server.Unix_socket sock)
+  with_http_server ~extra (fun ~port address ->
+      Serve.Client.with_connection ~retry_for:200 address
         (fun conn ->
           (match call_ok conn (P.Analyze "gcc") with
           | P.Report _ -> ()
@@ -946,13 +962,7 @@ let test_metrics_exposition_golden () =
    end of the drain: a forked client holds a cold analysis in flight so
    the drain window is wide enough to probe. *)
 let test_health_drain () =
-  let sock, pid, errfile = start_server_http () in
-  Fun.protect
-    ~finally:(fun () ->
-      stop_server (sock, pid);
-      try Sys.remove errfile with Sys_error _ -> ())
-    (fun () ->
-      let port = metrics_port_of errfile in
+  with_http_server (fun ~port address ->
       let code, _ = http_get port "/health" in
       Alcotest.(check int) "/health before shutdown" 200 code;
       flush stdout;
@@ -966,8 +976,8 @@ let test_health_drain () =
             | 0 ->
                 let status =
                   try
-                    Serve.Client.with_connection ~retry_for:200
-                      (Serve.Server.Unix_socket sock) (fun conn ->
+                    Serve.Client.with_connection ~retry_for:200 address
+                      (fun conn ->
                         match Serve.Client.call conn (P.Analyze workload) with
                         | Ok _ -> 0
                         | Error _ -> 1)
@@ -979,8 +989,8 @@ let test_health_drain () =
       in
       (* Let the analyses reach the queue before shutting down. *)
       Unix.sleepf 0.1;
-      Serve.Client.with_connection ~retry_for:200 (Serve.Server.Unix_socket sock)
-        (fun conn -> ignore (call_ok conn P.Shutdown));
+      Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+          ignore (call_ok conn P.Shutdown));
       (* The draining flag is set before the shutdown ack goes out, so
          the very first probe must see 503. *)
       let code, _ = http_get port "/health" in
@@ -991,6 +1001,61 @@ let test_health_drain () =
           | _, Unix.WEXITED 0 -> ()
           | _ -> Alcotest.fail "a draining client's analyze failed")
         children)
+
+(* A scrape whose head arrives one byte per read is answered once the
+   blank line is in. *)
+let test_http_bytewise_head () =
+  with_http_server (fun ~port _ ->
+      let head = "GET /health HTTP/1.0\r\n\r\n" in
+      let code, body =
+        http_exchange ~pause:0.005 port
+          (List.init (String.length head) (fun i -> String.make 1 head.[i]))
+      in
+      Alcotest.(check (pair int string)) "bytewise /health" (200, "ok\n") (code, body))
+
+(* [http_exchange] reads to EOF, so the 400 also shows the server closed
+   the connection. *)
+let test_http_malformed_head () =
+  with_http_server (fun ~port _ ->
+      let code, _ = http_exchange port [ "garbage\r\n\r\n" ] in
+      Alcotest.(check int) "malformed head" 400 code)
+
+let test_http_post () =
+  with_http_server (fun ~port _ ->
+      let code, _ = http_exchange port [ "POST /metrics HTTP/1.0\r\n\r\n" ] in
+      Alcotest.(check int) "POST /metrics" 405 code)
+
+(* Scrapes take no RPC connection ids: at four shards, scrapes interleaved
+   with RPC connects leave shard placement and the connection counters
+   exactly as a run without scrapes. *)
+let test_scrapes_leave_rpc_counters () =
+  let counters ~scrape =
+    with_http_server ~extra:[ "--io-shards"; "4" ] (fun ~port address ->
+        let conns =
+          List.init 6 (fun _ ->
+              if scrape then begin
+                Alcotest.(check int) "/health" 200 (fst (http_get port "/health"));
+                Alcotest.(check int) "/metrics" 200 (fst (http_get port "/metrics"))
+              end;
+              let conn = Serve.Client.connect ~retry_for:200 address in
+              (* The round trip pins accept order to connect order. *)
+              (match call_ok conn P.Health with
+              | P.Health_ok _ -> ()
+              | resp -> Alcotest.fail ("health: " ^ P.render_response resp));
+              conn)
+        in
+        let s =
+          match call_ok (List.hd conns) P.Stats with
+          | P.Stats_snapshot s -> s
+          | resp -> Alcotest.fail ("stats: " ^ P.render_response resp)
+        in
+        List.iter Serve.Client.close conns;
+        Serve.Metrics.
+          (s.connections_accepted, s.connections_active, s.accepted_by_shard))
+  in
+  let without = counters ~scrape:false in
+  Alcotest.(check (triple int int (list (pair string int))))
+    "accepted, active and per-shard accepts" without (counters ~scrape:true)
 
 (* ------------------------------ evloop ------------------------------ *)
 
@@ -1131,5 +1196,11 @@ let () =
           Alcotest.test_case "metrics exposition golden across shards" `Slow
             test_metrics_exposition_golden;
           Alcotest.test_case "health 503 during drain" `Quick test_health_drain;
+          Alcotest.test_case "head one byte per read" `Quick test_http_bytewise_head;
+          Alcotest.test_case "malformed head -> 400, closed" `Quick
+            test_http_malformed_head;
+          Alcotest.test_case "POST /metrics -> 405" `Quick test_http_post;
+          Alcotest.test_case "scrapes leave RPC connection counters" `Quick
+            test_scrapes_leave_rpc_counters;
         ] );
     ]

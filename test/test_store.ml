@@ -286,8 +286,37 @@ let test_warm_restart_in_process () =
       Alcotest.(check int) "warm load counted as store hit" 1 c.Store.Cas.hits;
       Alcotest.(check int) "warm wrote nothing" 0 c.Store.Cas.writes)
 
-(* Single-flight: many concurrent requests for one uncached key must
-   probe and persist the disk tier exactly once. *)
+(* The memory tier keys on the config by value: configs whose floats
+   differ only past the sixth decimal have distinct store keys, so they
+   must not share a memory entry either. *)
+let test_memory_key_exact () =
+  isolated (fun () ->
+      let a = Lazy.force analysis_fixture in
+      Experiments.preload a;
+      Alcotest.(check bool) "same config hits" true (Experiments.cached config "gcc");
+      Alcotest.(check bool) "jobs is not part of the key" true
+        (Experiments.cached { config with Analysis.jobs = 3 } "gcc");
+      List.iter
+        (fun (field, (near : Analysis.config)) ->
+          Alcotest.(check bool)
+            (field ^ ": distinct store keys")
+            true
+            (Store.Codec.canonical_key near "gcc" <> Store.Codec.canonical_key config "gcc");
+          Alcotest.(check bool)
+            (field ^ ": memory tier misses")
+            false (Experiments.cached near "gcc");
+          let b = Experiments.analyze_cached near "gcc" in
+          Alcotest.(check bool)
+            (field ^ ": analysed under its own config")
+            true (b.Analysis.config = near))
+        [
+          ("kopt_tol", { config with Analysis.kopt_tol = 0.0050004 });
+          ("scale", { config with Analysis.scale = 0.0200001 });
+        ])
+
+(* [analyze_many] fans out over distinct names only, so six copies of one
+   name run a single task: one disk probe and one persist.  Concurrent
+   misses on one key are exercised by the self-steal test below. *)
 let test_single_flight_persists_once () =
   isolated (fun () ->
       let probes = ref 0 and persists = ref 0 in
@@ -310,6 +339,35 @@ let test_single_flight_persists_once () =
       ignore (Experiments.analyze_many cfg [ "gcc"; "gcc"; "gcc"; "gcc"; "gcc"; "gcc" ]);
       Alcotest.(check int) "one disk probe" 1 !probes;
       Alcotest.(check int) "one persist" 1 !persists)
+
+(* Six copies of one key mapped straight onto the pool, past
+   [analyze_many]'s dedup: while the single-flight owner's nested CV
+   fan-out self-helps, it can steal a duplicate of the key it is
+   computing, and must recompute it inline rather than wait on its own
+   broadcast.  It may recompute every duplicate it steals, so misses are
+   not asserted; the store write stays one because puts are
+   put-if-absent. *)
+let test_self_steal_terminates () =
+  let expected = Fuzzy.Report.analyze_report (Lazy.force analysis_fixture) in
+  List.iter
+    (fun jobs ->
+      isolated (fun () ->
+          Store.Result_cache.attach ~dir:(fresh_dir ());
+          let cfg = { config with Analysis.jobs } in
+          let reports =
+            Parallel.Pool.map (Analysis.pool cfg)
+              (fun name -> Fuzzy.Report.analyze_report (Experiments.analyze_cached cfg name))
+              (Array.make 6 "gcc")
+          in
+          Array.iter
+            (Alcotest.(check string)
+               (Printf.sprintf "report = serial analyze at jobs %d" jobs)
+               expected)
+            reports;
+          let c = Option.get (Store.Result_cache.counters ()) in
+          Alcotest.(check int) (Printf.sprintf "one store write at jobs %d" jobs) 1
+            c.Store.Cas.writes))
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "store"
@@ -341,5 +399,9 @@ let () =
           Alcotest.test_case "warm restart in process" `Quick test_warm_restart_in_process;
           Alcotest.test_case "single-flight persists once" `Quick
             test_single_flight_persists_once;
+          Alcotest.test_case "memory key separates close floats" `Quick
+            test_memory_key_exact;
+          Alcotest.test_case "duplicate keys on the pool: self-steal terminates" `Quick
+            test_self_steal_terminates;
         ] );
     ]
