@@ -139,7 +139,7 @@ type core_kernel = {
   ck_name : string;
   ck_reps : int;
   ck_median_ms : float;  (* optimized implementation *)
-  ck_ref_median_ms : float option;  (* Tree.Reference / Cv.Reference side, if any *)
+  ck_ref_median_ms : float option;  (* the test/oracle side, if any *)
 }
 
 let ck_speedup k ref_ms = ref_ms /. k.ck_median_ms
@@ -183,7 +183,7 @@ let run_core_kernels ~quick =
       ck_reps = reps_build;
       ck_median_ms = time_reps reps_build (fun () -> Rtree.Tree.build ~max_leaves:50 ds);
       ck_ref_median_ms =
-        Some (time_reps reps_build (fun () -> Rtree.Tree.Reference.build ~max_leaves:50 ds));
+        Some (time_reps reps_build (fun () -> Oracle.Tree.build ~max_leaves:50 ds));
     }
   in
   let cv_curve =
@@ -197,11 +197,12 @@ let run_core_kernels ~quick =
       ck_ref_median_ms =
         Some
           (time_reps reps_cv (fun () ->
-               Rtree.Cv.Reference.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds));
+               Oracle.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds));
     }
   in
   let predict_k_sweep =
     let t = Rtree.Tree.build ~max_leaves:50 ds in
+    let root = Rtree.Tree.root t in
     let kmax = 50 in
     let rows = ds.Rtree.Dataset.rows in
     let sweep_all () =
@@ -216,7 +217,7 @@ let run_core_kernels ~quick =
       Array.iter
         (fun r ->
           for k = 1 to kmax do
-            acc := !acc +. Rtree.Tree.predict_k t ~k r
+            acc := !acc +. Oracle.Tree.predict_k root ~k r
           done)
         rows;
       !acc

@@ -159,21 +159,12 @@ let quadrant_cmd =
         match Workload.Catalog.find_opt name with
         | None -> unknown_workload name
         | Some _ ->
-            let a = Fuzzy.Experiments.analyze_cached config name in
             (* Rendered through the serve protocol so the offline verdict
                is byte-identical to the Quadrant RPC's response. *)
             print_string
               (Serve.Protocol.render_response
-                 (Serve.Protocol.Quadrant_verdict
-                    {
-                      workload = name;
-                      quadrant = a.Fuzzy.Analysis.quadrant;
-                      cpi_variance = a.Fuzzy.Analysis.cpi_variance;
-                      re_kopt = a.Fuzzy.Analysis.re_kopt;
-                      kopt = a.Fuzzy.Analysis.kopt;
-                      technique =
-                        Fuzzy.Techniques.(to_string (recommend a.Fuzzy.Analysis.quadrant));
-                    })))
+                 (Serve.Protocol.quadrant_verdict name
+                    (Fuzzy.Experiments.analyze_cached config name))))
       names
   in
   Cmd.v

@@ -211,28 +211,3 @@ let analyze_report (a : Analysis.t) =
     (Printf.sprintf "recommended sampling technique: %s\n"
        (Techniques.to_string (Techniques.recommend a.Analysis.quadrant)));
   Buffer.contents b
-
-let re_curve_csv (c : Rtree.Cv.curve) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "k,re\n";
-  Array.iteri
-    (fun i k -> Buffer.add_string b (Printf.sprintf "%d,%.6f\n" k c.Rtree.Cv.re.(i)))
-    c.Rtree.Cv.k_values;
-  Buffer.contents b
-
-let cpi_series_csv (eipv : Sampling.Eipv.t) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "interval,cpi,work,fe,exe,other\n";
-  Array.iteri
-    (fun i iv ->
-      let bd = iv.Sampling.Eipv.breakdown in
-      Buffer.add_string b
-        (Printf.sprintf "%d,%.6f,%.6f,%.6f,%.6f,%.6f\n" i iv.Sampling.Eipv.cpi
-           bd.March.Breakdown.work bd.March.Breakdown.fe bd.March.Breakdown.exe
-           bd.March.Breakdown.other))
-    eipv.Sampling.Eipv.intervals;
-  Buffer.contents b
-
-let save_csv contents ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)

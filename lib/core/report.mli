@@ -32,13 +32,3 @@ val analyze_report : Analysis.t -> string
     RE curve, most CPI-predictive EIPs and the recommended sampling
     technique.  The serve [Analyze] RPC returns exactly this string, so
     online and offline output can be compared byte-for-byte. *)
-
-val re_curve_csv : Rtree.Cv.curve -> string
-(** "k,re\n" rows for external plotting. *)
-
-val cpi_series_csv : Sampling.Eipv.t -> string
-(** "interval,cpi,work,fe,exe,other\n" rows — the raw series behind the
-    breakdown figures. *)
-
-val save_csv : string -> path:string -> unit
-(** Write a CSV string to a file (overwrites). *)

@@ -157,49 +157,6 @@ let evaluate ?(trials = 9) rng eipv ~budget =
       (t, !total /. float_of_int trials))
     all
 
-(* Two-sided normal quantile via Acklam-style rational approximation of
-   the inverse error function -- adequate for the usual 90/95/99%%
-   confidence levels. *)
-let z_of_confidence confidence =
-  if confidence <= 0.0 || confidence >= 1.0 then
-    invalid_arg "Techniques.required_samples: confidence out of (0,1)";
-  let p = 1.0 -. ((1.0 -. confidence) /. 2.0) in
-  (* Beasley-Springer-Moro approximation of the standard normal inverse
-     CDF on the central region. *)
-  let a = [| -39.69683028665376; 220.9460984245205; -275.9285104469687;
-             138.3577518672690; -30.66479806614716; 2.506628277459239 |] in
-  let b = [| -54.47609879822406; 161.5858368580409; -155.6989798598866;
-             66.80131188771972; -13.28068155288572 |] in
-  if p < 0.5 +. 1e-12 && p > 0.5 -. 1e-12 then 0.0
-  else begin
-    let q = p -. 0.5 in
-    if Float.abs q <= 0.425 then begin
-      let r = 0.180625 -. (q *. q) in
-      let num = ((((((a.(0) *. r) +. a.(1)) *. r) +. a.(2)) *. r +. a.(3)) *. r +. a.(4)) *. r +. a.(5) in
-      let den = ((((((b.(0) *. r) +. b.(1)) *. r) +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r +. 1.0 in
-      q *. num /. den
-    end
-    else begin
-      (* Tail region: rational approximation in log space. *)
-      let r = if q < 0.0 then p else 1.0 -. p in
-      let t = sqrt (-2.0 *. log r) in
-      let z =
-        t
-        -. ((2.515517 +. (0.802853 *. t) +. (0.010328 *. t *. t))
-           /. (1.0 +. (1.432788 *. t) +. (0.189269 *. t *. t) +. (0.001308 *. t *. t *. t)))
-      in
-      if q < 0.0 then -.z else z
-    end
-  end
-
-let required_samples ~cpi_variance ~mean_cpi ~confidence ~rel_error =
-  if rel_error <= 0.0 then invalid_arg "Techniques.required_samples: rel_error must be positive";
-  if mean_cpi <= 0.0 then invalid_arg "Techniques.required_samples: mean_cpi must be positive";
-  if cpi_variance < 0.0 then invalid_arg "Techniques.required_samples: negative variance";
-  let z = z_of_confidence confidence in
-  let cv = sqrt cpi_variance /. mean_cpi in
-  max 1 (int_of_float (Float.ceil (Float.pow (z *. cv /. rel_error) 2.0)))
-
 let recommend = function
   | Quadrant.Q1 -> Uniform
   | Quadrant.Q2 -> Uniform

@@ -39,15 +39,6 @@ val evaluate :
 (** Mean relative error over [trials] (default 9) repetitions, one entry
     per technique, in {!all} order. *)
 
-val required_samples :
-  cpi_variance:float -> mean_cpi:float -> confidence:float -> rel_error:float -> int
-(** Statistical sample-size rule (Wunderlich et al., Section 8): the
-    number of independent interval samples needed so the mean-CPI estimate
-    is within [rel_error] of the truth with the given [confidence]
-    (e.g. 0.95).  This is what "use statistical sampling in Q-III" costs:
-    n = (z * cv / rel_error)^2 with cv the CPI coefficient of variation.
-    Returns at least 1. *)
-
 val recommend : Quadrant.t -> technique
 (** The paper's per-quadrant prescription. *)
 

@@ -1,8 +1,8 @@
-type t = { mutable cursor : int; base : int }
+type t = { mutable cursor : int }
 
 let page = 16384
 
-let create ?(base = 0x1000_0000) () = { cursor = base; base }
+let create ?(base = 0x1000_0000) () = { cursor = base }
 
 let alloc t ~bytes =
   if bytes <= 0 then invalid_arg "Addr_space.alloc: bytes must be positive";
@@ -11,4 +11,3 @@ let alloc t ~bytes =
   t.cursor <- t.cursor + rounded + page;  (* guard page between regions *)
   a
 
-let used t = t.cursor - t.base

@@ -7,5 +7,3 @@ type t
 val create : ?base:int -> unit -> t
 val alloc : t -> bytes:int -> int
 (** Returns the page-aligned base address of a fresh region. *)
-
-val used : t -> int

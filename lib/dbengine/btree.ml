@@ -1,12 +1,6 @@
-type node = {
-  id : int;
-  mutable keys : int array;
-  mutable kind : kind;
-}
+type node = { id : int; keys : int array; kind : kind }
 
-and kind =
-  | Leaf of { mutable values : int array }
-  | Internal of { mutable children : node array }
+and kind = Leaf of { values : int array } | Internal of { children : node array }
 
 type t = {
   fanout : int;
@@ -128,88 +122,6 @@ let find t key =
   descend t t.root key ~visit:ignore ~at_leaf:(fun keys values key ->
       let i = leaf_slot keys key in
       if i >= 0 then Some values.(i) else None)
-
-let array_insert a i x =
-  let n = Array.length a in
-  let b = Array.make (n + 1) x in
-  Array.blit a 0 b 0 i;
-  Array.blit a i b (i + 1) (n - i);
-  b
-
-(* Insertion result: the child either absorbed the key or split, promoting
-   a separator and a new right sibling. *)
-type ins = Ok | Split of int * node
-
-let insert t ~key ~value =
-  let rec go node =
-    match node.kind with
-    | Leaf lf ->
-        let i = leaf_slot node.keys key in
-        if i >= 0 then begin
-          lf.values.(i) <- value;
-          Ok
-        end
-        else begin
-          let pos = child_index node.keys key in
-          node.keys <- array_insert node.keys pos key;
-          lf.values <- array_insert lf.values pos value;
-          t.n_keys <- t.n_keys + 1;
-          if Array.length node.keys <= t.fanout then Ok
-          else begin
-            let n = Array.length node.keys in
-            let mid = n / 2 in
-            let rkeys = Array.sub node.keys mid (n - mid) in
-            let rvals = Array.sub lf.values mid (n - mid) in
-            node.keys <- Array.sub node.keys 0 mid;
-            lf.values <- Array.sub lf.values 0 mid;
-            let right = new_node t rkeys (Leaf { values = rvals }) in
-            Split (rkeys.(0), right)
-          end
-        end
-    | Internal inode -> (
-        let ci = child_index node.keys key in
-        match go inode.children.(ci) with
-        | Ok -> Ok
-        | Split (sep, right) ->
-            node.keys <- array_insert node.keys ci sep;
-            inode.children <- array_insert inode.children (ci + 1) right;
-            if Array.length inode.children <= t.fanout then Ok
-            else begin
-              let nk = Array.length node.keys in
-              let mid = nk / 2 in
-              let promoted = node.keys.(mid) in
-              let rkeys = Array.sub node.keys (mid + 1) (nk - mid - 1) in
-              let rchildren =
-                Array.sub inode.children (mid + 1) (Array.length inode.children - mid - 1)
-              in
-              node.keys <- Array.sub node.keys 0 mid;
-              inode.children <- Array.sub inode.children 0 (mid + 1);
-              let right = new_node t rkeys (Internal { children = rchildren }) in
-              Split (promoted, right)
-            end)
-  in
-  match go t.root with
-  | Ok -> ()
-  | Split (sep, right) ->
-      let old_root = t.root in
-      t.root <- new_node t [| sep |] (Internal { children = [| old_root; right |] })
-
-let range_trace t ~lo ~hi f =
-  let touched = ref [] in
-  let rec go node =
-    touched := addr_of t node :: !touched;
-    match node.kind with
-    | Leaf { values } ->
-        Array.iteri (fun i k -> if k >= lo && k <= hi then f k values.(i)) node.keys
-    | Internal { children } ->
-        (* Visit every child whose key range can intersect [lo, hi]. *)
-        let first = child_index node.keys lo and last = child_index node.keys hi in
-        for i = first to last do
-          go children.(i)
-        done
-  in
-  go t.root;
-  List.rev !touched
 
 let height t =
   let rec go node = match node.kind with Leaf _ -> 1 | Internal { children } -> 1 + go children.(0) in

@@ -16,8 +16,6 @@ val bulk_load : t -> (int * int) array -> unit
 (** Load sorted (key, value) pairs into an empty tree; keys must be
     strictly increasing.  Builds a balanced tree bottom-up. *)
 
-val insert : t -> key:int -> value:int -> unit
-
 val find : t -> int -> int option
 
 val lookup : t -> int -> visit:(int -> unit) -> int
@@ -28,13 +26,11 @@ val lookup : t -> int -> visit:(int -> unit) -> int
     index operators call it once per probe; {!find} walks the same
     descent and tells a stored -1 from a missing key. *)
 
-val range_trace : t -> lo:int -> hi:int -> (int -> int -> unit) -> int list
-(** Visit all (key, value) with lo <= key <= hi, calling the function on
-    each; returns the node addresses touched. *)
-
 val height : t -> int
 val n_keys : t -> int
 val footprint_bytes : t -> int
+(** Bytes of simulated address space the nodes occupy (test hook: the
+    lookup tests check every visited address falls inside it). *)
 
 val check_invariants : t -> unit
 (** Raises [Failure] if ordering, balance or occupancy invariants are

@@ -12,5 +12,3 @@ val create : pages:int -> page_bytes:int -> t
 
 val touch : t -> int -> bool
 (** [touch t addr] returns [true] on a buffer hit. *)
-
-val hit_ratio : t -> float

@@ -16,7 +16,3 @@ let create space ~name ~rows ~row_bytes =
 let addr_of_row t i =
   if i < 0 || i >= t.rows then invalid_arg "Heap.addr_of_row: row out of range";
   t.base + (i * t.row_bytes)
-
-let page_of_addr t addr = (addr - t.base) / t.page_bytes
-let n_pages t = ((t.rows * t.row_bytes) + t.page_bytes - 1) / t.page_bytes
-let bytes t = t.rows * t.row_bytes

@@ -11,6 +11,3 @@ type t = private {
 
 val create : Addr_space.t -> name:string -> rows:int -> row_bytes:int -> t
 val addr_of_row : t -> int -> int
-val page_of_addr : t -> int -> int
-val n_pages : t -> int
-val bytes : t -> int

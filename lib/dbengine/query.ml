@@ -1,17 +1,10 @@
-type t = {
-  name : string;
-  ops : Ops.t array;
-  mutable cur : int;
-  mutable completed : int;
-}
+type t = { ops : Ops.t array; mutable cur : int }
 
 type progress = More | Blocked | Query_done
 
-let create ~name ~ops =
+let create ops =
   if Array.length ops = 0 then invalid_arg "Query.create: empty plan";
-  { name; ops; cur = 0; completed = 0 }
-
-let name t = t.name
+  { ops; cur = 0 }
 
 let rec step t sink =
   let op = t.ops.(t.cur) in
@@ -25,10 +18,7 @@ let rec step t sink =
         step t sink
       end
       else begin
-        t.completed <- t.completed + 1;
         Array.iter (fun o -> o.Ops.reset ()) t.ops;
         t.cur <- 0;
         Query_done
       end
-
-let completed t = t.completed

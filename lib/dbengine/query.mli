@@ -6,12 +6,8 @@ type t
 
 type progress = More | Blocked | Query_done
 
-val create : name:string -> ops:Ops.t array -> t
-val name : t -> string
+val create : Ops.t array -> t
 val step : t -> Sink.t -> progress
 (** Run one chunk of the current operator.  Crossing the end of the plan
     resets every operator and reports [Query_done]. *)
-
-val completed : t -> int
-(** Number of complete plan executions so far. *)
 

@@ -64,8 +64,6 @@ let account_branches (t : t) n =
   if n < 0 then invalid_arg "Sink.account_branches: negative count";
   t.extra_branches <- t.extra_branches + n
 let total_instrs (t : t) = t.instr_total
-let n_refs (t : t) = Gv.Int.length t.addrs
-let io_waits (t : t) = t.io
 
 let drain (t : t) =
   let d =

@@ -37,8 +37,6 @@ val account_branches : t -> int -> unit
 (** Same for branches. *)
 
 val total_instrs : t -> int
-val n_refs : t -> int
-val io_waits : t -> int
 val drain : t -> drained
 (** Return everything accumulated and reset the sink.  The four event
     arrays are the sink's own buffers, not copies, and may be longer than

@@ -195,7 +195,7 @@ let q db n =
                compute ~region:(r 2) ~instrs:500_000 () |]
     | _ -> invalid_arg "Tpch.query: query number out of 1..22"
   in
-  Query.create ~name:(Printf.sprintf "Q%d" n) ~ops
+  Query.create ops
 
 let query db n =
   if n < 1 || n > n_queries then invalid_arg "Tpch.query: query number out of 1..22";
@@ -229,7 +229,7 @@ let q18_variant db ~access =
           Ops.aggregate ctx ~region:(r 3) ~space ~src:db.supplier ();
         |]
   in
-  Query.create ~name:(Printf.sprintf "Q18[%s]" (Optimizer.to_string access)) ~ops
+  Query.create ops
 
 let lineitem db = db.lineitem
 let lineitem_index db = db.lineitem_idx

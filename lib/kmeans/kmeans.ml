@@ -132,12 +132,6 @@ let fit ?(max_iter = 50) ?(restarts = 3) rng ~k ~n_features points =
   done;
   match !best with Some m -> m | None -> assert false
 
-let assign model point =
-  let norms = Array.map centroid_norm2 model.centroids in
-  fst (nearest model.centroids norms point)
-
-type predictability = { mse : float; re : float }
-
 let cluster_means ~k ~assignment ~cpi =
   let sums = Array.make k 0.0 and counts = Array.make k 0 in
   Array.iteri
@@ -146,21 +140,6 @@ let cluster_means ~k ~assignment ~cpi =
       counts.(j) <- counts.(j) + 1)
     assignment;
   Array.init k (fun j -> if counts.(j) = 0 then 0.0 else sums.(j) /. float_of_int counts.(j))
-
-let cpi_predictability model ~cpi =
-  let n = Array.length cpi in
-  if n <> Array.length model.assignment then
-    invalid_arg "Kmeans.cpi_predictability: cpi length mismatch";
-  let means = cluster_means ~k:model.k ~assignment:model.assignment ~cpi in
-  let sse = ref 0.0 in
-  Array.iteri
-    (fun i j ->
-      let e = cpi.(i) -. means.(j) in
-      sse := !sse +. (e *. e))
-    model.assignment;
-  let mse = !sse /. float_of_int n in
-  let var = Stats.Describe.variance cpi in
-  { mse; re = (if var < 1e-12 then 0.0 else mse /. var) }
 
 let cv_relative_error ?(folds = 10) ?(max_iter = 50) rng ~k ~n_features points ~cpi =
   let n = Array.length points in

@@ -27,18 +27,6 @@ val fit :
     points.  Empty clusters are re-seeded with the point farthest from its
     centroid. *)
 
-val assign : model -> Stats.Sparse_vec.t -> int
-(** Nearest centroid for a new point. *)
-
-type predictability = {
-  mse : float;  (** mean squared CPI error of cluster-mean prediction *)
-  re : float;  (** mse / Var(CPI); the analogue of the tree's RE *)
-}
-
-val cpi_predictability : model -> cpi:float array -> predictability
-(** In-sample evaluation: each point's CPI predicted by its own cluster's
-    mean CPI. *)
-
 val cv_relative_error :
   ?folds:int ->
   ?max_iter:int ->

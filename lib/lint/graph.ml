@@ -1119,28 +1119,42 @@ let build ?(libnames = []) ?(roots = default_roots) sources =
       ())
     impls;
   (* Interfaces: exports for the dead-export audit (lib/ only — bin, test
-     and examples are leaves by construction). *)
+     and examples are leaves by construction).  Values of nested
+     [module X : sig ... end] items are exports too, named by their path
+     below the top-level module ([xname = "X.v"]). *)
+  let rec sig_exports ~file ~mid ~prefix (sg : Parsetree.signature) =
+    List.concat_map
+      (fun (item : Parsetree.signature_item) ->
+        match item.Parsetree.psig_desc with
+        | Parsetree.Psig_value vd ->
+            let line, col = Syntax.line_col vd.Parsetree.pval_loc in
+            [
+              {
+                xmodule = mid;
+                xname = prefix ^ vd.Parsetree.pval_name.Asttypes.txt;
+                xfile = file;
+                xline = line;
+                xcol = col;
+              };
+            ]
+        | Parsetree.Psig_module
+            {
+              pmd_name = { txt = Some name; _ };
+              pmd_type = { pmty_desc = Parsetree.Pmty_signature sub; _ };
+              _;
+            } ->
+            sig_exports ~file ~mid ~prefix:(prefix ^ name ^ ".") sub
+        | _ -> [])
+      sg
+  in
   let exports =
     List.concat_map
       (fun (s : Rule.source) ->
         match (s.Rule.kind, s.Rule.intf) with
         | Rule.Intf, Some sg when Rule.in_lib s.Rule.path ->
-            let mid = module_of_path ~libnames s.Rule.path in
-            List.filter_map
-              (fun (item : Parsetree.signature_item) ->
-                match item.Parsetree.psig_desc with
-                | Parsetree.Psig_value vd ->
-                    let line, col = Syntax.line_col vd.Parsetree.pval_loc in
-                    Some
-                      {
-                        xmodule = mid;
-                        xname = vd.Parsetree.pval_name.Asttypes.txt;
-                        xfile = s.Rule.path;
-                        xline = line;
-                        xcol = col;
-                      }
-                | _ -> None)
-              sg
+            sig_exports ~file:s.Rule.path
+              ~mid:(module_of_path ~libnames s.Rule.path)
+              ~prefix:"" sg
         | _ -> [])
       sources
   in
@@ -1296,13 +1310,22 @@ let g004 t =
         && not (String.starts_with ~prefix:(mid ^ ".") from_mod))
       uses
   in
-  let open_used mid name = List.mem (mid, name) t.open_uses in
-  let escapes mid = List.mem mid t.escaping in
+  (* A nested export [M.v] is reachable through an open of its own
+     module, or lost wholesale when that module escapes. *)
+  let owner x =
+    match String.rindex_opt x.xname '.' with
+    | None -> (x.xmodule, x.xname)
+    | Some i ->
+        ( x.xmodule ^ "." ^ String.sub x.xname 0 i,
+          String.sub x.xname (i + 1) (String.length x.xname - i - 1) )
+  in
+  let open_used x = List.mem (owner x) t.open_uses in
+  let escapes x = List.mem x.xmodule t.escaping || List.mem (fst (owner x)) t.escaping in
   List.filter_map
     (fun x ->
-      if escapes x.xmodule then None
+      if escapes x then None
       else if used_outside x.xmodule x.xname then None
-      else if open_used x.xmodule x.xname then None
+      else if open_used x then None
       else
         Some
           (Rule.finding g004_rule ~file:x.xfile ~line:x.xline ~col:x.xcol

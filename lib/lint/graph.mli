@@ -137,9 +137,10 @@ val task_reachable : t -> int array
 val g004_rule : Rule.t
 
 val g004 : t -> Rule.finding list
-(** Dead-export audit: [.mli] values of lib modules never referenced from
-    outside their module, unless the module escapes wholesale or the value
-    is reachable through an [open]. *)
+(** Dead-export audit: [.mli] values of lib modules, including those of
+    nested [module X : sig ... end] items, never referenced from outside
+    their top-level module, unless the module escapes wholesale or the
+    value is reachable through an [open]. *)
 
 val module_graph : t -> (string * string) list
 

@@ -133,7 +133,8 @@ let allows ~file ast =
   it.Ast_iterator.structure it ast;
   !acc
 
-(* Same channel for .mli files: [@@lint.allow "G004"] on a val, or a
+(* Same channel for .mli files: [@@lint.allow "G004"] on a val (nested
+   [module X : sig ... end] vals included, as G004 audits them), or a
    floating [@@@lint.allow "..."] for the whole interface. *)
 let allows_sig ~file (sg : Parsetree.signature) =
   let acc = ref [] in
@@ -153,18 +154,24 @@ let allows_sig ~file (sg : Parsetree.signature) =
           (allow_ids attr))
       attrs
   in
-  List.iter
-    (fun (item : Parsetree.signature_item) ->
-      match item.Parsetree.psig_desc with
-      | Parsetree.Psig_value vd ->
-          add vd.Parsetree.pval_attributes vd.Parsetree.pval_loc
-      | Parsetree.Psig_attribute attr ->
-          List.iter
-            (fun id ->
-              acc := { arule = id; afile = file; from_line = 1; to_line = max_int } :: !acc)
-            (allow_ids attr)
-      | _ -> ())
-    sg;
+  let rec items sg =
+    List.iter
+      (fun (item : Parsetree.signature_item) ->
+        match item.Parsetree.psig_desc with
+        | Parsetree.Psig_value vd ->
+            add vd.Parsetree.pval_attributes vd.Parsetree.pval_loc
+        | Parsetree.Psig_module { pmd_type = { pmty_desc = Parsetree.Pmty_signature sub; _ }; _ }
+          ->
+            items sub
+        | Parsetree.Psig_attribute attr ->
+            List.iter
+              (fun id ->
+                acc := { arule = id; afile = file; from_line = 1; to_line = max_int } :: !acc)
+              (allow_ids attr)
+        | _ -> ())
+      sg
+  in
+  items sg;
   !acc
 
 let allow_covers (a : allow) (f : Rule.finding) =

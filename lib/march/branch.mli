@@ -7,16 +7,10 @@
 
 type t
 
-val create : ?history_bits:int -> table_bits:int -> unit -> t
-(** [table_bits] sets the counter table to 2^bits entries;
-    [history_bits] (default = [table_bits]) caps the global history
-    length. *)
+val create : table_bits:int -> unit -> t
+(** [table_bits] sets the counter table to 2^bits entries and the global
+    history to as many bits. *)
 
 val update : t -> pc:int -> taken:bool -> bool
 (** Predict, then train with the actual direction and shift the history.
     Returns [true] when the prediction was wrong (a mispredict). *)
-
-val mispredicts : t -> int
-val branches : t -> int
-val mispredict_rate : t -> float
-val reset_stats : t -> unit

@@ -5,9 +5,6 @@ let zero = { work = 0.0; fe = 0.0; exe = 0.0; other = 0.0 }
 let add a b =
   { work = a.work +. b.work; fe = a.fe +. b.fe; exe = a.exe +. b.exe; other = a.other +. b.other }
 
-let sub a b =
-  { work = a.work -. b.work; fe = a.fe -. b.fe; exe = a.exe -. b.exe; other = a.other -. b.other }
-
 let scale a s = { work = a.work *. s; fe = a.fe *. s; exe = a.exe *. s; other = a.other *. s }
 
 let total a = a.work +. a.fe +. a.exe +. a.other

@@ -10,9 +10,6 @@ type t = { work : float; fe : float; exe : float; other : float }
 
 val zero : t
 val add : t -> t -> t
-val sub : t -> t -> t
-(** Component-wise difference (used for per-sample deltas); callers must
-    guarantee monotone inputs. *)
 
 val scale : t -> float -> t
 val total : t -> float

@@ -9,8 +9,6 @@ type t = {
   line_bits : int;
   line_bytes : int;
   tags : int array;  (* sets * ways, each set in recency order; -1 = invalid *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let is_pow2 x = x > 0 && x land (x - 1) = 0
@@ -32,8 +30,6 @@ let create ~size_bytes ~ways ~line_bytes =
     line_bits = log2 line_bytes;
     line_bytes;
     tags = Array.make (sets * ways) (-1);
-    hits = 0;
-    misses = 0;
   }
 
 let access t addr =
@@ -41,10 +37,7 @@ let access t addr =
   let tags = t.tags in
   let base = (line land (t.sets - 1)) * t.ways in
   let front = tags.(base) in
-  if front = line then begin
-    t.hits <- t.hits + 1;
-    true
-  end
+  if front = line then true
   else begin
     (* One pass: move each way back by one until the line turns up (a
        hit) or the last way falls off the end (a miss). *)
@@ -60,7 +53,6 @@ let access t addr =
       end
     done;
     tags.(base) <- line;
-    if !found then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
     !found
   end
 
@@ -73,21 +65,6 @@ let probe t addr =
   done;
   !w < t.ways
 
-let accesses t = t.hits + t.misses
-
-let miss_rate t =
-  let a = accesses t in
-  if a = 0 then 0.0 else float_of_int t.misses /. float_of_int a
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  reset_stats t
-
 let sets t = t.sets
 let ways t = t.ways
 let line_bytes t = t.line_bytes
-let size_bytes t = t.sets * t.ways * t.line_bytes

@@ -19,13 +19,6 @@ val access : t -> int -> bool
 val probe : t -> int -> bool
 (** Hit test without state change. *)
 
-val accesses : t -> int
-val miss_rate : t -> float
-val reset_stats : t -> unit
-val clear : t -> unit
-(** Invalidate all lines and reset statistics. *)
-
 val sets : t -> int
 val ways : t -> int
 val line_bytes : t -> int
-val size_bytes : t -> int

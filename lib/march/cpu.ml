@@ -85,10 +85,6 @@ let run t (q : Quantum.t) =
     branch_mispredicts = mispredicts_w;
   }
 
-let cpi r ~instrs =
-  if instrs <= 0 then invalid_arg "Cpu.cpi: instrs must be positive";
-  r.cycles /. float_of_int instrs
-
 let pollute t ~fraction =
   if fraction < 0.0 || fraction > 1.0 then invalid_arg "Cpu.pollute: fraction out of [0,1]";
   (* Touch a moving window of otherwise-unused lines sized to displace the

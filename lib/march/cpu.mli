@@ -27,9 +27,6 @@ type result = {
 val create : Config.t -> t
 val config : t -> Config.t
 val run : t -> Quantum.t -> result
-val cpi : result -> instrs:int -> float
-(** Cycles per instruction of a result: [cycles / instrs].  Raises
-    [Invalid_argument] when [instrs <= 0]. *)
 
 val pollute : t -> fraction:float -> unit
 (** Evict roughly [fraction] of the L1/L2 contents by touching conflicting

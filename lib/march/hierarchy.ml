@@ -5,7 +5,6 @@ type t = {
   l1d : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t option;
-  mutable mem_data : int;
 }
 
 let of_geom (g : Config.geometry) =
@@ -18,7 +17,6 @@ let create (cfg : Config.t) =
     l1d = of_geom cfg.l1d;
     l2 = of_geom cfg.l2;
     l3 = Option.map of_geom cfg.l3;
-    mem_data = 0;
   }
 
 let beyond_l1 t addr =
@@ -28,12 +26,7 @@ let beyond_l1 t addr =
     | Some l3 -> if Cache.access l3 addr then L3 else Mem
     | None -> Mem
 
-let access_data t addr =
-  if Cache.access t.l1d addr then L1
-  else
-    let lvl = beyond_l1 t addr in
-    if lvl = Mem then t.mem_data <- t.mem_data + 1;
-    lvl
+let access_data t addr = if Cache.access t.l1d addr then L1 else beyond_l1 t addr
 
 let access_inst t addr = if Cache.access t.l1i addr then L1 else beyond_l1 t addr
 
@@ -48,11 +41,3 @@ let data_latency (cfg : Config.t) = function
   | Mem -> cfg.lat_mem
 
 let l1d t = t.l1d
-let mem_data_accesses t = t.mem_data
-
-let reset_stats t =
-  Cache.reset_stats t.l1i;
-  Cache.reset_stats t.l1d;
-  Cache.reset_stats t.l2;
-  Option.iter Cache.reset_stats t.l3;
-  t.mem_data <- 0

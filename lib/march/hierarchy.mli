@@ -16,15 +16,9 @@ val access_inst : t -> int -> level
 
 val install : t -> int -> unit
 (** Pre-install a line into the L2/L3 (prefetch fill); does not touch the
-    L1 or the memory-access counter. *)
+    L1. *)
 
 val data_latency : Config.t -> level -> float
 (** Extra stall cycles a data access at this level costs (0 for L1). *)
 
 val l1d : t -> Cache.t
-
-val mem_data_accesses : t -> int
-(** Number of data references that went all the way to memory (L3 misses
-    on machines with an L3). *)
-
-val reset_stats : t -> unit

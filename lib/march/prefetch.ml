@@ -1,6 +1,5 @@
 type stream = {
   mutable last_line : int;  (* -1 = free slot *)
-  mutable confirmed : bool;
   mutable stamp : int;
 }
 
@@ -9,17 +8,15 @@ type t = {
   degree : int;
   line_bytes : int;
   mutable tick : int;
-  mutable confirmed_total : int;
 }
 
 let create ?(streams = 8) ?(degree = 4) ?(line_bytes = 64) () =
   if streams <= 0 || degree <= 0 then invalid_arg "Prefetch.create: bad parameters";
   {
-    slots = Array.init streams (fun _ -> { last_line = -1; confirmed = false; stamp = 0 });
+    slots = Array.init streams (fun _ -> { last_line = -1; stamp = 0 });
     degree;
     line_bytes;
     tick = 0;
-    confirmed_total = 0;
   }
 
 let on_miss t addr =
@@ -39,28 +36,11 @@ let on_miss t addr =
   | Some s ->
       s.last_line <- line;
       s.stamp <- t.tick;
-      if not s.confirmed then begin
-        s.confirmed <- true;
-        t.confirmed_total <- t.confirmed_total + 1
-      end;
       List.init t.degree (fun k -> (line + 1 + k) * t.line_bytes)
   | None ->
       (* Allocate a tracker, evicting the least recently advanced. *)
       let victim = ref t.slots.(0) in
       Array.iter (fun s -> if s.stamp < !victim.stamp then victim := s) t.slots;
       !victim.last_line <- line;
-      !victim.confirmed <- false;
       !victim.stamp <- t.tick;
       []
-
-let confirmed_streams t = t.confirmed_total
-
-let reset t =
-  Array.iter
-    (fun s ->
-      s.last_line <- -1;
-      s.confirmed <- false;
-      s.stamp <- 0)
-    t.slots;
-  t.tick <- 0;
-  t.confirmed_total <- 0

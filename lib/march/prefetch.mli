@@ -18,8 +18,3 @@ val on_miss : t -> int -> int list
 (** [on_miss t addr] observes a miss and returns the addresses the
     prefetcher would fetch (possibly empty).  Detection needs two
     consecutive-line misses to confirm a stream. *)
-
-val confirmed_streams : t -> int
-(** Total streams confirmed so far (statistics). *)
-
-val reset : t -> unit

@@ -8,4 +8,3 @@ let create ~entries ~page_bytes =
   { page_bits = log2 0 page_bytes; pages = Stats.Lru.create ~capacity:entries }
 
 let access t addr = Stats.Lru.access t.pages (addr asr t.page_bits)
-let misses t = Stats.Lru.misses t.pages

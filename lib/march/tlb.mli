@@ -12,5 +12,3 @@ val access : t -> int -> bool
 (** [access t addr] for a non-negative byte address: [true] on a hit.  A
     miss installs the page in a never-used entry while one is left, else
     in place of the least recently used page. *)
-
-val misses : t -> int

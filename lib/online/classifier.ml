@@ -13,15 +13,11 @@ type verdict = {
 }
 
 type t = {
-  var_threshold : float;
-  re_threshold : float;
   sketch : Sketch.t;
   mutable current_re : (float * int) option;  (* RE_kopt, k_opt *)
 }
 
-let create ?(var_threshold = Fuzzy.Quadrant.default_var_threshold)
-    ?(re_threshold = Fuzzy.Quadrant.default_re_threshold) ?(window = 16) () =
-  { var_threshold; re_threshold; sketch = Sketch.create ~window (); current_re = None }
+let create ~window = { sketch = Sketch.create ~window (); current_re = None }
 
 let observe t ~cpi = Sketch.add t.sketch cpi
 let publish t ~re ~kopt = t.current_re <- Some (re, kopt)
@@ -35,11 +31,15 @@ let axis_confidence ~metric ~threshold =
 
 let confidence t =
   let maturity = 1.0 -. exp (-.float_of_int (Sketch.n t.sketch) /. 32.0) in
-  let var_axis = axis_confidence ~metric:(cpi_variance t) ~threshold:t.var_threshold in
+  let var_axis =
+    axis_confidence ~metric:(cpi_variance t) ~threshold:Fuzzy.Quadrant.default_var_threshold
+  in
   match t.current_re with
   | None -> 0.0
   | Some (re, _) ->
-      let re_axis = axis_confidence ~metric:re ~threshold:t.re_threshold in
+      let re_axis =
+        axis_confidence ~metric:re ~threshold:Fuzzy.Quadrant.default_re_threshold
+      in
       maturity *. Float.min var_axis re_axis
 
 let verdict t ~interval ~drift ~refit =
@@ -48,11 +48,7 @@ let verdict t ~interval ~drift ~refit =
     match t.current_re with
     | None -> (None, None, None)
     | Some (re, k) ->
-        ( Some re,
-          Some k,
-          Some
-            (Fuzzy.Quadrant.classify ~var_threshold:t.var_threshold
-               ~re_threshold:t.re_threshold ~cpi_variance ~re ()) )
+        (Some re, Some k, Some (Fuzzy.Quadrant.classify ~cpi_variance ~re ()))
   in
   {
     interval;

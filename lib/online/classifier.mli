@@ -32,10 +32,11 @@ type verdict = {
 
 type t
 
-val create :
-  ?var_threshold:float -> ?re_threshold:float -> ?window:int -> unit -> t
-(** Thresholds default to the paper's ({!Fuzzy.Quadrant.default_var_threshold},
-    {!Fuzzy.Quadrant.default_re_threshold}); [window] to 16 intervals. *)
+val create : window:int -> t
+(** Places the workload with the paper's thresholds
+    ({!Fuzzy.Quadrant.default_var_threshold},
+    {!Fuzzy.Quadrant.default_re_threshold}); [window] is the trailing
+    window of the windowed variance, in intervals. *)
 
 val observe : t -> cpi:float -> unit
 (** Record one sealed interval's instantaneous CPI. *)

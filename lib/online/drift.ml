@@ -44,29 +44,27 @@ module Page_hinkley = struct
   let alarms t = t.alarms
 end
 
+(* Working-set signatures hash EIPs into this many bits; an interval whose
+   new-bit fraction exceeds [signature_threshold] starts a new phase, and
+   one with fewer than [signature_min_population] set bits abstains. *)
+let signature_bits = 1024
+let signature_threshold = 0.5
+let signature_min_population = 4
+
 type t = {
   ph : Page_hinkley.t;
-  signature_bits : int;
-  signature_threshold : float;
-  signature_min_population : int;
   samples_per_interval : int;
   mutable phase_signature : Bytes.t option;  (* union over the current phase *)
   mutable ph_latched : bool;
-  mutable signature_changes : int;
   mutable events : int;
 }
 
-let create ?ph_delta ?ph_lambda ?(signature_bits = 1024) ?(signature_threshold = 0.5)
-    ?(signature_min_population = 4) ~samples_per_interval () =
+let create ~samples_per_interval =
   {
-    ph = Page_hinkley.create ?delta:ph_delta ?lambda:ph_lambda ();
-    signature_bits;
-    signature_threshold;
-    signature_min_population;
+    ph = Page_hinkley.create ();
     samples_per_interval;
     phase_signature = None;
     ph_latched = false;
-    signature_changes = 0;
     events = 0;
   }
 
@@ -96,21 +94,21 @@ let new_bit_fraction phase s =
 
 let observe_interval t iv =
   let s =
-    Fuzzy.Phase_detect.interval_signature ~bits:t.signature_bits
+    Fuzzy.Phase_detect.interval_signature ~bits:signature_bits
       ~samples_per_interval:t.samples_per_interval iv
   in
   let code_change =
     (* A near-empty signature (few repeatedly-hit EIPs, e.g. an OLTP mix
        whose samples scatter over a huge code footprint) carries no
        working-set evidence either way: abstain rather than alarm. *)
-    if popcount s < t.signature_min_population then false
+    if popcount s < signature_min_population then false
     else
       match t.phase_signature with
       | None ->
           t.phase_signature <- Some (Bytes.copy s);
           false
       | Some phase ->
-          if new_bit_fraction phase s > t.signature_threshold then begin
+          if new_bit_fraction phase s > signature_threshold then begin
             t.phase_signature <- Some (Bytes.copy s);
             true
           end
@@ -120,7 +118,6 @@ let observe_interval t iv =
             false
           end
   in
-  if code_change then t.signature_changes <- t.signature_changes + 1;
   let drift = code_change || t.ph_latched in
   t.ph_latched <- false;
   if drift then t.events <- t.events + 1;

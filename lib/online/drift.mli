@@ -41,19 +41,10 @@ end
 
 type t
 
-val create :
-  ?ph_delta:float ->
-  ?ph_lambda:float ->
-  ?signature_bits:int ->
-  ?signature_threshold:float ->
-  ?signature_min_population:int ->
-  samples_per_interval:int ->
-  unit ->
-  t
-(** [signature_threshold] (default 0.5) is the new-bit fraction above
-    which an interval starts a new phase; [signature_min_population]
-    (default 4) the minimum set bits a signature needs before it is
-    compared at all. *)
+val create : samples_per_interval:int -> t
+(** Page–Hinkley at its defaults; 1024-bit signatures, where a new-bit
+    fraction above 0.5 starts a new phase and a signature needs at least
+    4 set bits before it is compared at all. *)
 
 val observe_sample : t -> cpi:float -> unit
 (** Per-sample hook: feeds the Page–Hinkley detector.  Alarms are

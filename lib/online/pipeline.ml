@@ -4,13 +4,7 @@ type config = {
   analysis : Fuzzy.Analysis.config;
   window : int;
   reservoir : int;
-  ph_delta : float;
-  ph_lambda : float;
-  signature_bits : int;
-  signature_threshold : float;
   warmup_intervals : int;
-  refit_spacing : int;
-  refit_latency : int;
 }
 
 let default =
@@ -18,16 +12,15 @@ let default =
     analysis = Fuzzy.Analysis.default;
     window = 16;
     reservoir = 256;
-    ph_delta = 0.05;
-    ph_lambda = 25.0;
-    signature_bits = 1024;
-    signature_threshold = 0.5;
     warmup_intervals = 8;
-    refit_spacing = 8;
-    refit_latency = 1;
   }
 
 let quick = { default with analysis = Fuzzy.Analysis.quick; window = 8 }
+
+(* Refit policy: at least 8 sealed intervals between triggers, each
+   published one interval after it fired. *)
+let refit_spacing = 8
+let refit_latency = 1
 
 type footprint = {
   pending_samples : int;
@@ -74,19 +67,16 @@ let create ?(name = "stream") config =
     name;
     config;
     builder = Eipv.Builder.create ~samples_per_interval:spi;
-    drift =
-      Drift.create ~ph_delta:config.ph_delta ~ph_lambda:config.ph_lambda
-        ~signature_bits:config.signature_bits
-        ~signature_threshold:config.signature_threshold ~samples_per_interval:spi ();
-    classifier = Classifier.create ~window:config.window ();
+    drift = Drift.create ~samples_per_interval:spi;
+    classifier = Classifier.create ~window:config.window;
     reservoir =
       Reservoir.create ~capacity:config.reservoir
         ~rng:(Stats.Rng.split_label a.Fuzzy.Analysis.seed ("online-reservoir-" ^ name));
     refit =
       Refit.create ~seed:a.Fuzzy.Analysis.seed ~folds:a.Fuzzy.Analysis.folds
         ~kmax:a.Fuzzy.Analysis.kmax ~kopt_tol:a.Fuzzy.Analysis.kopt_tol
-        ~min_intervals:config.warmup_intervals ~spacing:config.refit_spacing
-        ~latency:config.refit_latency ~pool;
+        ~min_intervals:config.warmup_intervals ~spacing:refit_spacing ~latency:refit_latency
+        ~pool;
     pool;
     samples_fed = 0;
     total_instrs = 0;

@@ -37,14 +37,10 @@ type config = {
       (** training-window capacity, in intervals.  While the run is
           shorter than this, refits (and the final verdict) train on the
           full history; longer runs train on a uniform sample of it. *)
-  ph_delta : float;  (** Page–Hinkley drift tolerance *)
-  ph_lambda : float;  (** Page–Hinkley alarm threshold *)
-  signature_bits : int;
-  signature_threshold : float;
   warmup_intervals : int;  (** sealed intervals before the first fit *)
-  refit_spacing : int;  (** minimum intervals between refit triggers *)
-  refit_latency : int;  (** intervals between trigger and publication *)
 }
+(** The drift detectors run at {!Drift.create}'s constants, and refits
+    fire at least 8 intervals apart and publish one interval later. *)
 
 val default : config
 (** [Fuzzy.Analysis.default] geometry; window 16, reservoir 256 (= the

@@ -7,12 +7,28 @@ type curve = {
 
 let near_zero_variance = 1e-12
 
-(* Shared CV skeleton: the fold partition is drawn from [rng] before any
-   fan-out, and each fold is a pure task returning its own partial error
-   sums; the merge below runs in fold order, so the curve is bit-identical
-   whether the folds execute serially or on a pool — and whichever
-   [fold_sums] implementation computes the partials. *)
-let curve_of_fold_sums ~fold_sums ?pool ~folds ~kmax rng (data : Dataset.t) =
+(* The fold partition is drawn from [rng] before any fan-out, and each
+   fold is a pure task returning its own partial error sums; the merge
+   below runs in fold order, so the curve is bit-identical whether the
+   folds execute serially or on a pool. *)
+let relative_error_curve ?pool ?(folds = 10) ?(kmax = 50) rng (data : Dataset.t) =
+  (* Runs on pool workers under --jobs > 1; the [task] root keeps the race
+     checker pointed at it even if the call-site shape changes. *)
+  let[@lint.root "task"] fold_sums { Stats.Folds.train; test } =
+    let sums = Array.make kmax 0.0 in
+    let tree = Tree.build ~max_leaves:kmax (Dataset.restrict data train) in
+    (* One descent per test row covers every k (Tree.sweep_k); the sums
+       accumulate per k in test-row order, exactly as the oracle's per-k
+       walk does, so the partials are bit-identical. *)
+    Array.iter
+      (fun i ->
+        let row = data.Dataset.rows.(i) and y = data.Dataset.y.(i) in
+        Tree.sweep_k tree ~kmax row ~f:(fun k pred ->
+            let err = y -. pred in
+            sums.(k - 1) <- sums.(k - 1) +. (err *. err)))
+      test;
+    sums
+  in
   let n = Dataset.n data in
   let folds = max 2 (min folds n) in
   let variance = Dataset.y_variance data in
@@ -33,49 +49,10 @@ let curve_of_fold_sums ~fold_sums ?pool ~folds ~kmax rng (data : Dataset.t) =
   in
   { k_values = Array.init kmax (fun i -> i + 1); e; re; variance }
 
-let relative_error_curve ?pool ?(folds = 10) ?(kmax = 50) ?(min_leaf = 1) rng (data : Dataset.t) =
-  (* Runs on pool workers under --jobs > 1; the [task] root keeps the race
-     checker pointed at it even if the call-site shape changes. *)
-  let[@lint.root "task"] fold_sums { Stats.Folds.train; test } =
-    let sums = Array.make kmax 0.0 in
-    let tree = Tree.build ~min_leaf ~max_leaves:kmax (Dataset.restrict data train) in
-    (* One descent per test row covers every k (Tree.sweep_k); the sums
-       accumulate per k in test-row order, exactly as the per-k predict_k
-       loop in Reference does, so the partials are bit-identical. *)
-    Array.iter
-      (fun i ->
-        let row = data.Dataset.rows.(i) and y = data.Dataset.y.(i) in
-        Tree.sweep_k tree ~kmax row ~f:(fun k pred ->
-            let err = y -. pred in
-            sums.(k - 1) <- sums.(k - 1) +. (err *. err)))
-      test;
-    sums
-  in
-  curve_of_fold_sums ~fold_sums ?pool ~folds ~kmax rng data
-
-module Reference = struct
-  let relative_error_curve ?pool ?(folds = 10) ?(kmax = 50) ?(min_leaf = 1) rng
-      (data : Dataset.t) =
-    let[@lint.root "task"] fold_sums { Stats.Folds.train; test } =
-      let sums = Array.make kmax 0.0 in
-      let tree = Tree.Reference.build ~min_leaf ~max_leaves:kmax (Dataset.restrict data train) in
-      Array.iter
-        (fun i ->
-          let row = data.Dataset.rows.(i) and y = data.Dataset.y.(i) in
-          for ki = 0 to kmax - 1 do
-            let err = y -. Tree.predict_k tree ~k:(ki + 1) row in
-            sums.(ki) <- sums.(ki) +. (err *. err)
-          done)
-        test;
-      sums
-    in
-    curve_of_fold_sums ~fold_sums ?pool ~folds ~kmax rng data
-end
-
-let training_error_curve ?(kmax = 50) ?(min_leaf = 1) (data : Dataset.t) =
+let training_error_curve ?(kmax = 50) (data : Dataset.t) =
   let n = Dataset.n data in
   let variance = Dataset.y_variance data in
-  let tree = Tree.build ~min_leaf ~max_leaves:kmax data in
+  let tree = Tree.build ~max_leaves:kmax data in
   let sse = Tree.training_sse_curve tree data ~kmax in
   let e = Array.map (fun s -> s /. float_of_int n) sse in
   let re =

@@ -15,17 +15,11 @@ type curve = {
 }
 
 val relative_error_curve :
-  ?pool:Parallel.Pool.t ->
-  ?folds:int ->
-  ?kmax:int ->
-  ?min_leaf:int ->
-  Stats.Rng.t ->
-  Dataset.t ->
-  curve
-(** Defaults: 10 folds, kmax = 50, min_leaf = 1.  If the data set has fewer
-    points than folds, the fold count is reduced (never below 2).  If the
-    target variance is ~0, RE is reported as 0 for every k (a single
-    average predicts a constant CPI perfectly; see Section 4.5).
+  ?pool:Parallel.Pool.t -> ?folds:int -> ?kmax:int -> Stats.Rng.t -> Dataset.t -> curve
+(** Defaults: 10 folds, kmax = 50.  If the data set has fewer points than
+    folds, the fold count is reduced (never below 2).  If the target
+    variance is ~0, RE is reported as 0 for every k (a single average
+    predicts a constant CPI perfectly; see Section 4.5).
 
     When [pool] is given, the per-fold tree builds run on it.  The fold
     partition is drawn before fan-out and the per-fold partial sums are
@@ -35,24 +29,10 @@ val relative_error_curve :
     Hot path: trees are grown by the presorted-column {!Tree.build} and
     every held-out row is dropped through all of T_1..T_kmax in a single
     descent ({!Tree.sweep_k}), O(depth + kmax) per row rather than
-    O(depth * kmax). *)
+    O(depth * kmax).  The QCheck suite holds the curve bit-identical to
+    the serial oracle in [test/oracle]. *)
 
-module Reference : sig
-  val relative_error_curve :
-    ?pool:Parallel.Pool.t ->
-    ?folds:int ->
-    ?kmax:int ->
-    ?min_leaf:int ->
-    Stats.Rng.t ->
-    Dataset.t ->
-    curve
-  (** The pre-optimization implementation — {!Tree.Reference.build} per
-      fold and one {!Tree.predict_k} walk per (row, k).  Bit-identical to
-      {!val:relative_error_curve} (QCheck-asserted); kept as the oracle
-      and as the [cv_curve] bench kernel's reference side. *)
-end
-
-val training_error_curve : ?kmax:int -> ?min_leaf:int -> Dataset.t -> curve
+val training_error_curve : ?kmax:int -> Dataset.t -> curve
 (** Resubstitution (no held-out data) baseline: RE is non-increasing in k.
     Used by the cross-validation-vs-training ablation. *)
 

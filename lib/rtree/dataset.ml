@@ -13,7 +13,6 @@ let make ~rows ~y =
 
 let n t = Array.length t.rows
 
-let y_mean t = Stats.Describe.mean t.y
 let y_variance t = Stats.Describe.variance t.y
 
 let restrict t indices =

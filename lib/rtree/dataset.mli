@@ -15,7 +15,6 @@ val make : rows:Stats.Sparse_vec.t array -> y:float array -> t
     1 + the largest feature index present (at least 1). *)
 
 val n : t -> int
-val y_mean : t -> float
 val y_variance : t -> float
 (** Population variance of the target — the paper's E, the denominator of
     every relative error. *)

@@ -22,15 +22,20 @@ let sse n sum sumsq =
     let v = sumsq -. (sum *. sum /. float_of_int n) in
     Float.max 0.0 v
 
+(* The smallest admissible side of a split, and the squared-error
+   reduction a split must exceed. *)
+let min_leaf = 1
+let min_gain = 1e-12
+
 type candidate = {
   cfeature : int;
   cthreshold : float;
   cgain : float;
 }
 
-(* Mutable representation used during best-first growth (shared by the
-   reference and the optimized grower: a node is just its rows and their
-   y-statistics; column scratch lives in the build arena, not the node). *)
+(* Mutable representation used during best-first growth: a node is just
+   its rows and their y-statistics; column scratch lives in the build
+   arena, not the node. *)
 type mnode = {
   rows : int array;
   mn : int;
@@ -84,14 +89,210 @@ let partition (data : Dataset.t) rows feature threshold =
     rows;
   (left, right)
 
-(* The best-first growth loop, parameterized only by the split search.
-   The frontier discipline (a list pushed left-then-right, scanned for
-   the first strictly-largest gain) is part of the output contract:
-   equal-gain ties resolve by frontier position, so both growers must
-   replay it exactly. *)
-let grow ~best_split ?(min_leaf = 1) ?(min_gain = 1e-12) ~max_leaves (data : Dataset.t) =
+(* ------------------------------ grower ------------------------------ *)
+
+(* The paper's exhaustive variance-minimising split search, made
+   O(total nnz log nnz) per node by handling the implicit zero entries of
+   each sparse column as a "zeros bucket" whose y-statistics follow from
+   the node totals by subtraction.  Zero hashtables and zero boxing on
+   the hot path.
+
+   A build-local arena holds flat (x, y) column scratch sized to the
+   dataset's total nnz plus per-feature count/start/cursor tables; each
+   node's per-feature entry segments are rebuilt by count-then-fill in
+   O(node nnz), then a position array is sorted per segment.
+
+   The specification it must match bit for bit is the test oracle
+   (test/oracle: a per-node hashtable of (x, y) lists, converted to an
+   array and sorted at every node).  Bit-identity is by construction, not
+   by luck:
+
+   - the fill iterates the node's rows in REVERSE, reproducing exactly
+     the entry order the oracle's cons-list building leaves in its array
+     (prepend over ascending rows = descending rows);
+   - the position sort feeds Array.sort the same element count and the
+     same comparator sign sequence (x-only keys over that same input
+     order), and stdlib heapsort's permutation is a pure function of
+     both — so even the UNSTABLE tie permutation, which is observable
+     through equal-gain split selection, is replayed bit-for-bit;
+   - every floating-point accumulation mirrors the oracle
+     operation-for-operation in the same order.
+
+   The QCheck equivalence suite in test/test_rtree.ml asserts the
+   resulting trees are node-for-node bit-identical. *)
+
+type arena = {
+  axs : float array;  (* entry x values, segmented per feature *)
+  ays : float array;  (* entry y values, parallel to axs *)
+  acount : int array;  (* per-feature entry count for the current node *)
+  astart : int array;  (* per-feature segment start *)
+  acursor : int array;  (* per-feature fill cursor *)
+  aperm : int array;  (* scratch positions for one segment (≤ n rows) *)
+  atouched : Stats.Growvec.Int.t;  (* features present in the current node *)
+}
+
+let make_arena (data : Dataset.t) =
+  let nnz = Dataset.total_nnz data in
+  let nf = data.Dataset.n_features in
+  {
+    axs = Array.make nnz 0.0;
+    ays = Array.make nnz 0.0;
+    acount = Array.make nf 0;
+    astart = Array.make nf 0;
+    acursor = Array.make nf 0;
+    aperm = Array.make (Dataset.n data) 0;
+    atouched = Stats.Growvec.Int.create ();
+  }
+
+let best_split_arena (data : Dataset.t) arena ~rows ~n ~sum ~sumsq =
+  let node_sse = sse n sum sumsq in
+  if node_sse <= 0.0 || n < 2 * min_leaf then None
+  else begin
+    let xs = arena.axs and ys = arena.ays in
+    let count = arena.acount and start = arena.astart and cursor = arena.acursor in
+    let touched = arena.atouched in
+    (* Count entries per feature; record each feature on first touch. *)
+    Array.iter
+      (fun r ->
+        Sv.iter
+          (fun f _ ->
+            if count.(f) = 0 then Stats.Growvec.Int.push touched f;
+            count.(f) <- count.(f) + 1)
+          data.Dataset.rows.(r))
+      rows;
+    let feats = Stats.Growvec.Int.to_array touched in
+    Array.sort (fun (a : int) b -> compare a b) feats;
+    let off = ref 0 in
+    Array.iter
+      (fun f ->
+        start.(f) <- !off;
+        cursor.(f) <- !off;
+        off := !off + count.(f))
+      feats;
+    (* Fill in reverse row order: per feature this reproduces exactly the
+       array the oracle builds by prepending over ascending rows. *)
+    for ri = Array.length rows - 1 downto 0 do
+      let r = rows.(ri) in
+      let y = data.Dataset.y.(r) in
+      Sv.iter
+        (fun f x ->
+          let p = cursor.(f) in
+          xs.(p) <- x;
+          ys.(p) <- y;
+          cursor.(f) <- p + 1)
+        data.Dataset.rows.(r)
+    done;
+    let best = ref None in
+    let consider feature threshold gain =
+      match !best with
+      | Some b when b.cgain >= gain -> ()
+      | _ -> best := Some { cfeature = feature; cthreshold = threshold; cgain = gain }
+    in
+    (* Position comparator on x only: inline float compares (no C call),
+       same sign sequence as the oracle's tuple sort — x values are finite
+       counts, so this matches polymorphic compare exactly. *)
+    let cmp_pos a b =
+      let xa = Array.unsafe_get xs a and xb = Array.unsafe_get xs b in
+      if xa < xb then -1 else if xa > xb then 1 else 0
+    in
+    let scratch = arena.aperm in
+    Array.iter
+      (fun f ->
+        let lo = start.(f) in
+        let nnz = count.(f) in
+        (* Sort positions by x only, same input order and comparator sign
+           sequence as the oracle's tuple sort.  stdlib heapsort's tie
+           permutation is observable through equal-gain split selection,
+           but it only matters when the segment HAS ties: with pairwise
+           distinct keys the sorted pair sequence is unique, so a cheap
+           insertion sort gives the identical result.  Small segments are
+           insertion-sorted into scratch and checked for adjacent
+           duplicates; only tied (or large) segments replay Array.sort,
+           whose permutation is a pure function of the element count and
+           comparator sign sequence — both reproduced here exactly. *)
+        let perm =
+          if nnz <= 24 then begin
+            for i = 0 to nnz - 1 do
+              Array.unsafe_set scratch i (lo + i)
+            done;
+            for i = 1 to nnz - 1 do
+              let p = Array.unsafe_get scratch i in
+              let key = Array.unsafe_get xs p in
+              let j = ref (i - 1) in
+              while
+                !j >= 0
+                && Array.unsafe_get xs (Array.unsafe_get scratch !j) > key
+              do
+                Array.unsafe_set scratch (!j + 1) (Array.unsafe_get scratch !j);
+                decr j
+              done;
+              Array.unsafe_set scratch (!j + 1) p
+            done;
+            let distinct = ref true in
+            for i = 0 to nnz - 2 do
+              if
+                Array.unsafe_get xs (Array.unsafe_get scratch i)
+                = Array.unsafe_get xs (Array.unsafe_get scratch (i + 1))
+              then distinct := false
+            done;
+            if !distinct then scratch
+            else begin
+              let perm = Array.init nnz (fun i -> lo + i) in
+              Array.sort cmp_pos perm;
+              perm
+            end
+          end
+          else begin
+            let perm = Array.init nnz (fun i -> lo + i) in
+            Array.sort cmp_pos perm;
+            perm
+          end
+        in
+        let n_zero = n - nnz in
+        let nz_sum = ref 0.0 and nz_sumsq = ref 0.0 in
+        (* One pass, two independent accumulators: each accumulator's
+           addition order matches the oracle's separate folds. *)
+        for i = 0 to nnz - 1 do
+          let y = Array.unsafe_get ys (Array.unsafe_get perm i) in
+          nz_sum := !nz_sum +. y;
+          nz_sumsq := !nz_sumsq +. (y *. y)
+        done;
+        (* Running left-side statistics, seeded with the zeros bucket. *)
+        let ln = ref n_zero
+        and lsum = ref (sum -. !nz_sum)
+        and lsumsq = ref (sumsq -. !nz_sumsq) in
+        let try_threshold t =
+          let rn = n - !ln in
+          if !ln >= min_leaf && rn >= min_leaf then begin
+            let split_sse = sse !ln !lsum !lsumsq +. sse rn (sum -. !lsum) (sumsq -. !lsumsq) in
+            consider f t (node_sse -. split_sse)
+          end
+        in
+        if n_zero > 0 && nnz > 0 then try_threshold 0.0;
+        for i = 0 to nnz - 1 do
+          let p = Array.unsafe_get perm i in
+          let x = Array.unsafe_get xs p in
+          let y = Array.unsafe_get ys p in
+          incr ln;
+          lsum := !lsum +. y;
+          lsumsq := !lsumsq +. (y *. y);
+          if i < nnz - 1 && Array.unsafe_get xs (Array.unsafe_get perm (i + 1)) > x then
+            try_threshold x
+        done)
+      feats;
+    (* Reset the touched slice of the arena for the next node. *)
+    Array.iter (fun f -> count.(f) <- 0) feats;
+    Stats.Growvec.Int.clear touched;
+    !best
+  end
+
+(* The best-first growth loop.  The frontier discipline (a list pushed
+   left-then-right, scanned for the first strictly-largest gain) is part
+   of the output contract: equal-gain ties resolve by frontier position,
+   so the test oracle replays it exactly. *)
+let build ~max_leaves (data : Dataset.t) =
   if max_leaves < 1 then invalid_arg "Tree.build: max_leaves must be >= 1";
-  if min_leaf < 1 then invalid_arg "Tree.build: min_leaf must be >= 1";
+  let arena = make_arena data in
   let n = Dataset.n data in
   let all_rows = Array.init n (fun i -> i) in
   let root = make_mnode data all_rows in
@@ -99,7 +300,8 @@ let grow ~best_split ?(min_leaf = 1) ?(min_gain = 1e-12) ~max_leaves (data : Dat
   let frontier = ref [] in
   let push node =
     match
-      best_split ~rows:node.rows ~n:node.mn ~sum:node.msum ~sumsq:node.msumsq ~min_leaf
+      best_split_arena data arena ~rows:node.rows ~n:node.mn ~sum:node.msum
+        ~sumsq:node.msumsq
     with
     | Some c when c.cgain > min_gain -> frontier := (node, c) :: !frontier
     | Some _ | None -> ()
@@ -159,273 +361,6 @@ let grow ~best_split ?(min_leaf = 1) ?(min_gain = 1e-12) ~max_leaves (data : Dat
   in
   { root = freeze root; n_splits = !n_splits }
 
-(* ------------------------- reference grower ------------------------- *)
-
-(* The specification implementation, kept verbatim: per-node hashtable of
-   (x, y) lists, converted to an array and sorted at every node.  It is
-   the equivalence oracle the QCheck suite holds the optimized grower to
-   (bit-identical trees), and the reference side of the tree_build bench
-   kernel. *)
-module Reference = struct
-  (* Exhaustive variance-minimising split search for one node, as in the
-     paper's Section 4.1, made O(total nnz log nnz) by handling the implicit
-     zero entries of each sparse column as a precomputed "zeros bucket":
-     for a candidate threshold t the left side is (all zero rows) + (the
-     non-zero rows with value <= t), and its y-statistics follow from the
-     node totals by subtraction. *)
-  let best_split (data : Dataset.t) ~rows ~n ~sum ~sumsq ~min_leaf =
-    let node_sse = sse n sum sumsq in
-    if node_sse <= 0.0 || n < 2 * min_leaf then None
-    else begin
-      let per_feature : (int, (float * float) list ref) Hashtbl.t = Hashtbl.create 64 in
-      Array.iter
-        (fun r ->
-          let y = data.Dataset.y.(r) in
-          Sv.iter
-            (fun f x ->
-              match Hashtbl.find_opt per_feature f with
-              | Some l -> l := (x, y) :: !l
-              | None -> Hashtbl.add per_feature f (ref [ (x, y) ]))
-            data.Dataset.rows.(r))
-        rows;
-      let features = List.map fst (Stats.Det.hashtbl_bindings per_feature) in
-      let best = ref None in
-      let consider feature threshold gain =
-        match !best with
-        | Some b when b.cgain >= gain -> ()
-        | _ -> best := Some { cfeature = feature; cthreshold = threshold; cgain = gain }
-      in
-      List.iter
-        (fun f ->
-          let entries = Array.of_list !(Hashtbl.find per_feature f) in
-          Array.sort (fun (a, _) (b, _) -> compare a b) entries;
-          let nnz = Array.length entries in
-          let n_zero = n - nnz in
-          let nz_sum = Array.fold_left (fun a (_, y) -> a +. y) 0.0 entries in
-          let nz_sumsq = Array.fold_left (fun a (_, y) -> a +. (y *. y)) 0.0 entries in
-          (* Running left-side statistics, seeded with the zeros bucket. *)
-          let ln = ref n_zero
-          and lsum = ref (sum -. nz_sum)
-          and lsumsq = ref (sumsq -. nz_sumsq) in
-          let try_threshold t =
-            let rn = n - !ln in
-            if !ln >= min_leaf && rn >= min_leaf then begin
-              let split_sse = sse !ln !lsum !lsumsq +. sse rn (sum -. !lsum) (sumsq -. !lsumsq) in
-              consider f t (node_sse -. split_sse)
-            end
-          in
-          (* Threshold 0: zeros on the left, all non-zeros on the right. *)
-          if n_zero > 0 && nnz > 0 then try_threshold 0.0;
-          for i = 0 to nnz - 1 do
-            let x, y = entries.(i) in
-            incr ln;
-            lsum := !lsum +. y;
-            lsumsq := !lsumsq +. (y *. y);
-            (* A threshold is admissible at a boundary between distinct
-               values; the last value offers no split. *)
-            if i < nnz - 1 && fst entries.(i + 1) > x then try_threshold x
-          done)
-        features;
-      !best
-    end
-
-  let build ?min_leaf ?min_gain ~max_leaves (data : Dataset.t) =
-    grow ?min_leaf ?min_gain ~max_leaves data ~best_split:(best_split data)
-end
-
-(* ------------------------- optimized grower ------------------------- *)
-
-(* Same split search, zero hashtables and zero boxing on the hot path.
-   A build-local arena holds flat (x, y) column scratch sized to the
-   dataset's total nnz plus per-feature count/start/cursor tables; each
-   node's per-feature entry segments are rebuilt by count-then-fill in
-   O(node nnz), then a position array is sorted per segment.
-
-   Bit-identity with Reference is by construction, not by luck:
-
-   - the fill iterates the node's rows in REVERSE, reproducing exactly
-     the entry order Reference's cons-list building leaves in its array
-     (prepend over ascending rows = descending rows);
-   - the position sort feeds Array.sort the same element count and the
-     same comparator sign sequence (x-only keys over that same input
-     order), and stdlib heapsort's permutation is a pure function of
-     both — so even the UNSTABLE tie permutation, which is observable
-     through equal-gain split selection, is replayed bit-for-bit;
-   - every floating-point accumulation mirrors Reference
-     operation-for-operation in the same order.
-
-   The QCheck equivalence suite in test/test_rtree.ml asserts the
-   resulting trees are node-for-node bit-identical. *)
-
-type arena = {
-  axs : float array;  (* entry x values, segmented per feature *)
-  ays : float array;  (* entry y values, parallel to axs *)
-  acount : int array;  (* per-feature entry count for the current node *)
-  astart : int array;  (* per-feature segment start *)
-  acursor : int array;  (* per-feature fill cursor *)
-  aperm : int array;  (* scratch positions for one segment (≤ n rows) *)
-  atouched : Stats.Growvec.Int.t;  (* features present in the current node *)
-}
-
-let make_arena (data : Dataset.t) =
-  let nnz = Dataset.total_nnz data in
-  let nf = data.Dataset.n_features in
-  {
-    axs = Array.make nnz 0.0;
-    ays = Array.make nnz 0.0;
-    acount = Array.make nf 0;
-    astart = Array.make nf 0;
-    acursor = Array.make nf 0;
-    aperm = Array.make (Dataset.n data) 0;
-    atouched = Stats.Growvec.Int.create ();
-  }
-
-let best_split_arena (data : Dataset.t) arena ~rows ~n ~sum ~sumsq ~min_leaf =
-  let node_sse = sse n sum sumsq in
-  if node_sse <= 0.0 || n < 2 * min_leaf then None
-  else begin
-    let xs = arena.axs and ys = arena.ays in
-    let count = arena.acount and start = arena.astart and cursor = arena.acursor in
-    let touched = arena.atouched in
-    (* Count entries per feature; record each feature on first touch. *)
-    Array.iter
-      (fun r ->
-        Sv.iter
-          (fun f _ ->
-            if count.(f) = 0 then Stats.Growvec.Int.push touched f;
-            count.(f) <- count.(f) + 1)
-          data.Dataset.rows.(r))
-      rows;
-    let feats = Stats.Growvec.Int.to_array touched in
-    Array.sort (fun (a : int) b -> compare a b) feats;
-    let off = ref 0 in
-    Array.iter
-      (fun f ->
-        start.(f) <- !off;
-        cursor.(f) <- !off;
-        off := !off + count.(f))
-      feats;
-    (* Fill in reverse row order: per feature this reproduces exactly the
-       array Reference builds by prepending over ascending rows. *)
-    for ri = Array.length rows - 1 downto 0 do
-      let r = rows.(ri) in
-      let y = data.Dataset.y.(r) in
-      Sv.iter
-        (fun f x ->
-          let p = cursor.(f) in
-          xs.(p) <- x;
-          ys.(p) <- y;
-          cursor.(f) <- p + 1)
-        data.Dataset.rows.(r)
-    done;
-    let best = ref None in
-    let consider feature threshold gain =
-      match !best with
-      | Some b when b.cgain >= gain -> ()
-      | _ -> best := Some { cfeature = feature; cthreshold = threshold; cgain = gain }
-    in
-    (* Position comparator on x only: inline float compares (no C call),
-       same sign sequence as Reference's tuple sort — x values are finite
-       counts, so this matches polymorphic compare exactly. *)
-    let cmp_pos a b =
-      let xa = Array.unsafe_get xs a and xb = Array.unsafe_get xs b in
-      if xa < xb then -1 else if xa > xb then 1 else 0
-    in
-    let scratch = arena.aperm in
-    Array.iter
-      (fun f ->
-        let lo = start.(f) in
-        let nnz = count.(f) in
-        (* Sort positions by x only, same input order and comparator sign
-           sequence as Reference's tuple sort.  stdlib heapsort's tie
-           permutation is observable through equal-gain split selection,
-           but it only matters when the segment HAS ties: with pairwise
-           distinct keys the sorted pair sequence is unique, so a cheap
-           insertion sort gives the identical result.  Small segments are
-           insertion-sorted into scratch and checked for adjacent
-           duplicates; only tied (or large) segments replay Array.sort,
-           whose permutation is a pure function of the element count and
-           comparator sign sequence — both reproduced here exactly. *)
-        let perm =
-          if nnz <= 24 then begin
-            for i = 0 to nnz - 1 do
-              Array.unsafe_set scratch i (lo + i)
-            done;
-            for i = 1 to nnz - 1 do
-              let p = Array.unsafe_get scratch i in
-              let key = Array.unsafe_get xs p in
-              let j = ref (i - 1) in
-              while
-                !j >= 0
-                && Array.unsafe_get xs (Array.unsafe_get scratch !j) > key
-              do
-                Array.unsafe_set scratch (!j + 1) (Array.unsafe_get scratch !j);
-                decr j
-              done;
-              Array.unsafe_set scratch (!j + 1) p
-            done;
-            let distinct = ref true in
-            for i = 0 to nnz - 2 do
-              if
-                Array.unsafe_get xs (Array.unsafe_get scratch i)
-                = Array.unsafe_get xs (Array.unsafe_get scratch (i + 1))
-              then distinct := false
-            done;
-            if !distinct then scratch
-            else begin
-              let perm = Array.init nnz (fun i -> lo + i) in
-              Array.sort cmp_pos perm;
-              perm
-            end
-          end
-          else begin
-            let perm = Array.init nnz (fun i -> lo + i) in
-            Array.sort cmp_pos perm;
-            perm
-          end
-        in
-        let n_zero = n - nnz in
-        let nz_sum = ref 0.0 and nz_sumsq = ref 0.0 in
-        (* One pass, two independent accumulators: each accumulator's
-           addition order matches Reference's separate folds. *)
-        for i = 0 to nnz - 1 do
-          let y = Array.unsafe_get ys (Array.unsafe_get perm i) in
-          nz_sum := !nz_sum +. y;
-          nz_sumsq := !nz_sumsq +. (y *. y)
-        done;
-        (* Running left-side statistics, seeded with the zeros bucket. *)
-        let ln = ref n_zero
-        and lsum = ref (sum -. !nz_sum)
-        and lsumsq = ref (sumsq -. !nz_sumsq) in
-        let try_threshold t =
-          let rn = n - !ln in
-          if !ln >= min_leaf && rn >= min_leaf then begin
-            let split_sse = sse !ln !lsum !lsumsq +. sse rn (sum -. !lsum) (sumsq -. !lsumsq) in
-            consider f t (node_sse -. split_sse)
-          end
-        in
-        if n_zero > 0 && nnz > 0 then try_threshold 0.0;
-        for i = 0 to nnz - 1 do
-          let p = Array.unsafe_get perm i in
-          let x = Array.unsafe_get xs p in
-          let y = Array.unsafe_get ys p in
-          incr ln;
-          lsum := !lsum +. y;
-          lsumsq := !lsumsq +. (y *. y);
-          if i < nnz - 1 && Array.unsafe_get xs (Array.unsafe_get perm (i + 1)) > x then
-            try_threshold x
-        done)
-      feats;
-    (* Reset the touched slice of the arena for the next node. *)
-    Array.iter (fun f -> count.(f) <- 0) feats;
-    Stats.Growvec.Int.clear touched;
-    !best
-  end
-
-let build ?min_leaf ?min_gain ~max_leaves (data : Dataset.t) =
-  let arena = make_arena data in
-  grow ?min_leaf ?min_gain ~max_leaves data ~best_split:(best_split_arena data arena)
-
 (* ------------------------------ queries ----------------------------- *)
 
 let rec predict_node node x =
@@ -436,23 +371,11 @@ let rec predict_node node x =
 
 let predict t x = predict_node t.root x
 
-let predict_k t ~k x =
-  if k < 1 then invalid_arg "Tree.predict_k: k must be >= 1";
-  let rec go node =
-    match node with
-    | Leaf { mean; _ } -> mean
-    | Split { rank; mean; feature; threshold; left; right; _ } ->
-        if rank > k - 1 then mean
-        else if Sv.get x feature <= threshold then go left
-        else go right
-  in
-  go t.root
-
 (* Ranks strictly increase along any root-to-leaf path (a child can only
    be split after its parent exists), so one descent serves every k: a
    path node of rank r is the T_k prediction for every k in
-   [previous path rank + 1, r], and the terminal node covers the rest.
-   O(depth + kmax) versus predict_k's O(depth) per k. *)
+   [previous path rank + 1, r], and the terminal node covers the rest:
+   O(depth + kmax) rather than a walk per k. *)
 let sweep_k t ~kmax x ~f =
   if kmax < 1 then invalid_arg "Tree.sweep_k: kmax must be >= 1";
   let k = ref 1 in

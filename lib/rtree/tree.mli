@@ -8,7 +8,7 @@
     step the single leaf whose best split removes the most squared error is
     split, so the growth induces a nested sequence of optimal-ish trees
     T_1, T_2, ..., T_kmax and any prefix T_k can be queried after one
-    build (see {!predict_k}). *)
+    build (see {!sweep_k}). *)
 
 type t
 
@@ -26,44 +26,33 @@ type node =
 
 val root : t -> node
 
-val build : ?min_leaf:int -> ?min_gain:float -> max_leaves:int -> Dataset.t -> t
-(** [min_leaf] (default 1) is the smallest admissible side of a split;
-    [min_gain] (default 1e-12) the smallest admissible squared-error
-    reduction.  Growth stops at [max_leaves] leaves or when no admissible
-    split remains.
+val build : max_leaves:int -> Dataset.t -> t
+(** Every split leaves at least one row on each side and removes more
+    than 1e-12 of squared error.  Growth stops at [max_leaves] leaves or
+    when no admissible split remains.
 
     This is the fast grower: a build-local arena rebuilds each node's
     per-feature (x, y) entry segments flat by count-then-fill and sorts a
     small position array per segment — no hashtable and no boxed tuples
     on the hot path.  The fill order and comparator sign sequence replay
-    the reference implementation exactly, so even stdlib heapsort's
+    the specification implementation exactly, so even stdlib heapsort's
     unstable tie permutation (observable through equal-gain split
-    selection) is reproduced and the output is bit-identical to
-    {!Reference.build} — same nodes, same float bits — which QCheck
+    selection) is reproduced and the output is bit-identical to the
+    oracle in [test/oracle] — same nodes, same float bits — which QCheck
     asserts on random sparse datasets (DESIGN.md §12). *)
-
-module Reference : sig
-  val build : ?min_leaf:int -> ?min_gain:float -> max_leaves:int -> Dataset.t -> t
-  (** The specification implementation: per-node hashtable of (x, row, y)
-      entries, re-sorted at every node.  Kept as the equivalence oracle
-      for the QCheck suite and the [tree_build] bench kernel's reference
-      side; not used on any production path. *)
-end
 
 val predict : t -> Stats.Sparse_vec.t -> float
 (** Prediction with the full tree. *)
 
-val predict_k : t -> k:int -> Stats.Sparse_vec.t -> float
-(** Prediction with the nested subtree T_k (at most [k] chambers): splits
-    of rank > k-1 are treated as leaves, exactly as if growth had stopped
-    at k leaves. *)
-
 val sweep_k : t -> kmax:int -> Stats.Sparse_vec.t -> f:(int -> float -> unit) -> unit
-(** [sweep_k t ~kmax x ~f] calls [f k (predict_k t ~k x)] for every k in
-    1..kmax — in one root-to-leaf descent.  Ranks strictly increase along
-    any path, so the prediction for k is the first path node of rank >= k
-    (else the leaf), and the whole sweep is O(depth + kmax) instead of
-    predict_k's O(depth * kmax).  [f] is invoked with k ascending. *)
+(** [sweep_k t ~kmax x ~f] calls [f k p] for every k in 1..kmax, where
+    [p] is the prediction of the nested subtree T_k (at most k chambers:
+    splits of rank > k-1 are treated as leaves, exactly as if growth had
+    stopped at k leaves) — in one root-to-leaf descent.  Ranks strictly
+    increase along any path, so the prediction for k is the first path
+    node of rank >= k (else the leaf), and the whole sweep is
+    O(depth + kmax) instead of a walk per k.  [f] is invoked with k
+    ascending. *)
 
 val n_leaves : t -> int
 val depth : t -> int

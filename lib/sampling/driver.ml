@@ -39,7 +39,10 @@ type meta = {
 
 let io_stall_cycles = 400.0
 
-let stream ?(period = 20_000) ?(code_lines_per_quantum = 48) (w : Model.t) ~cpu ~rng ~samples
+(* Instruction-fetch lines sampled per quantum. *)
+let code_lines_per_quantum = 48
+
+let stream ?(period = 20_000) (w : Model.t) ~cpu ~rng ~samples
     ~(f : int -> sample -> unit) =
   if samples <= 0 then invalid_arg "Driver.run: samples must be positive";
   if period <= 0 then invalid_arg "Driver.run: period must be positive";
@@ -142,11 +145,11 @@ let stream ?(period = 20_000) ?(code_lines_per_quantum = 48) (w : Model.t) ~cpu 
     stream_samples = samples;
   }
 
-let run ?period ?code_lines_per_quantum (w : Model.t) ~cpu ~rng ~samples =
+let run ?period (w : Model.t) ~cpu ~rng ~samples =
   if samples <= 0 then invalid_arg "Driver.run: samples must be positive";
   let out = Array.make samples None in
   let m =
-    stream ?period ?code_lines_per_quantum w ~cpu ~rng ~samples ~f:(fun i s ->
+    stream ?period w ~cpu ~rng ~samples ~f:(fun i s ->
         out.(i) <- Some s)
   in
   {

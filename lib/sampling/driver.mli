@@ -50,7 +50,6 @@ type meta = {
 
 val stream :
   ?period:int ->
-  ?code_lines_per_quantum:int ->
   Workload.Model.t ->
   cpu:March.Cpu.t ->
   rng:Stats.Rng.t ->
@@ -67,7 +66,6 @@ val stream :
 
 val run :
   ?period:int ->
-  ?code_lines_per_quantum:int ->
   Workload.Model.t ->
   cpu:March.Cpu.t ->
   rng:Stats.Rng.t ->

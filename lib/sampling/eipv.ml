@@ -102,9 +102,7 @@ module Builder = struct
 
   let sealed b = b.n_sealed
   let pending_samples b = b.filled
-  let samples_per_interval b = b.samples_per_interval
   let n_features b = b.it.next
-  let eip_of_feature b = Array.of_list (List.rev b.it.eips)
 end
 
 let intervals_of_samples it (samples : Driver.sample array) ~samples_per_interval =
@@ -173,28 +171,6 @@ let build_thread_separated (run : Driver.run) ~samples_per_interval =
     n_features = it.next;
     samples_per_interval;
   }
-
-let build_per_thread (run : Driver.run) ~samples_per_interval =
-  let by_tid = Hashtbl.create 16 in
-  Array.iter
-    (fun s ->
-      let l =
-        match Hashtbl.find_opt by_tid s.Driver.tid with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.add by_tid s.Driver.tid l;
-            l
-      in
-      l := s :: !l)
-    run.Driver.samples;
-  Stats.Det.hashtbl_bindings by_tid
-  |> List.filter_map (fun (tid, l) ->
-         let samples = Array.of_list (List.rev !l) in
-         if Array.length samples >= samples_per_interval then
-           Some (tid, build_from_samples samples ~samples_per_interval)
-         else None)
-  |> Array.of_list
 
 let cpis t = Array.map (fun iv -> iv.cpi) t.intervals
 let cpi_variance t = Stats.Describe.variance (cpis t)

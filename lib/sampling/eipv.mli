@@ -44,20 +44,13 @@ module Builder : sig
   (** Samples buffered in the current partial interval
       (< samples_per_interval). *)
 
-  val samples_per_interval : t -> int
   val n_features : t -> int
-  val eip_of_feature : t -> int array
-  (** Snapshot of the feature-id -> EIP mapping built so far. *)
+  (** Unique EIPs interned so far. *)
 end
 
 val build : Driver.run -> samples_per_interval:int -> t
 (** Trailing samples that do not fill a whole interval are dropped.
     Requires at least one full interval. *)
-
-val build_per_thread : Driver.run -> samples_per_interval:int -> (int * t) array
-(** Separate the samples by thread id first (the paper's Section 5.2
-    thread-separation study), then build per-thread interval sets.
-    Threads with fewer samples than one interval are dropped. *)
 
 val build_thread_separated : Driver.run -> samples_per_interval:int -> t
 (** The paper's Figure 6/7 input: samples are first separated per thread,

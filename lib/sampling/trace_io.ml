@@ -92,7 +92,7 @@ let of_string ~label:path content =
         fail_fmt "Trace_io.load: %s: truncated header" path
   in
   (* The split of a '\n'-terminated body ends with one empty element. *)
-  if Array.length sample_lines < n + 1 then
+  if n < 0 || Array.length sample_lines < n + 1 then
     fail_fmt "Trace_io.load: %d sample lines, header declares %d"
       (Array.length sample_lines - 1)
       n;
@@ -108,7 +108,10 @@ let of_string ~label:path content =
               in
               if List.length fields <> 2 * nregions then
                 fail_fmt "Trace_io.load: sample %d region arity" i;
-              let arr = Array.of_list (List.map int_of_string fields) in
+              let arr =
+                try Array.of_list (List.map int_of_string fields)
+                with Failure _ -> fail_fmt "Trace_io.load: sample %d: bad region field" i
+              in
               let region_instrs =
                 Array.init nregions (fun k -> (arr.(2 * k), arr.((2 * k) + 1)))
               in

@@ -362,6 +362,17 @@ let decode_response payload =
 
 let is_error = function Error _ -> true | _ -> false
 
+let quadrant_verdict name (a : Fuzzy.Analysis.t) =
+  Quadrant_verdict
+    {
+      workload = name;
+      quadrant = a.quadrant;
+      cpi_variance = a.cpi_variance;
+      re_kopt = a.re_kopt;
+      kopt = a.kopt;
+      technique = Fuzzy.Techniques.(to_string (recommend a.quadrant));
+    }
+
 let render_response = function
   | Report text -> text
   | Quadrant_verdict { workload; quadrant; cpi_variance; re_kopt; kopt; technique } ->

@@ -54,6 +54,11 @@ type response =
   | Shutdown_ack
   | Error of { code : error_code; message : string }
 
+val quadrant_verdict : string -> Fuzzy.Analysis.t -> response
+(** [quadrant_verdict name analysis] is the [Quadrant] RPC's answer,
+    built once for the server and for [repro quadrant], whose output must
+    be byte-identical to it. *)
+
 val request_kind : request -> string
 (** Short stable label ("analyze", "ingest_feed", ...) used as the
     metrics key. *)

@@ -344,17 +344,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
           (Fuzzy.Report.analyze_report
              (Fuzzy.Experiments.analyze_cached cfg.analysis name))
     | Protocol.Quadrant _ ->
-        let a = Fuzzy.Experiments.analyze_cached cfg.analysis name in
-        Protocol.Quadrant_verdict
-          {
-            workload = name;
-            quadrant = a.Fuzzy.Analysis.quadrant;
-            cpi_variance = a.Fuzzy.Analysis.cpi_variance;
-            re_kopt = a.Fuzzy.Analysis.re_kopt;
-            kopt = a.Fuzzy.Analysis.kopt;
-            technique =
-              Fuzzy.Techniques.(to_string (recommend a.Fuzzy.Analysis.quadrant));
-          }
+        Protocol.quadrant_verdict name (Fuzzy.Experiments.analyze_cached cfg.analysis name)
     | Protocol.Re_curve _ ->
         let a = Fuzzy.Experiments.analyze_cached cfg.analysis name in
         Protocol.Curve { workload = name; curve = a.Fuzzy.Analysis.curve }
@@ -530,19 +520,12 @@ let run ?(on_event = fun _ -> ()) cfg address =
             respond sess seq
               (Protocol.Error
                  { code = Protocol.Failed; message = "no ingest stream open" })
-        | Some p -> (
+        | Some p ->
+            (* [handle]'s boundary answers a failed final fit. *)
             Session.close_pipeline sess;
-            match Online.Pipeline.finalize p with
-            | final ->
-                respond sess seq
-                  (Protocol.Ingest_final
-                     (Format.asprintf "%a@." Online.Pipeline.pp_final final))
-            | exception Failure m ->
-                respond sess seq
-                  (Protocol.Error { code = Protocol.Failed; message = m })
-            | exception Invalid_argument m ->
-                respond sess seq
-                  (Protocol.Error { code = Protocol.Failed; message = m })))
+            let final = Online.Pipeline.finalize p in
+            respond sess seq
+              (Protocol.Ingest_final (Format.asprintf "%a@." Online.Pipeline.pp_final final)))
     | Protocol.Analyze name | Protocol.Quadrant name | Protocol.Re_curve name
       ->
         enqueue_heavy sess seq req name ~nbytes ~kind ~t0
@@ -608,7 +591,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
         drop_session sh sess
     | 0 ->
         (* Peer finished sending; flush anything still owed, then close. *)
-        if Session.has_pending sess then Session.mark_close sess
+        if Session.has_pending sess then Session.mark_eof sess
         else drop_session sh sess
     | n ->
         Session.feed sess buf n;
@@ -858,9 +841,15 @@ let run ?(on_event = fun _ -> ()) cfg address =
     end;
     if shard_done sh then ()
     else begin
+      (* A peer that sent EOF stays readable forever: polling it would
+         spin the shard until its response is written.  Other closing
+         sessions keep read interest so their input is still drained
+         from the socket: closing a socket with unread input can reset a
+         TCP peer before it reads its answer. *)
       List.iter
         (fun s ->
-          Evloop.modify sh.ev (Session.fd s) ~read:true
+          Evloop.modify sh.ev (Session.fd s)
+            ~read:(not (Session.eof s))
             ~write:(Session.has_output s))
         (sorted_sessions sh);
       Evloop.wait sh.ev ~timeout_ms:100;

@@ -14,6 +14,7 @@ type t = {
   ready : (int, string) Hashtbl.t;  (* seq -> encoded frame *)
   mutable pipeline : Online.Pipeline.t option;
   mutable closing : bool;
+  mutable eof : bool;  (* the peer sent EOF *)
 }
 
 let create ~id ~peer fd =
@@ -29,6 +30,7 @@ let create ~id ~peer fd =
     ready = Hashtbl.create 8;
     pipeline = None;
     closing = false;
+    eof = false;
   }
 
 let id t = t.id
@@ -95,3 +97,9 @@ let open_pipeline t p = t.pipeline <- Some p
 let close_pipeline t = t.pipeline <- None
 let mark_close t = t.closing <- true
 let closing t = t.closing
+
+let mark_eof t =
+  t.eof <- true;
+  t.closing <- true
+
+let eof t = t.eof

@@ -76,3 +76,9 @@ val mark_close : t -> unit
 (** Close once every owed response has been written. *)
 
 val closing : t -> bool
+
+val mark_eof : t -> unit
+(** The peer sent EOF while responses are still owed: {!mark_close}, and
+    stop reading, since the socket would only report EOF again. *)
+
+val eof : t -> bool

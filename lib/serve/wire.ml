@@ -72,15 +72,6 @@ let decode_header ?(max_payload = default_max_payload) bytes =
 
 let check_payload payload ~checksum = Stats.Checksum.adler32 payload = checksum
 
-let decode ?max_payload frame =
-  match decode_header ?max_payload frame with
-  | Error _ as e -> e
-  | Ok (len, checksum) ->
-      if String.length frame <> header_len + len then Error Truncated
-      else
-        let payload = String.sub frame header_len len in
-        if check_payload payload ~checksum then Ok payload else Error Bad_checksum
-
 (* ------------------------- blocking transport ----------------------- *)
 
 let write_all fd s =
@@ -149,8 +140,6 @@ module Enc = struct
     int t (String.length s);
     Buffer.add_string t s
 
-  let bool t b = u8 t (if b then 1 else 0)
-
   let list t f xs =
     int t (List.length xs);
     List.iter (f t) xs
@@ -191,12 +180,6 @@ module Dec = struct
     if n < 0 || n > remaining t then
       raise (Decode_error (Printf.sprintf "bad string length %d at byte %d" n t.pos));
     take t n
-
-  let bool t =
-    match u8 t with
-    | 0 -> false
-    | 1 -> true
-    | v -> raise (Decode_error (Printf.sprintf "bad bool byte %d" v))
 
   let list t f =
     let n = int t in

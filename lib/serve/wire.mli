@@ -43,11 +43,6 @@ val error_to_string : error -> string
 val encode : string -> string
 (** [encode payload] is the full frame: header followed by [payload]. *)
 
-val decode : ?max_payload:int -> string -> (string, error) result
-(** Decode a complete frame back to its payload.  Rejects bad magic,
-    foreign versions, oversized declarations, length mismatches and
-    checksum failures. *)
-
 val decode_header : ?max_payload:int -> string -> (int * int, error) result
 (** [decode_header bytes] validates the 14-byte header at the start of
     [bytes] and returns [(payload_len, checksum)].  [Error Truncated] if
@@ -90,7 +85,6 @@ module Enc : sig
   val string : t -> string -> unit
   (** Length-prefixed. *)
 
-  val bool : t -> bool -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val contents : t -> string
 end
@@ -103,7 +97,6 @@ module Dec : sig
   val int : t -> int
   val float : t -> float
   val string : t -> string
-  val bool : t -> bool
   val list : t -> (t -> 'a) -> 'a list
   val expect_end : t -> unit
   (** @raise Decode_error if any input remains. *)

@@ -5,11 +5,9 @@ module Acc = struct
     mutable m2 : float;
     mutable min : float;
     mutable max : float;
-    mutable sum : float;
   }
 
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; sum = 0.0 }
+  let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
   let add t x =
     t.n <- t.n + 1;
@@ -17,38 +15,14 @@ module Acc = struct
     t.mean <- t.mean +. (delta /. float_of_int t.n);
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.sum <- t.sum +. x
+    if x > t.max then t.max <- x
 
   let n t = t.n
   let mean t = t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
-  let sample_variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
   let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
-  let sum t = t.sum
-  let sum_sq_dev t = t.m2
-
-  let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
-    else
-      let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let nf = float_of_int n in
-      let mean = a.mean +. (delta *. float_of_int b.n /. nf) in
-      let m2 =
-        a.m2 +. b.m2 +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf)
-      in
-      {
-        n;
-        mean;
-        m2;
-        min = Float.min a.min b.min;
-        max = Float.max a.max b.max;
-        sum = a.sum +. b.sum;
-      }
 end
 
 let of_array xs =
@@ -56,7 +30,6 @@ let of_array xs =
   Array.iter (Acc.add acc) xs;
   acc
 
-let mean xs = Acc.mean (of_array xs)
 let variance xs = Acc.variance (of_array xs)
 
 let percentile xs p =

@@ -10,7 +10,6 @@ module Acc : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val n : t -> int
   val mean : t -> float
   (** Mean of the observations; 0 when empty. *)
 
@@ -18,20 +17,11 @@ module Acc : sig
   (** Population variance (the paper's E is a population variance); 0 when
       fewer than 2 observations. *)
 
-  val sample_variance : t -> float
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-  val sum : t -> float
-  val sum_sq_dev : t -> float
-  (** Sum of squared deviations from the mean (SSE of the mean
-      estimator). *)
-
-  val merge : t -> t -> t
-  (** Combine two accumulators (parallel Welford / Chan et al.). *)
 end
 
-val mean : float array -> float
 val variance : float array -> float
 (** Population variance; 0 for arrays of length < 2. *)
 

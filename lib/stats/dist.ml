@@ -1,32 +1,3 @@
-let uniform rng ~lo ~hi = lo +. Rng.float rng (hi -. lo)
-
-let exponential rng ~mean =
-  let u = 1.0 -. Rng.float rng 1.0 in
-  -.mean *. log u
-
-let normal rng ~mean ~stddev =
-  (* Box-Muller; we discard the second variate for simplicity. *)
-  let u1 = 1.0 -. Rng.float rng 1.0 in
-  let u2 = Rng.float rng 1.0 in
-  mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let lognormal rng ~mu ~sigma = exp (normal rng ~mean:mu ~stddev:sigma)
-
-let geometric rng ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Dist.geometric: p out of (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = 1.0 -. Rng.float rng 1.0 in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
-let poisson_knuth rng ~mean =
-  let l = exp (-.mean) in
-  let rec go k p =
-    let p = p *. Rng.float rng 1.0 in
-    if p <= l then k else go (k + 1) p
-  in
-  go 0 1.0
-
 (* Walker alias method: O(n) setup, O(1) draws. *)
 type categorical = { prob : float array; alias : int array }
 
@@ -56,13 +27,3 @@ let categorical_draw t rng =
   let n = Array.length t.prob in
   let i = Rng.int rng n in
   if Rng.float rng 1.0 < t.prob.(i) then i else t.alias.(i)
-
-
-type zipf = { cat : categorical }
-
-let zipf ~n ~s =
-  if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
-  let weights = Array.init n (fun k -> 1.0 /. Float.pow (float_of_int (k + 1)) s) in
-  { cat = categorical weights }
-
-let zipf_draw t rng = categorical_draw t.cat rng

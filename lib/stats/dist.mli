@@ -1,37 +1,8 @@
-(** Random-variate samplers built on {!Rng}.
+(** Categorical draws built on {!Rng}.
 
-    Workload models use these to shape code-region popularity (Zipf),
-    inter-arrival times (exponential), datum skew (normal / lognormal) and
-    categorical choices (discrete distributions with an alias table). *)
-
-val uniform : Rng.t -> lo:float -> hi:float -> float
-[@@lint.allow "G004"]
-(* kept as deliberate API: the primitive the other draws are documented
-   against, and the natural entry point for new workload generators. *)
-
-val exponential : Rng.t -> mean:float -> float
-(** Exponential variate with the given mean. *)
-
-val normal : Rng.t -> mean:float -> stddev:float -> float
-(** Gaussian variate via Box-Muller. *)
-
-val lognormal : Rng.t -> mu:float -> sigma:float -> float
-
-val geometric : Rng.t -> p:float -> int
-(** Number of Bernoulli(p) failures before the first success; [p] in
-    (0, 1]. *)
-
-val poisson_knuth : Rng.t -> mean:float -> int
-(** Poisson variate (Knuth's product method; adequate for small means). *)
-
-type zipf
-(** Precomputed Zipf(s, n) sampler over ranks [0..n-1]. *)
-
-val zipf : n:int -> s:float -> zipf
-(** [zipf ~n ~s] prepares a sampler where rank [k] has probability
-    proportional to [1/(k+1)^s].  [s = 0] degenerates to uniform. *)
-
-val zipf_draw : zipf -> Rng.t -> int
+    Workload models use these for their discrete choices: which EIP of a
+    code region executes next ({!Workload.Code_map}) and which
+    transaction type an OLTP thread runs. *)
 
 type categorical
 (** Discrete distribution over [0..n-1] with given weights, sampled in

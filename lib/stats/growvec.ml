@@ -12,10 +12,6 @@ module Int = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Growvec.Int.get: index out of bounds";
-    t.data.(i)
-
   let length t = t.len
   let clear t = t.len <- 0
   let to_array t = Array.sub t.data 0 t.len
@@ -36,11 +32,6 @@ module Bool = struct
     t.data.(t.len) <- x;
     t.len <- t.len + 1
 
-  let get t i =
-    if i < 0 || i >= t.len then invalid_arg "Growvec.Bool.get: index out of bounds";
-    t.data.(i)
-
-  let length t = t.len
   let clear t = t.len <- 0
   let data t = t.data
 end

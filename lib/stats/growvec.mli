@@ -6,7 +6,6 @@ module Int : sig
 
   val create : ?capacity:int -> unit -> t
   val push : t -> int -> unit
-  val get : t -> int -> int
   val length : t -> int
   val clear : t -> unit
   (** Reset length to zero; capacity is retained. *)
@@ -24,8 +23,6 @@ module Bool : sig
 
   val create : ?capacity:int -> unit -> t
   val push : t -> bool -> unit
-  val get : t -> int -> bool
-  val length : t -> int
   val clear : t -> unit
   val data : t -> bool array
   (** As {!Int.data}. *)

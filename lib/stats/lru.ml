@@ -14,8 +14,6 @@ type t = {
   mutable head : int;  (* most recently used slot *)
   mutable tail : int;  (* least recently used slot *)
   mutable used : int;  (* slots [0, used) hold keys *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -33,8 +31,6 @@ let create ~capacity =
     head = -1;
     tail = -1;
     used = 0;
-    hits = 0;
-    misses = 0;
   }
 
 (* Fibonacci hashing: the top bits of the key times an odd constant near
@@ -72,7 +68,6 @@ let access t key =
   done;
   let s = !s in
   if s >= 0 then begin
-    t.hits <- t.hits + 1;
     if s <> t.head then begin
       unlink t s;
       push_front t s
@@ -80,7 +75,6 @@ let access t key =
     true
   end
   else begin
-    t.misses <- t.misses + 1;
     let s =
       if t.used < Array.length t.keys then begin
         t.used <- t.used + 1;
@@ -99,6 +93,3 @@ let access t key =
     push_front t s;
     false
   end
-
-let hits t = t.hits
-let misses t = t.misses

@@ -14,6 +14,3 @@ val access : t -> int -> bool
 (** [access t key]: [true] on a hit, which makes [key] the most recently
     used.  A miss installs [key] in a never-used slot while one is left,
     else in place of the least recently used key. *)
-
-val hits : t -> int
-val misses : t -> int

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function: mix the advanced state through two
    xor-shift-multiply rounds. *)
 let next_raw t =
@@ -14,8 +12,6 @@ let next_raw t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let int64 t = next_raw t
 
 let split t =
   let s = next_raw t in
@@ -75,7 +71,3 @@ let permutation t n =
   let a = Array.init n (fun i -> i) in
   shuffle t a;
   a
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))

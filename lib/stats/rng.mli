@@ -13,9 +13,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t].  The two
     streams are statistically independent. *)
@@ -27,9 +24,6 @@ val split_label : int -> string -> t
     seeded this way produce results independent of scheduling order.
     Distinct labels give independent streams; the same pair is always
     reproducible. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
 
 val bits : t -> int
 (** 62 uniform non-negative bits as an OCaml [int]. *)
@@ -53,6 +47,3 @@ val shuffle : t -> 'a array -> unit
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform random permutation of [0..n-1]. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)

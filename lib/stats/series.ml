@@ -1,15 +1,3 @@
-let moving_average xs ~window =
-  if window <= 0 then invalid_arg "Series.moving_average: window must be positive";
-  let n = Array.length xs in
-  let half = window / 2 in
-  Array.init n (fun i ->
-      let lo = max 0 (i - half) and hi = min (n - 1) (i + half) in
-      let sum = ref 0.0 in
-      for j = lo to hi do
-        sum := !sum +. xs.(j)
-      done;
-      !sum /. float_of_int (hi - lo + 1))
-
 let downsample xs ~points =
   let n = Array.length xs in
   if n = 0 || points <= 0 then [||]
@@ -45,25 +33,3 @@ let sparkline xs ~width =
       pts;
     Buffer.contents buf
   end
-
-let autocorrelation xs ~lag =
-  let n = Array.length xs in
-  if lag <= 0 || lag >= n then 0.0
-  else
-    let mean = Array.fold_left ( +. ) 0.0 xs /. float_of_int n in
-    let num = ref 0.0 and den = ref 0.0 in
-    for i = 0 to n - 1 do
-      let d = xs.(i) -. mean in
-      den := !den +. (d *. d);
-      if i + lag < n then num := !num +. (d *. (xs.(i + lag) -. mean))
-    done;
-    if !den = 0.0 then 0.0 else !num /. !den
-
-let crossings xs ~level =
-  let n = Array.length xs in
-  let count = ref 0 in
-  for i = 1 to n - 1 do
-    let a = xs.(i - 1) -. level and b = xs.(i) -. level in
-    if (a < 0.0 && b >= 0.0) || (a >= 0.0 && b < 0.0) then incr count
-  done;
-  !count

@@ -4,19 +4,9 @@
     CPI breakdowns).  We regenerate them as printable series: downsampled
     rows of (time, value...) plus terminal sparklines. *)
 
-val moving_average : float array -> window:int -> float array
-(** Centered-window moving average; the window is truncated at the edges. *)
-
 val downsample : float array -> points:int -> (int * float) array
 (** [downsample xs ~points] buckets [xs] into at most [points] buckets and
     returns (first-index-of-bucket, bucket mean) pairs. *)
 
 val sparkline : float array -> width:int -> string
 (** Unicode sparkline scaled to the series' own min/max. *)
-
-val autocorrelation : float array -> lag:int -> float
-(** Pearson autocorrelation at the given lag; 0 when undefined. *)
-
-val crossings : float array -> level:float -> int
-(** Number of times the series crosses the given level (a cheap cyclicity
-    indicator used in workload tests). *)

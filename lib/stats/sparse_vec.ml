@@ -23,11 +23,6 @@ let of_assoc pairs =
 let of_counts tbl =
   of_assoc (List.map (fun (i, c) -> (i, float_of_int c)) (Det.hashtbl_bindings tbl))
 
-let of_dense a =
-  let pairs = ref [] in
-  Array.iteri (fun i x -> if x <> 0.0 then pairs := (i, x) :: !pairs) a;
-  of_assoc !pairs
-
 let nnz t = Array.length t.idx
 
 let get t i =
@@ -58,11 +53,6 @@ let iter f t =
     f t.idx.(k) t.v.(k)
   done
 
-let fold f t init =
-  let acc = ref init in
-  iter (fun i x -> acc := f i x !acc) t;
-  !acc
-
 let sum t = Array.fold_left ( +. ) 0.0 t.v
 let norm2 t = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 t.v
 
@@ -82,9 +72,4 @@ let sq_dist_dense t dense ~norm2_dense =
   let d = norm2 t -. (2.0 *. dot_dense t dense) +. norm2_dense in
   Float.max 0.0 d
 
-let to_assoc t = fold (fun i x acc -> (i, x) :: acc) t [] |> List.rev
-
-let map_indices f t = of_assoc (List.map (fun (i, x) -> (f i, x)) (to_assoc t))
-
-let equal a b = a.idx = b.idx && a.v = b.v
 

@@ -21,8 +21,6 @@ val of_assoc : (int * float) list -> t
 val of_counts : (int, int) Hashtbl.t -> t
 (** Build from a count table (the sampler's per-interval histogram). *)
 
-val of_dense : float array -> t
-
 val nnz : t -> int
 (** Number of stored (non-zero) entries. *)
 
@@ -50,9 +48,3 @@ val add_into_dense : t -> float array -> unit
 val sq_dist_dense : t -> float array -> norm2_dense:float -> float
 (** [sq_dist_dense v c ~norm2_dense] is ||v - c||² computed in O(nnz v)
     given the precomputed squared norm of [c]. *)
-
-val to_assoc : t -> (int * float) list
-val map_indices : (int -> int) -> t -> t
-(** Remap indices (must remain injective and non-negative). *)
-
-val equal : t -> t -> bool

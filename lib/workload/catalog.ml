@@ -82,11 +82,3 @@ let find name =
   match find_opt name with
   | Some e -> e
   | None -> raise Not_found
-
-let server_workloads = Array.of_list (List.filter (fun e -> e.kind = Odb_c || e.kind = Sjas) (Array.to_list all))
-let spec_workloads = Array.of_list (List.filter (fun e -> e.kind = Spec) (Array.to_list all))
-
-let odb_h_workloads =
-  Array.of_list
-    (List.filter (fun e -> match e.kind with Odb_h _ -> true | Spec | Odb_c | Sjas -> false)
-       (Array.to_list all))

@@ -24,6 +24,3 @@ val find : string -> entry
 
 val find_opt : string -> entry option
 
-val server_workloads : entry array
-val spec_workloads : entry array
-val odb_h_workloads : entry array

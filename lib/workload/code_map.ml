@@ -11,7 +11,6 @@ let max_eips_per_region = 1 lsl (region_shift - 4)
 let instrs_per_line_fetch = 30.0
 
 type entry = {
-  n_eips : int;
   base : int;
   sampler : Dist.categorical;
       (* popularity over EIP indices; also used for line sampling *)
@@ -34,7 +33,6 @@ let register t ~region ~n_eips ?(skew = 1.0) () =
   Array.iteri (fun k w -> perm_weights.(k * 7919 mod n_eips) <- w) weights;
   Hashtbl.add t.entries region
     {
-      n_eips;
       base = code_base + (region lsl region_shift);
       sampler = Dist.categorical perm_weights;
     }
@@ -62,11 +60,6 @@ let entry t region =
   match Hashtbl.find_opt t.entries region with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Code_map: region %d not registered" region)
-
-let n_eips t ~region = (entry t region).n_eips
-
-let total_eips t =
-  List.fold_left (fun acc (_, e) -> acc + e.n_eips) 0 (Stats.Det.hashtbl_bindings t.entries)
 
 let draw_eip t rng ~region =
   let e = entry t region in

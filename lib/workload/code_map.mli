@@ -25,9 +25,6 @@ val union : ?shared:int list -> t -> t -> t
     region) may appear in both maps, in which case the left map's entry
     wins; any other collision raises [Invalid_argument]. *)
 
-val n_eips : t -> region:int -> int
-val total_eips : t -> int
-
 val draw_eip : t -> Stats.Rng.t -> region:int -> int
 (** Random EIP from the region's popularity distribution. *)
 

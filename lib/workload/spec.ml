@@ -3,57 +3,53 @@ module Rng = Stats.Rng
 let kb n = n * 1024
 let mb n = n * 1024 * 1024
 
-(* (name, is_fp, designed quadrant). The quadrant synthesis honours every
+(* (name, designed quadrant). The quadrant synthesis honours every
    anchor the paper states in prose; see DESIGN.md / EXPERIMENTS.md. *)
 let catalog =
   [|
     (* CINT2000 *)
-    ("gzip", false, 1);
-    ("vpr", false, 1);
-    ("gcc", false, 3);
-    ("mcf", false, 4);
-    ("crafty", false, 1);
-    ("parser", false, 1);
-    ("eon", false, 1);
-    ("perlbmk", false, 1);
-    ("gap", false, 3);
-    ("vortex", false, 1);
-    ("bzip2", false, 1);
-    ("twolf", false, 1);
+    ("gzip", 1);
+    ("vpr", 1);
+    ("gcc", 3);
+    ("mcf", 4);
+    ("crafty", 1);
+    ("parser", 1);
+    ("eon", 1);
+    ("perlbmk", 1);
+    ("gap", 3);
+    ("vortex", 1);
+    ("bzip2", 1);
+    ("twolf", 1);
     (* CFP2000 *)
-    ("wupwise", true, 2);
-    ("swim", true, 4);
-    ("mgrid", true, 2);
-    ("applu", true, 2);
-    ("mesa", true, 1);
-    ("galgel", true, 1);
-    ("art", true, 4);
-    ("equake", true, 1);
-    ("facerec", true, 3);
-    ("ammp", true, 3);
-    ("lucas", true, 1);
-    ("fma3d", true, 3);
-    ("sixtrack", true, 3);
-    ("apsi", true, 3);
+    ("wupwise", 2);
+    ("swim", 4);
+    ("mgrid", 2);
+    ("applu", 2);
+    ("mesa", 1);
+    ("galgel", 1);
+    ("art", 4);
+    ("equake", 1);
+    ("facerec", 3);
+    ("ammp", 3);
+    ("lucas", 1);
+    ("fma3d", 3);
+    ("sixtrack", 3);
+    ("apsi", 3);
   |]
 
-let names = Array.map (fun (n, _, _) -> n) catalog
+let names = Array.map fst catalog
 
 let find name =
   let rec go i =
     if i >= Array.length catalog then invalid_arg ("Spec: unknown benchmark " ^ name)
     else
-      let n, fp, q = catalog.(i) in
-      if n = name then (i, fp, q) else go (i + 1)
+      let n, q = catalog.(i) in
+      if n = name then (i, q) else go (i + 1)
   in
   go 0
 
-let is_fp name =
-  let _, fp, _ = find name in
-  fp
-
 let expected_quadrant name =
-  let _, _, q = find name in
+  let _, q = find name in
   q
 
 let region_base idx = 3000 + (idx * 8)
@@ -154,7 +150,7 @@ let phases_of idx name =
   | other -> invalid_arg ("Spec: unknown benchmark " ^ other)
 
 let model ~seed name =
-  let idx, _, _ = find name in
+  let idx, _ = find name in
   let code = Code_map.create () in
   let space = Dbengine.Addr_space.create () in
   let rng = Rng.create (seed + (idx * 101)) in

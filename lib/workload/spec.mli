@@ -18,8 +18,6 @@
 val names : string array
 (** The 26 benchmark names (12 CINT2000 + 14 CFP2000). *)
 
-val is_fp : string -> bool
-
 val model : seed:int -> string -> Model.t
 (** Raises [Invalid_argument] for unknown names. *)
 

@@ -412,6 +412,3 @@ let generate () =
 let all = generate
 
 let quick () = List.filter (fun s -> s.quick) (all ())
-
-let find name =
-  List.find_opt (fun s -> s.manifest.Manifest.name = name) (all ())

@@ -36,8 +36,6 @@ val quick : unit -> scenario list
 (** The --quick representative subset: every family, machine and drift
     schedule is represented; small enough to golden-gate in CI. *)
 
-val find : string -> scenario option
-
 val machine : Manifest.t -> (March.Config.t, string) result
 (** Resolve the manifest's machine preset. *)
 

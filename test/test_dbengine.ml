@@ -17,7 +17,7 @@ let test_addr_space_disjoint () =
   let a = Addr_space.alloc s ~bytes:1000 in
   let b = Addr_space.alloc s ~bytes:5000 in
   Alcotest.(check bool) "disjoint with guard" true (b >= a + 1000);
-  Alcotest.(check bool) "used grows" true (Addr_space.used s > 6000)
+  Alcotest.(check bool) "page aligned" true (b mod 16384 = 0)
 
 (* ------------------------------- Btree ----------------------------- *)
 
@@ -31,31 +31,6 @@ let test_btree_bulk_load_find () =
     Alcotest.(check (option int)) "present" (Some (i * 37 mod n)) (Btree.find t (i * 37 mod n * 2));
     Alcotest.(check (option int)) "absent odd key" None (Btree.find t ((i * 2) + 1))
   done
-
-let test_btree_insert_find () =
-  let t = Btree.create ~fanout:8 ~node_bytes:256 ~base_addr:0 () in
-  let rng = Rng.create 1 in
-  let reference = Hashtbl.create 64 in
-  for _ = 1 to 2000 do
-    let k = Rng.int rng 5000 in
-    Btree.insert t ~key:k ~value:(k * 10);
-    Hashtbl.replace reference k (k * 10)
-  done;
-  Btree.check_invariants t;
-  Alcotest.(check int) "key count" (Hashtbl.length reference) (Btree.n_keys t);
-  Hashtbl.iter
-    (fun k v -> Alcotest.(check (option int)) "lookup" (Some v) (Btree.find t k))
-    reference;
-  for k = 5000 to 5100 do
-    Alcotest.(check (option int)) "absent" None (Btree.find t k)
-  done
-
-let test_btree_insert_overwrites () =
-  let t = Btree.create ~fanout:8 ~node_bytes:256 ~base_addr:0 () in
-  Btree.insert t ~key:5 ~value:1;
-  Btree.insert t ~key:5 ~value:2;
-  Alcotest.(check (option int)) "overwritten" (Some 2) (Btree.find t 5);
-  Alcotest.(check int) "single key" 1 (Btree.n_keys t)
 
 let test_btree_trace_path () =
   let t = Btree.create ~fanout:8 ~node_bytes:512 ~base_addr:0x1000 () in
@@ -82,43 +57,27 @@ let test_btree_height_logarithmic () =
     true
     (Btree.height t >= 3 && Btree.height t <= 5)
 
-let test_btree_range () =
-  let t = Btree.create ~fanout:8 ~node_bytes:256 ~base_addr:0 () in
-  Btree.bulk_load t (Array.init 1000 (fun i -> (i * 3, i)));
-  let seen = ref [] in
-  let _ = Btree.range_trace t ~lo:30 ~hi:60 (fun k _ -> seen := k :: !seen) in
-  Alcotest.(check (list int)) "range keys" [ 30; 33; 36; 39; 42; 45; 48; 51; 54; 57; 60 ]
-    (List.rev !seen)
-
 let test_btree_bulk_rejects_unsorted () =
   let t = Btree.create ~node_bytes:256 ~base_addr:0 () in
   Alcotest.check_raises "unsorted"
     (Invalid_argument "Btree.bulk_load: keys must be strictly increasing") (fun () ->
       Btree.bulk_load t [| (2, 0); (1, 0) |])
 
-let prop_btree_insert_invariants =
-  QCheck2.Test.make ~name:"btree invariants hold under random inserts" ~count:30
-    QCheck2.Gen.(list_size (int_range 1 300) (int_range 0 1000))
-    (fun keys ->
-      let t = Btree.create ~fanout:6 ~node_bytes:128 ~base_addr:0 () in
-      List.iter (fun k -> Btree.insert t ~key:k ~value:k) keys;
-      Btree.check_invariants t;
-      List.for_all (fun k -> Btree.find t k = Some k) keys)
-
 let prop_btree_matches_hashtbl =
   QCheck2.Test.make ~name:"btree agrees with Hashtbl reference" ~count:30
-    QCheck2.Gen.(list_size (int_range 1 200) (pair (int_range 0 500) small_int))
-    (fun pairs ->
-      let t = Btree.create ~fanout:6 ~node_bytes:128 ~base_addr:0 () in
+    QCheck2.Gen.(
+      pair (int_range 4 12) (list_size (int_range 1 200) (pair (int_range 0 500) small_int)))
+    (fun (fanout, pairs) ->
       let h = Hashtbl.create 64 in
-      List.iter
-        (fun (k, v) ->
-          Btree.insert t ~key:k ~value:v;
-          Hashtbl.replace h k v)
-        pairs;
-      Hashtbl.fold
-        (fun k v acc -> acc && Btree.find t k = Some v && Btree.lookup t k ~visit:ignore = v)
-        h true)
+      List.iter (fun (k, v) -> Hashtbl.replace h k v) pairs;
+      let t = Btree.create ~fanout ~node_bytes:128 ~base_addr:0 () in
+      Btree.bulk_load t (Array.of_list (Stats.Det.hashtbl_bindings h));
+      Btree.check_invariants t;
+      Btree.n_keys t = Hashtbl.length h
+      && Hashtbl.fold
+           (fun k v acc -> acc && Btree.find t k = Some v && Btree.lookup t k ~visit:ignore = v)
+           h true
+      && Btree.find t 501 = None)
 
 (* ------------------------- Buffer-cache LRU ------------------------ *)
 
@@ -133,19 +92,11 @@ let test_cache_lru_exact_capacity () =
   Alcotest.(check bool) "1 resident" true (touch 1);
   Alcotest.(check bool) "2 evicted" false (touch 2)
 
-let test_cache_lru_stats () =
-  let c = Stats.Lru.create ~capacity:2 in
-  ignore (Stats.Lru.access c 1);
-  ignore (Stats.Lru.access c 1);
-  Alcotest.(check int) "hits" 1 (Stats.Lru.hits c);
-  Alcotest.(check int) "misses" 1 (Stats.Lru.misses c)
-
 let test_bufcache () =
   let b = Bufcache.create ~pages:4 ~page_bytes:8192 in
   Alcotest.(check bool) "cold miss" false (Bufcache.touch b 0);
   Alcotest.(check bool) "same page hit" true (Bufcache.touch b 8191);
-  Alcotest.(check bool) "other page miss" false (Bufcache.touch b 8192);
-  Alcotest.(check bool) "hit ratio sane" true (Bufcache.hit_ratio b > 0.0)
+  Alcotest.(check bool) "other page miss" false (Bufcache.touch b 8192)
 
 (* ------------------------------- Heap ------------------------------ *)
 
@@ -153,8 +104,6 @@ let test_heap_addresses () =
   let s = Addr_space.create () in
   let h = Heap.create s ~name:"t" ~rows:100 ~row_bytes:64 in
   Alcotest.(check int) "row stride" 64 (Heap.addr_of_row h 1 - Heap.addr_of_row h 0);
-  Alcotest.(check int) "bytes" 6400 (Heap.bytes h);
-  Alcotest.(check bool) "pages" true (Heap.n_pages h >= 1);
   Alcotest.check_raises "oob" (Invalid_argument "Heap.addr_of_row: row out of range")
     (fun () -> ignore (Heap.addr_of_row h 100))
 
@@ -297,7 +246,7 @@ let test_op_blocks_on_buffer_miss () =
       | Ops.More -> first_block (steps + 1)
   in
   first_block 0;
-  Alcotest.(check bool) "io recorded" true (Sink.io_waits sink > 0)
+  Alcotest.(check bool) "io recorded" true ((Sink.drain sink).Sink.io_waits > 0)
 
 (* ------------------------------- Query ----------------------------- *)
 
@@ -305,12 +254,10 @@ let test_query_cycles () =
   let s = Addr_space.create () in
   let h = Heap.create s ~name:"t" ~rows:64 ~row_bytes:64 in
   let q =
-    Query.create ~name:"q"
-      ~ops:
-        [|
-          Ops.seq_scan (ctx ()) ~region:1 ~heap:h ();
-          Ops.compute (ctx ()) ~region:2 ~instrs:1000 ();
-        |]
+    Query.create
+      [|
+        Ops.seq_scan (ctx ()) ~region:1 ~heap:h (); Ops.compute (ctx ()) ~region:2 ~instrs:1000 ();
+      |]
   in
   let sink = Sink.create () in
   let rec drive n =
@@ -321,18 +268,15 @@ let test_query_cycles () =
       | Query.More | Query.Blocked -> drive (n + 1)
   in
   drive 0;
-  Alcotest.(check int) "one completion" 1 (Query.completed q);
   (* Runs again after completion. *)
-  drive 0;
-  Alcotest.(check int) "cycles" 2 (Query.completed q)
+  drive 0
 
 (* -------------------------------- Tpch ----------------------------- *)
 
 let test_tpch_builds_all_queries () =
   let db = Tpch.create ~scale:0.02 ~seed:3 () in
   for qn = 1 to Tpch.n_queries do
-    let q = Tpch.query db qn in
-    Alcotest.(check string) "name" (Printf.sprintf "Q%d" qn) (Query.name q)
+    ignore (Tpch.query db qn : Query.t)
   done
 
 let test_tpch_rejects_bad_query () =
@@ -350,7 +294,7 @@ let test_tpch_q13_produces_events () =
     ignore (Query.step q sink)
   done;
   Alcotest.(check bool) "instrs" true (Sink.total_instrs sink > 0);
-  Alcotest.(check bool) "refs" true (Sink.n_refs sink > 0)
+  Alcotest.(check bool) "refs" true ((Sink.drain sink).Sink.n_refs > 0)
 
 let test_tpch_index_bigger_than_l3 () =
   let db = Tpch.create ~seed:3 () in
@@ -378,17 +322,13 @@ let () =
       ("addr_space", [ Alcotest.test_case "disjoint" `Quick test_addr_space_disjoint ]);
       ( "btree",
         Alcotest.test_case "bulk load + find" `Quick test_btree_bulk_load_find
-        :: Alcotest.test_case "insert + find" `Quick test_btree_insert_find
-        :: Alcotest.test_case "insert overwrites" `Quick test_btree_insert_overwrites
         :: Alcotest.test_case "trace path" `Quick test_btree_trace_path
         :: Alcotest.test_case "height logarithmic" `Quick test_btree_height_logarithmic
-        :: Alcotest.test_case "range" `Quick test_btree_range
         :: Alcotest.test_case "rejects unsorted bulk" `Quick test_btree_bulk_rejects_unsorted
-        :: qcheck [ prop_btree_insert_invariants; prop_btree_matches_hashtbl ] );
+        :: qcheck [ prop_btree_matches_hashtbl ] );
       ( "cache_lru",
         [
           Alcotest.test_case "exact capacity" `Quick test_cache_lru_exact_capacity;
-          Alcotest.test_case "stats" `Quick test_cache_lru_stats;
           Alcotest.test_case "bufcache pages" `Quick test_bufcache;
         ] );
       ("heap", [ Alcotest.test_case "addresses" `Quick test_heap_addresses ]);

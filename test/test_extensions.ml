@@ -12,38 +12,27 @@ let test_prefetch_detects_stream () =
   Alcotest.(check (list int)) "first miss trains only" [] (Prefetch.on_miss pf 0x1000);
   let fetches = Prefetch.on_miss pf 0x1040 in
   Alcotest.(check int) "confirmed stream issues degree" 4 (List.length fetches);
-  Alcotest.(check (list int)) "next lines" [ 0x1080; 0x10C0; 0x1100; 0x1140 ] fetches;
-  Alcotest.(check int) "one stream" 1 (Prefetch.confirmed_streams pf)
+  Alcotest.(check (list int)) "next lines" [ 0x1080; 0x10C0; 0x1100; 0x1140 ] fetches
 
 let test_prefetch_ignores_random () =
   let pf = Prefetch.create () in
   let rng = Rng.create 3 in
+  let issuing = ref 0 in
   for _ = 1 to 500 do
-    ignore (Prefetch.on_miss pf (Rng.int rng (1 lsl 28)))
+    if Prefetch.on_miss pf (Rng.int rng (1 lsl 28)) <> [] then incr issuing
   done;
-  Alcotest.(check bool)
-    (Printf.sprintf "few false streams (%d)" (Prefetch.confirmed_streams pf))
-    true
-    (Prefetch.confirmed_streams pf < 10)
+  Alcotest.(check bool) (Printf.sprintf "few false streams (%d)" !issuing) true (!issuing < 10)
 
 let test_prefetch_tracks_multiple_streams () =
   let pf = Prefetch.create ~streams:4 () in
   (* Two interleaved ascending streams. *)
-  let issued = ref 0 in
+  let issued_a = ref 0 and issued_b = ref 0 in
   for i = 0 to 19 do
-    issued := !issued + List.length (Prefetch.on_miss pf (0x10000 + (i * 64)));
-    issued := !issued + List.length (Prefetch.on_miss pf (0x90000 + (i * 64)))
+    issued_a := !issued_a + List.length (Prefetch.on_miss pf (0x10000 + (i * 64)));
+    issued_b := !issued_b + List.length (Prefetch.on_miss pf (0x90000 + (i * 64)))
   done;
-  Alcotest.(check int) "both streams confirmed" 2 (Prefetch.confirmed_streams pf);
-  Alcotest.(check bool) "prefetches issued" true (!issued > 50)
-
-let test_prefetch_reset () =
-  let pf = Prefetch.create () in
-  ignore (Prefetch.on_miss pf 0x1000);
-  ignore (Prefetch.on_miss pf 0x1040);
-  Prefetch.reset pf;
-  Alcotest.(check int) "stats cleared" 0 (Prefetch.confirmed_streams pf);
-  Alcotest.(check (list int)) "state cleared" [] (Prefetch.on_miss pf 0x1080)
+  Alcotest.(check bool) "both streams confirmed" true (!issued_a > 0 && !issued_b > 0);
+  Alcotest.(check bool) "prefetches issued" true (!issued_a + !issued_b > 50)
 
 let test_prefetch_lowers_stream_cpi () =
   (* End to end: a sequential stream costs less with the prefetcher. *)
@@ -435,7 +424,6 @@ let () =
           Alcotest.test_case "detects stream" `Quick test_prefetch_detects_stream;
           Alcotest.test_case "ignores random" `Quick test_prefetch_ignores_random;
           Alcotest.test_case "multiple streams" `Quick test_prefetch_tracks_multiple_streams;
-          Alcotest.test_case "reset" `Quick test_prefetch_reset;
           Alcotest.test_case "lowers stream CPI" `Quick test_prefetch_lowers_stream_cpi;
           Alcotest.test_case "random unchanged" `Quick test_prefetch_does_not_help_random;
         ] );

@@ -5,29 +5,6 @@
 module Rng = Stats.Rng
 module Sv = Stats.Sparse_vec
 
-(* ---------------------------- Rng extras --------------------------- *)
-
-let test_rng_copy_diverges_from_original () =
-  let a = Rng.create 5 in
-  ignore (Rng.bits a);
-  let b = Rng.copy a in
-  Alcotest.(check int) "copy continues identically" (Rng.bits a) (Rng.bits b)
-
-let test_rng_choose () =
-  let rng = Rng.create 6 in
-  let arr = [| "a"; "b"; "c" |] in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "element of array" true (Array.mem (Rng.choose rng arr) arr)
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Rng.choose: empty array") (fun () ->
-      ignore (Rng.choose rng [||]))
-
-let test_lognormal_positive () =
-  let rng = Rng.create 7 in
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "positive" true (Stats.Dist.lognormal rng ~mu:0.0 ~sigma:1.0 > 0.0)
-  done
-
 (* --------------------------- Series extras ------------------------- *)
 
 let test_sparkline_width () =
@@ -49,16 +26,7 @@ let test_cache_sets_ways_accessors () =
   let c = March.Cache.create ~size_bytes:16384 ~ways:8 ~line_bytes:64 in
   Alcotest.(check int) "sets" 32 (March.Cache.sets c);
   Alcotest.(check int) "ways" 8 (March.Cache.ways c);
-  Alcotest.(check int) "size roundtrip" 16384 (March.Cache.size_bytes c)
-
-let test_hierarchy_reset_stats_keeps_contents () =
-  let h = March.Hierarchy.create March.Config.itanium2 in
-  ignore (March.Hierarchy.access_data h 0x400);
-  March.Hierarchy.reset_stats h;
-  Alcotest.(check int) "mem counter reset" 0 (March.Hierarchy.mem_data_accesses h);
-  (* Contents survive a stats reset. *)
-  Alcotest.(check bool) "line still cached" true
-    (March.Hierarchy.access_data h 0x400 = March.Hierarchy.L1)
+  Alcotest.(check int) "line bytes" 64 (March.Cache.line_bytes c)
 
 let test_cpu_inst_weight_scales_fe () =
   let run weight =
@@ -73,14 +41,6 @@ let test_cpu_inst_weight_scales_fe () =
   Alcotest.(check (float 1e-6)) "fe scales with inst weight" (3.0 *. run 1.0) (run 3.0)
 
 (* -------------------------- dbengine extras ------------------------ *)
-
-let test_heap_page_of_addr () =
-  let s = Dbengine.Addr_space.create () in
-  let h = Dbengine.Heap.create s ~name:"t" ~rows:1000 ~row_bytes:100 in
-  let a0 = Dbengine.Heap.addr_of_row h 0 in
-  Alcotest.(check int) "first page" 0 (Dbengine.Heap.page_of_addr h a0);
-  let a_far = Dbengine.Heap.addr_of_row h 999 in
-  Alcotest.(check bool) "later page" true (Dbengine.Heap.page_of_addr h a_far > 0)
 
 let test_seq_scan_selectivity_branches () =
   (* The predicate branch direction follows the configured selectivity. *)
@@ -106,13 +66,6 @@ let test_seq_scan_selectivity_branches () =
   done;
   let rate = float_of_int !pred_taken /. float_of_int (max 1 !preds) in
   Alcotest.(check bool) (Printf.sprintf "predicate rate %.3f ~ 0.05" rate) true (rate < 0.12)
-
-let test_btree_range_outside () =
-  let t = Dbengine.Btree.create ~node_bytes:256 ~base_addr:0 () in
-  Dbengine.Btree.bulk_load t (Array.init 100 (fun i -> (i, i)));
-  let hits = ref 0 in
-  let _ = Dbengine.Btree.range_trace t ~lo:500 ~hi:600 (fun _ _ -> incr hits) in
-  Alcotest.(check int) "empty range" 0 !hits
 
 let test_btree_empty_find () =
   let t = Dbengine.Btree.create ~node_bytes:256 ~base_addr:0 () in
@@ -218,55 +171,11 @@ let test_eipv_sparse_rows_bounded_by_spi () =
         (Sv.nnz iv.Sampling.Eipv.eipv <= 100))
     ev.Sampling.Eipv.intervals
 
-let test_required_samples_monotonic () =
-  let n var = Fuzzy.Techniques.required_samples ~cpi_variance:var ~mean_cpi:2.0
-      ~confidence:0.95 ~rel_error:0.05 in
-  Alcotest.(check bool) "more variance needs more samples" true (n 0.5 > n 0.01);
-  Alcotest.(check int) "zero variance needs one" 1 (n 0.0);
-  let tight = Fuzzy.Techniques.required_samples ~cpi_variance:0.5 ~mean_cpi:2.0
-      ~confidence:0.95 ~rel_error:0.01 in
-  Alcotest.(check bool) "tighter error bound needs more" true (tight > n 0.5)
-
-let test_required_samples_z_value () =
-  (* cv = 1, rel_error = 1 -> n = ceil(z^2); z(95%) ~ 1.96 -> 4. *)
-  let n = Fuzzy.Techniques.required_samples ~cpi_variance:4.0 ~mean_cpi:2.0
-      ~confidence:0.95 ~rel_error:1.0 in
-  Alcotest.(check int) "z(95%)^2 rounds to 4" 4 n
-
-let test_required_samples_validation () =
-  Alcotest.check_raises "bad confidence"
-    (Invalid_argument "Techniques.required_samples: confidence out of (0,1)") (fun () ->
-      ignore
-        (Fuzzy.Techniques.required_samples ~cpi_variance:1.0 ~mean_cpi:1.0 ~confidence:1.5
-           ~rel_error:0.1))
-
-let test_csv_outputs () =
-  let a = Fuzzy.Experiments.analyze_cached quick "gzip" in
-  let re = Fuzzy.Report.re_curve_csv a.Fuzzy.Analysis.curve in
-  Alcotest.(check bool) "re header" true (String.length re > 10 && String.sub re 0 4 = "k,re");
-  let series = Fuzzy.Report.cpi_series_csv a.Fuzzy.Analysis.eipv in
-  let lines = List.length (String.split_on_char '\n' series) in
-  Alcotest.(check int) "one row per interval + header + trailing"
-    (Array.length a.Fuzzy.Analysis.eipv.Sampling.Eipv.intervals + 2)
-    lines;
-  let path = Filename.temp_file "fuzzycsv" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Fuzzy.Report.save_csv series ~path;
-      let ic = open_in path in
-      let first = input_line ic in
-      close_in ic;
-      Alcotest.(check string) "file header" "interval,cpi,work,fe,exe,other" first)
-
 let () =
   Alcotest.run "extra"
     [
       ( "stats",
         [
-          Alcotest.test_case "rng copy" `Quick test_rng_copy_diverges_from_original;
-          Alcotest.test_case "rng choose" `Quick test_rng_choose;
-          Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
           Alcotest.test_case "sparkline width" `Quick test_sparkline_width;
           Alcotest.test_case "sparkline empty" `Quick test_sparkline_empty;
           Alcotest.test_case "downsample cap" `Quick test_downsample_fewer_points_than_request;
@@ -274,15 +183,11 @@ let () =
       ( "march",
         [
           Alcotest.test_case "cache accessors" `Quick test_cache_sets_ways_accessors;
-          Alcotest.test_case "hierarchy reset keeps contents" `Quick
-            test_hierarchy_reset_stats_keeps_contents;
           Alcotest.test_case "inst weight scales FE" `Quick test_cpu_inst_weight_scales_fe;
         ] );
       ( "dbengine",
         [
-          Alcotest.test_case "heap page_of_addr" `Quick test_heap_page_of_addr;
           Alcotest.test_case "seq_scan selectivity" `Quick test_seq_scan_selectivity_branches;
-          Alcotest.test_case "btree empty range" `Quick test_btree_range_outside;
           Alcotest.test_case "btree empty find" `Quick test_btree_empty_find;
         ] );
       ( "fuzzy",
@@ -299,12 +204,5 @@ let () =
         [
           Alcotest.test_case "period override" `Quick test_driver_period_override;
           Alcotest.test_case "eipv nnz bound" `Quick test_eipv_sparse_rows_bounded_by_spi;
-        ] );
-      ( "statistical_sampling",
-        [
-          Alcotest.test_case "required samples monotonic" `Quick test_required_samples_monotonic;
-          Alcotest.test_case "z value" `Quick test_required_samples_z_value;
-          Alcotest.test_case "validation" `Quick test_required_samples_validation;
-          Alcotest.test_case "csv outputs" `Slow test_csv_outputs;
         ] );
     ]

@@ -1,0 +1,215 @@
+(* Mutation fuzz of the four decoders that read bytes from outside the
+   process: a wire frame through Session.next_frame and
+   Protocol.decode_request, a trace archive through Trace_io.of_string, a
+   store entry through Cas.find and Codec.decode_entry, and an HTTP
+   request head through Http.parse_request.  Each property starts from
+   valid bytes, applies seeded byte flips, truncations and insertions,
+   and requires a value or the decoder's typed error — never any other
+   exception.  The seed comes from QCHECK_SEED, fixed in `make check`. *)
+
+module W = Serve.Wire
+module P = Serve.Protocol
+
+type mutation = Flip of int * int | Truncate of int | Insert of int * char
+
+let gen_mutations =
+  QCheck2.Gen.(
+    list_size (int_range 1 4)
+      (oneof
+         [
+           map2 (fun p mask -> Flip (p, mask)) (int_bound 100_000) (int_range 1 255);
+           map (fun p -> Truncate p) (int_bound 100_000);
+           map2 (fun p c -> Insert (p, c)) (int_bound 100_000) char;
+         ]))
+
+let mutate s ms =
+  List.fold_left
+    (fun s m ->
+      let n = String.length s in
+      match m with
+      | Flip (p, mask) ->
+          if n = 0 then s
+          else
+            let p = p mod n in
+            String.mapi (fun i c -> if i = p then Char.chr (Char.code c lxor mask) else c) s
+      | Truncate p -> String.sub s 0 (p mod (n + 1))
+      | Insert (p, c) ->
+          let p = p mod (n + 1) in
+          String.sub s 0 p ^ String.make 1 c ^ String.sub s p (n - p))
+    s ms
+
+(* [f ()] must return; any exception fails the property with its name.
+   Trace_io's typed error is a [Failure] whose message names it. *)
+let total what f =
+  match f () with
+  | () -> true
+  | exception e -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* ------------------------------- frames ----------------------------- *)
+
+let sample =
+  {
+    Sampling.Driver.eip = 0x4000;
+    tid = 1;
+    instrs = 20_000;
+    cycles = 31_000.5;
+    breakdown = { March.Breakdown.work = 1.0; fe = 0.25; exe = 0.5; other = 0.125 };
+    os_instrs = 12;
+    region_instrs = [| (3, 19_000); (0, 1_000) |];
+  }
+
+let requests =
+  [|
+    P.Analyze "gcc";
+    P.Quadrant "mcf";
+    P.Re_curve "odb_c";
+    P.Ingest_open "stream";
+    P.Ingest_feed [ sample; sample ];
+    P.Ingest_finalize;
+    P.Stats;
+    P.Health;
+    P.Shutdown;
+  |]
+
+(* Mutate either the frame as sent (header, checksum and all) or the
+   payload before framing, so the checksum passes and the mutation
+   reaches the request decoder. *)
+let prop_frame =
+  QCheck2.Test.make ~name:"frame: Session.next_frame then Protocol.decode_request" ~count:1000
+    QCheck2.Gen.(triple (int_bound (Array.length requests - 1)) bool gen_mutations)
+    (fun (i, reframe, ms) ->
+      let payload = P.encode_request requests.(i) in
+      let bytes = if reframe then W.encode (mutate payload ms) else mutate (W.encode payload) ms in
+      let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          total "frame decoding" (fun () ->
+              let sess = Serve.Session.create ~id:0 ~peer:"fuzz" fd in
+              Serve.Session.feed sess (Bytes.of_string bytes) (String.length bytes);
+              let rec drain () =
+                match Serve.Session.next_frame sess ~max_payload:W.default_max_payload with
+                | Ok (Some p) ->
+                    ignore (P.decode_request p : (P.request, string) result);
+                    drain ()
+                | Ok None | Error _ -> ()
+              in
+              drain ())))
+
+(* ------------------------------- traces ----------------------------- *)
+
+let traces = [| read_file "fixtures/trace-v1.fuzzytrace"; read_file "fixtures/trace-v2.fuzzytrace" |]
+
+let prop_trace =
+  QCheck2.Test.make ~name:"trace archive: Trace_io.of_string" ~count:1000
+    QCheck2.Gen.(pair (int_bound 1) gen_mutations)
+    (fun (i, ms) ->
+      let archive = mutate traces.(i) ms in
+      total "Trace_io.of_string" (fun () ->
+          match Sampling.Trace_io.of_string ~label:"fuzz" archive with
+          | (_ : Sampling.Driver.run) -> ()
+          | exception Failure m when String.starts_with ~prefix:"Trace_io.load: " m -> ()))
+
+(* [prop_trace] at QCHECK_SEED=1 found a v1 archive (no checksum) whose
+   region field is not an integer escaping as a bare
+   [Failure "int_of_string"]; the same decoder raised [Invalid_argument]
+   on a negative sample count.  Both now fail with a Trace_io message. *)
+let test_trace_regressions () =
+  let v1 = traces.(0) in
+  let replace_first ~sub ~by s =
+    let n = String.length sub in
+    let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  List.iter
+    (fun (name, archive, prefix) ->
+      match Sampling.Trace_io.of_string ~label:"fuzz" archive with
+      | _ -> Alcotest.fail (name ^ ": accepted")
+      | exception Failure m ->
+          if not (String.starts_with ~prefix m) then Alcotest.failf "%s: message %S" name m)
+    [
+      ( "non-integer region field",
+        replace_first ~sub:" 1 3000 20000\n" ~by:" 1 3000 2x000\n" v1,
+        "Trace_io.load: sample 0: bad region field" );
+      ( "negative sample count",
+        replace_first ~sub:"p+20 40\n" ~by:"p+20 -1\n" v1,
+        "Trace_io.load: 40 sample lines, header declares -1" );
+    ]
+
+(* ---------------------------- store entries ------------------------- *)
+
+let entry = read_file "fixtures/store-entry.fuzzystore"
+
+let entry_key, entry_payload =
+  Scanf.sscanf entry "fuzzystore %d %d %d\n%n" (fun _ key_len payload_len pos ->
+      (String.sub entry pos key_len, String.sub entry (pos + key_len + 1) payload_len))
+
+let store_dir =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "fuzzy-fuzz-store-%d" (Unix.getpid ()))
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let () = at_exit (fun () -> if Sys.file_exists store_dir then remove_tree store_dir)
+
+(* Mutate either the entry file on disk (find must validate it) or the
+   payload before [put] (find returns it and the codec must reject or
+   accept it). *)
+let prop_store =
+  QCheck2.Test.make ~name:"store entry: Cas.find then Codec.decode_entry" ~count:300
+    QCheck2.Gen.(pair bool gen_mutations)
+    (fun (in_file, ms) ->
+      let cas = Store.Cas.open_dir ~dir:store_dir in
+      let path = Store.Cas.path_of_digest cas (Store.Cas.digest_of_key entry_key) in
+      if Sys.file_exists path then Sys.remove path;
+      if in_file then begin
+        Store.Cas.put cas ~key:entry_key entry_payload;
+        let oc = open_out_bin path in
+        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (mutate entry ms))
+      end
+      else Store.Cas.put cas ~key:entry_key (mutate entry_payload ms);
+      total "store read" (fun () ->
+          match Store.Cas.find cas ~key:entry_key with
+          | None -> ()
+          | Some payload ->
+              ignore
+                (Store.Codec.decode_entry payload
+                  : (Sampling.Driver.run * Rtree.Cv.curve, string) result)))
+
+(* ------------------------------ HTTP heads -------------------------- *)
+
+let heads =
+  [|
+    "GET /metrics HTTP/1.1\r\nHost: localhost:9100\r\nAccept: */*\r\n\r\n";
+    "GET /health HTTP/1.0\n\n";
+  |]
+
+let prop_http =
+  QCheck2.Test.make ~name:"http head: Http.parse_request" ~count:1000
+    QCheck2.Gen.(pair (int_bound 1) gen_mutations)
+    (fun (i, ms) ->
+      let head = mutate heads.(i) ms in
+      total "Http.parse_request" (fun () ->
+          ignore
+            (Metrics_http.Http.parse_request (Bytes.of_string head) (String.length head)
+              : Metrics_http.Http.parse_result)))
+
+let () =
+  Alcotest.run "fuzz"
+    [
+      ( "mutation fuzz",
+        List.map QCheck_alcotest.to_alcotest [ prop_frame; prop_trace; prop_store; prop_http ] );
+      ("regressions", [ Alcotest.test_case "trace archive" `Quick test_trace_regressions ]);
+    ]

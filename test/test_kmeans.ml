@@ -37,15 +37,6 @@ let test_k_clamped_to_n () =
   let m = Kmeans.fit rng ~k:50 ~n_features:2 points in
   Alcotest.(check bool) "k <= n" true (m.Kmeans.k <= 4)
 
-let test_assign_matches_fit () =
-  let rng = Rng.create 5 in
-  let points = blobs rng 30 in
-  let m = Kmeans.fit rng ~k:2 ~n_features:2 points in
-  Array.iteri
-    (fun i p ->
-      Alcotest.(check int) "assign consistent" m.Kmeans.assignment.(i) (Kmeans.assign m p))
-    points
-
 let test_singleton_input () =
   let rng = Rng.create 6 in
   let m = Kmeans.fit rng ~k:3 ~n_features:1 [| sv [ (0, 1.0) ] |] in
@@ -57,22 +48,13 @@ let test_rejects_empty () =
   Alcotest.check_raises "no points" (Invalid_argument "Kmeans.fit: no points") (fun () ->
       ignore (Kmeans.fit rng ~k:2 ~n_features:1 [||]))
 
-let test_cpi_predictability_perfect () =
-  let rng = Rng.create 8 in
-  let points = blobs rng 40 in
-  let cpi = Array.init 40 (fun i -> if i mod 2 = 0 then 1.0 else 2.0) in
-  let m = Kmeans.fit rng ~k:2 ~n_features:2 points in
-  let p = Kmeans.cpi_predictability m ~cpi in
-  Alcotest.(check (float 1e-6)) "clusters align with CPI" 0.0 p.Kmeans.re
-
 let test_cpi_predictability_blind () =
   (* CPI uncorrelated with the feature clusters: k-means cannot predict. *)
   let rng = Rng.create 9 in
   let points = blobs rng 40 in
   let cpi = Array.init 40 (fun i -> if i mod 4 < 2 then 1.0 else 2.0) in
-  let m = Kmeans.fit rng ~k:2 ~n_features:2 points in
-  let p = Kmeans.cpi_predictability m ~cpi in
-  Alcotest.(check bool) (Printf.sprintf "RE high (%.2f)" p.Kmeans.re) true (p.Kmeans.re > 0.8)
+  let re = Kmeans.cv_relative_error rng ~k:2 ~n_features:2 points ~cpi in
+  Alcotest.(check bool) (Printf.sprintf "RE high (%.2f)" re) true (re > 0.8)
 
 let test_cv_relative_error_predictable () =
   let rng = Rng.create 10 in
@@ -118,13 +100,11 @@ let () =
         Alcotest.test_case "two blobs" `Quick test_two_blobs
         :: Alcotest.test_case "inertia decreases with k" `Quick test_inertia_decreases_with_k
         :: Alcotest.test_case "k clamped" `Quick test_k_clamped_to_n
-        :: Alcotest.test_case "assign matches fit" `Quick test_assign_matches_fit
         :: Alcotest.test_case "singleton" `Quick test_singleton_input
         :: Alcotest.test_case "rejects empty" `Quick test_rejects_empty
         :: qcheck [ prop_assignment_in_range; prop_no_empty_cluster ] );
       ( "predictability",
         [
-          Alcotest.test_case "aligned clusters -> RE 0" `Quick test_cpi_predictability_perfect;
           Alcotest.test_case "blind clusters -> RE high" `Quick test_cpi_predictability_blind;
           Alcotest.test_case "cv RE on predictable data" `Quick test_cv_relative_error_predictable;
           Alcotest.test_case "best_k_cv" `Quick test_best_k_cv;

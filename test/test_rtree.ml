@@ -7,7 +7,9 @@ module Cv = Rtree.Cv
 
 let sv pairs = Sv.of_assoc pairs
 
-let dense_row a = Sv.of_dense a
+let dense_row a = Sv.of_assoc (Array.to_list (Array.mapi (fun i x -> (i, x)) a))
+
+let y_mean ds = Array.fold_left ( +. ) 0.0 ds.Dataset.y /. float_of_int (Dataset.n ds)
 
 (* Small deterministic data set: y = 1 if x0 > 5 else 0. *)
 let step_dataset n =
@@ -48,7 +50,7 @@ let test_tree_single_leaf_is_mean () =
   let ds = step_dataset 22 in
   let t = Tree.build ~max_leaves:1 ds in
   Alcotest.(check int) "one leaf" 1 (Tree.n_leaves t);
-  Alcotest.(check (float 1e-9)) "mean" (Dataset.y_mean ds) (Tree.predict t (dense_row [| 3.0 |]))
+  Alcotest.(check (float 1e-9)) "mean" (y_mean ds) (Tree.predict t (dense_row [| 3.0 |]))
 
 let test_tree_constant_target_no_split () =
   let rows = Array.init 10 (fun i -> dense_row [| float_of_int i |]) in
@@ -56,26 +58,16 @@ let test_tree_constant_target_no_split () =
   let t = Tree.build ~max_leaves:8 ds in
   Alcotest.(check int) "no split on constant y" 1 (Tree.n_leaves t)
 
-let test_tree_min_leaf_respected () =
-  let ds = step_dataset 20 in
-  let t = Tree.build ~min_leaf:8 ~max_leaves:10 ds in
-  let rec check = function
-    | Tree.Leaf { n; _ } -> Alcotest.(check bool) "leaf size >= 8" true (n >= 8)
-    | Tree.Split { left; right; _ } ->
-        check left;
-        check right
-  in
-  check (Tree.root t)
-
 let test_tree_nested_prediction () =
-  (* predict_k with k = n_leaves equals predict; k=1 equals global mean. *)
+  (* T_k with k = n_leaves equals predict; k=1 equals global mean. *)
   let ds = step_dataset 33 in
   let t = Tree.build ~max_leaves:6 ds in
-  let k = Tree.n_leaves t in
+  let kmax = Tree.n_leaves t in
   Array.iter
     (fun row ->
-      Alcotest.(check (float 1e-9)) "k=full" (Tree.predict t row) (Tree.predict_k t ~k row);
-      Alcotest.(check (float 1e-9)) "k=1" (Dataset.y_mean ds) (Tree.predict_k t ~k:1 row))
+      Tree.sweep_k t ~kmax row ~f:(fun k v ->
+          if k = 1 then Alcotest.(check (float 1e-9)) "k=1" (y_mean ds) v;
+          if k = kmax then Alcotest.(check (float 1e-9)) "k=full" (Tree.predict t row) v))
     ds.Dataset.rows
 
 let test_tree_gains_non_increasing () =
@@ -232,8 +224,8 @@ let test_training_error_curve_monotone () =
 (* ------------- fast-path equivalence (DESIGN.md §12) ---------------- *)
 
 (* The optimized grower (arena + per-segment position sort) and CV sweep
-   (single-descent sweep_k) must be BIT-identical to the reference
-   implementations they replaced — not approximately equal: equal-gain
+   (single-descent sweep_k) must be BIT-identical to the oracle
+   implementations in test/oracle — not approximately equal: equal-gain
    split selection makes even ulp differences macroscopic.  Generated
    datasets mimic EIPVs: sparse rows, small integer counts, many ties. *)
 
@@ -249,7 +241,13 @@ let make_sparse_dataset (n, features, nnz, seed) =
           (List.init nnz (fun _ ->
                (Stats.Rng.int rng features, float_of_int (1 + Stats.Rng.int rng 6)))))
   in
-  let y = Array.init n (fun _ -> Stats.Rng.float rng 10.0) in
+  (* Odd seeds draw y from four integers: exactly tied gains then occur
+     across frontier leaves too, so the frontier's tie-break is exercised
+     alongside the split search's. *)
+  let y =
+    Array.init n (fun _ ->
+        if seed land 1 = 1 then float_of_int (Stats.Rng.int rng 4) else Stats.Rng.float rng 10.0)
+  in
   Dataset.make ~rows ~y
 
 let bits = Int64.bits_of_float
@@ -271,7 +269,7 @@ let prop_build_equals_reference =
       let ds = make_sparse_dataset params in
       same_node
         (Tree.root (Tree.build ~max_leaves:16 ds))
-        (Tree.root (Tree.Reference.build ~max_leaves:16 ds)))
+        (Oracle.Tree.build ~max_leaves:16 ds))
 
 let prop_sweep_k_equals_predict_k =
   QCheck2.Test.make ~name:"sweep_k == predict_k for every k" ~count:100 gen_sparse_params
@@ -283,7 +281,7 @@ let prop_sweep_k_equals_predict_k =
         (fun row ->
           let ok = ref true in
           Tree.sweep_k t ~kmax row ~f:(fun k v ->
-              if bits v <> bits (Tree.predict_k t ~k row) then ok := false);
+              if bits v <> bits (Oracle.Tree.predict_k (Tree.root t) ~k row) then ok := false);
           !ok)
         ds.Dataset.rows)
 
@@ -298,7 +296,7 @@ let prop_cv_equals_reference =
       let ds = make_sparse_dataset params in
       curves_bitwise_equal
         (Cv.relative_error_curve ~folds:5 ~kmax:12 (Stats.Rng.create 23) ds)
-        (Cv.Reference.relative_error_curve ~folds:5 ~kmax:12 (Stats.Rng.create 23) ds))
+        (Oracle.Cv.relative_error_curve ~folds:5 ~kmax:12 (Stats.Rng.create 23) ds))
 
 let prop_cv_pooled_equals_reference =
   (* The pooled fast path at 1 and 4 domains must also match the serial
@@ -306,7 +304,7 @@ let prop_cv_pooled_equals_reference =
   QCheck2.Test.make ~name:"Cv pooled (jobs 1 and 4) bitwise == Reference" ~count:15
     gen_sparse_params (fun params ->
       let ds = make_sparse_dataset params in
-      let refc = Cv.Reference.relative_error_curve ~folds:5 ~kmax:10 (Stats.Rng.create 29) ds in
+      let refc = Oracle.Cv.relative_error_curve ~folds:5 ~kmax:10 (Stats.Rng.create 29) ds in
       let fast pool =
         Cv.relative_error_curve ~pool ~folds:5 ~kmax:10 (Stats.Rng.create 29) ds
       in
@@ -344,17 +342,18 @@ let test_gzip_quick_curve_pinned () =
     gzip_quick_re_bits
 
 let prop_predict_k_between =
-  (* For any k, predict_k returns the mean of SOME ancestor node: it lies
+  (* For any k, T_k predicts the mean of SOME ancestor node: it lies
      within [min y, max y] of the training data. *)
   QCheck2.Test.make ~name:"predict_k bounded by target range" ~count:50
     QCheck2.Gen.(int_range 1 8)
-    (fun k ->
+    (fun kmax ->
       let ds = step_dataset 40 in
       let t = Tree.build ~max_leaves:8 ds in
       Array.for_all
         (fun row ->
-          let p = Tree.predict_k t ~k row in
-          p >= -1e-9 && p <= 1.0 +. 1e-9)
+          let ok = ref true in
+          Tree.sweep_k t ~kmax row ~f:(fun _ p -> if p < -1e-9 || p > 1.0 +. 1e-9 then ok := false);
+          !ok)
         ds.Dataset.rows)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -373,7 +372,6 @@ let () =
         Alcotest.test_case "perfect split" `Quick test_tree_perfect_split
         :: Alcotest.test_case "single leaf is mean" `Quick test_tree_single_leaf_is_mean
         :: Alcotest.test_case "constant target" `Quick test_tree_constant_target_no_split
-        :: Alcotest.test_case "min_leaf" `Quick test_tree_min_leaf_respected
         :: Alcotest.test_case "nested prediction" `Quick test_tree_nested_prediction
         :: Alcotest.test_case "gains non-increasing" `Quick test_tree_gains_non_increasing
         :: Alcotest.test_case "training sse non-increasing" `Quick test_training_sse_non_increasing

@@ -162,26 +162,20 @@ let test_eipv_rejects_too_few () =
     (Invalid_argument "Eipv.build: not enough samples for one interval") (fun () ->
       ignore (Eipv.build run ~samples_per_interval:100))
 
-let test_eipv_per_thread_partition () =
-  let run = small_run ~name:"odb_c" ~samples:1200 () in
-  let per = Eipv.build_per_thread run ~samples_per_interval:20 in
-  Alcotest.(check bool) "several threads" true (Array.length per > 1);
-  Array.iter
-    (fun (tid, ev) ->
-      Array.iter
-        (fun iv ->
-          ignore iv;
-          ())
-        ev.Eipv.intervals;
-      Alcotest.(check bool) (Printf.sprintf "tid %d has intervals" tid) true
-        (Array.length ev.Eipv.intervals > 0))
-    per
-
 let test_eipv_thread_separated_pool () =
   let run = small_run ~name:"odb_c" ~samples:1200 () in
   let pooled = Eipv.build_thread_separated run ~samples_per_interval:20 in
-  let per = Eipv.build_per_thread run ~samples_per_interval:20 in
-  let total = Array.fold_left (fun a (_, ev) -> a + Array.length ev.Eipv.intervals) 0 per in
+  (* Each thread contributes its own whole intervals. *)
+  let per_tid = Hashtbl.create 16 in
+  Array.iter
+    (fun s ->
+      let tid = s.Sampling.Driver.tid in
+      Hashtbl.replace per_tid tid (1 + Option.value ~default:0 (Hashtbl.find_opt per_tid tid)))
+    run.Sampling.Driver.samples;
+  let total =
+    List.fold_left (fun a (_, n) -> a + (n / 20)) 0 (Stats.Det.hashtbl_bindings per_tid)
+  in
+  Alcotest.(check bool) "several threads" true (Hashtbl.length per_tid > 1);
   Alcotest.(check int) "pooled = sum of per-thread" total (Array.length pooled.Eipv.intervals)
 
 let test_breakdown_components_positive () =
@@ -221,7 +215,6 @@ let () =
           Alcotest.test_case "features cover eips" `Quick test_eipv_features_cover_eips;
           Alcotest.test_case "dataset roundtrip" `Quick test_eipv_dataset_roundtrip;
           Alcotest.test_case "rejects too few samples" `Quick test_eipv_rejects_too_few;
-          Alcotest.test_case "per-thread partition" `Quick test_eipv_per_thread_partition;
           Alcotest.test_case "thread-separated pooling" `Quick test_eipv_thread_separated_pool;
           Alcotest.test_case "breakdown components" `Quick test_breakdown_components_positive;
         ] );

@@ -19,6 +19,32 @@ let acfg = { Fuzzy.Analysis.quick with Fuzzy.Analysis.jobs = 1 }
 
 (* ------------------------------- wire ------------------------------- *)
 
+(* The two decoders that ship: the server's incremental [Session]
+   (which answers [Ok None] while a frame is incomplete) and the blocking
+   [Wire.read_frame] the client uses, here reading from a pipe.  Every
+   frame test runs both. *)
+let session_frame ?(max_payload = W.default_max_payload) frame =
+  let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let sess = Serve.Session.create ~id:0 ~peer:"test" fd in
+      Serve.Session.feed sess (Bytes.of_string frame) (String.length frame);
+      Serve.Session.next_frame sess ~max_payload)
+
+let pipe_frame ?max_payload frame =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () ->
+      let rec write_all off =
+        if off < String.length frame then
+          write_all (off + Unix.write_substring w frame off (String.length frame - off))
+      in
+      write_all 0;
+      Unix.close w;
+      W.read_frame ?max_payload r)
+
 let check_wire_error name expected = function
   | Stdlib.Error e ->
       Alcotest.(check string) name expected (W.error_to_string e)
@@ -26,29 +52,37 @@ let check_wire_error name expected = function
 
 let test_frame_rejections () =
   let frame = W.encode "hello wire" in
-  (match W.decode frame with
-  | Ok p -> Alcotest.(check string) "roundtrip" "hello wire" p
-  | Error e -> Alcotest.fail (W.error_to_string e));
+  (match (session_frame frame, pipe_frame frame) with
+  | Ok (Some p), Ok q ->
+      Alcotest.(check string) "session roundtrip" "hello wire" p;
+      Alcotest.(check string) "read_frame roundtrip" "hello wire" q
+  | _ -> Alcotest.fail "valid frame rejected");
   let flip s i =
     let b = Bytes.of_string s in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
     Bytes.to_string b
   in
-  check_wire_error "bad magic" (W.error_to_string W.Bad_magic)
-    (W.decode (flip frame 0));
-  (match W.decode (flip frame 5) with
-  | Error (W.Bad_version _) -> ()
-  | Error e -> Alcotest.fail ("expected Bad_version, got " ^ W.error_to_string e)
-  | Ok _ -> Alcotest.fail "foreign version accepted");
-  check_wire_error "short frame" (W.error_to_string W.Truncated)
-    (W.decode (String.sub frame 0 (String.length frame - 1)));
-  check_wire_error "no header" (W.error_to_string W.Truncated) (W.decode "FZ");
-  check_wire_error "payload corruption" (W.error_to_string W.Bad_checksum)
-    (W.decode (flip frame (W.header_len + 2)));
-  (match W.decode ~max_payload:4 frame with
-  | Error (W.Oversized 10) -> ()
-  | Error e -> Alcotest.fail ("expected Oversized 10, got " ^ W.error_to_string e)
-  | Ok _ -> Alcotest.fail "oversized frame accepted")
+  (* Each rejection, as both decoders must report it. *)
+  let rejects name ?max_payload bytes expected =
+    check_wire_error (name ^ " (session)") (W.error_to_string expected)
+      (session_frame ?max_payload bytes);
+    check_wire_error (name ^ " (read_frame)") (W.error_to_string expected)
+      (pipe_frame ?max_payload bytes)
+  in
+  rejects "bad magic" (flip frame 0) W.Bad_magic;
+  rejects "foreign version" (flip frame 5) (W.Bad_version (W.version lxor 0xff));
+  rejects "payload corruption" (flip frame (W.header_len + 2)) W.Bad_checksum;
+  rejects "oversized" ~max_payload:4 frame (W.Oversized 10);
+  (* A short frame is more bytes to come for the session, and EOF
+     mid-frame for the blocking reader. *)
+  List.iter
+    (fun (name, bytes) ->
+      (match session_frame bytes with
+      | Ok None -> ()
+      | _ -> Alcotest.fail (name ^ ": session did not wait for more bytes"));
+      check_wire_error (name ^ " (read_frame)") (W.error_to_string W.Truncated)
+        (pipe_frame bytes))
+    [ ("short frame", String.sub frame 0 (String.length frame - 1)); ("no header", "FZ") ]
 
 let test_primitive_extremes () =
   let enc f =
@@ -78,7 +112,9 @@ let test_primitive_extremes () =
 let qcheck_frame_roundtrip =
   QCheck2.Test.make ~name:"wire frame roundtrip" ~count:300
     QCheck2.Gen.(string_size (int_range 0 2048))
-    (fun payload -> W.decode (W.encode payload) = Ok payload)
+    (fun payload ->
+      let frame = W.encode payload in
+      session_frame frame = Ok (Some payload) && pipe_frame frame = Ok payload)
 
 (* ----------------------------- protocol ----------------------------- *)
 
@@ -707,6 +743,56 @@ let test_tcp_health () =
           | resp -> Alcotest.fail ("health: " ^ P.render_response resp));
           ignore (call_ok conn P.Shutdown)))
 
+(* ------------------------- e2e: half-close -------------------------- *)
+
+(* User plus system CPU seconds of process [pid], from /proc/<pid>/stat
+   (fields 14 and 15, in the kernel's 100 Hz USER_HZ ticks). *)
+let cpu_seconds pid =
+  let stat = In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all in
+  let close = String.rindex stat ')' in
+  let rest = String.sub stat (close + 2) (String.length stat - close - 2) in
+  let fields = Array.of_list (String.split_on_char ' ' rest) in
+  float_of_int (int_of_string fields.(11) + int_of_string fields.(12)) /. 100.0
+
+(* A client that sends one cold analyze and half-closes its socket must
+   get the offline report, and the server must not spin re-reading EOF
+   while the answer computes: on a host with a core per job, its CPU
+   time over the wait stays well under the 2x that a spinning shard plus
+   a busy worker would burn. *)
+let test_half_close () =
+  let ((sock, pid) as server) = start_server ~jobs:2 () in
+  Fun.protect
+    ~finally:(fun () -> stop_server server)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let rec connect tries =
+            match Unix.connect fd (Unix.ADDR_UNIX sock) with
+            | () -> ()
+            | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+              when tries > 0 ->
+                Unix.sleepf 0.05;
+                connect (tries - 1)
+          in
+          connect 200;
+          let cpu0 = cpu_seconds pid and t0 = Serve.Clock.now () in
+          W.write_frame fd (P.encode_request (P.Analyze "gcc"));
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let reply = W.read_frame fd in
+          let wall = Serve.Clock.now () -. t0 and cpu = cpu_seconds pid -. cpu0 in
+          (match Result.map P.decode_response reply with
+          | Ok (Ok (P.Report text)) ->
+              Alcotest.(check string) "half-closed analyze = offline analyze"
+                (Fuzzy.Report.analyze_report (Fuzzy.Experiments.analyze_cached acfg "gcc"))
+                text
+          | _ -> Alcotest.fail "half-closed analyze: no report");
+          if Domain.recommended_domain_count () >= 2 then
+            Alcotest.(check bool)
+              (Printf.sprintf "server cpu %.2fs < 1.4 x wall %.2fs" cpu wall)
+              true (cpu < 1.4 *. wall)))
+
 (* --------------------------- e2e: http ------------------------------ *)
 
 (* Variant of [start_server] that keeps the server's stderr in a file:
@@ -1190,6 +1276,7 @@ let () =
           Alcotest.test_case "ingest stream = repro stream" `Slow
             test_ingest_equivalence;
           Alcotest.test_case "health over tcp" `Quick test_tcp_health;
+          Alcotest.test_case "half-closed peer: offline bytes, no spin" `Quick test_half_close;
         ] );
       ( "http",
         [

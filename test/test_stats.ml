@@ -100,67 +100,6 @@ let test_bernoulli_rate () =
 
 (* ------------------------------- Dist ------------------------------ *)
 
-let test_exponential_mean () =
-  let rng = Rng.create 23 in
-  let acc = Describe.Acc.create () in
-  for _ = 1 to 50_000 do
-    Describe.Acc.add acc (Dist.exponential rng ~mean:4.0)
-  done;
-  check_close 0.15 "mean 4" 4.0 (Describe.Acc.mean acc)
-
-let test_normal_moments () =
-  let rng = Rng.create 29 in
-  let acc = Describe.Acc.create () in
-  for _ = 1 to 50_000 do
-    Describe.Acc.add acc (Dist.normal rng ~mean:2.0 ~stddev:3.0)
-  done;
-  check_close 0.1 "mean" 2.0 (Describe.Acc.mean acc);
-  check_close 0.1 "stddev" 3.0 (Describe.Acc.stddev acc)
-
-let test_geometric_support () =
-  let rng = Rng.create 31 in
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "non-negative" true (Dist.geometric rng ~p:0.4 >= 0)
-  done
-
-let test_geometric_mean () =
-  let rng = Rng.create 37 in
-  let acc = Describe.Acc.create () in
-  for _ = 1 to 50_000 do
-    Describe.Acc.add acc (float_of_int (Dist.geometric rng ~p:0.25))
-  done;
-  (* mean of failures-before-success = (1-p)/p = 3 *)
-  check_close 0.12 "mean 3" 3.0 (Describe.Acc.mean acc)
-
-let test_poisson_mean () =
-  let rng = Rng.create 41 in
-  let acc = Describe.Acc.create () in
-  for _ = 1 to 20_000 do
-    Describe.Acc.add acc (float_of_int (Dist.poisson_knuth rng ~mean:3.5))
-  done;
-  check_close 0.1 "mean 3.5" 3.5 (Describe.Acc.mean acc)
-
-let test_zipf_monotone () =
-  let rng = Rng.create 43 in
-  let z = Dist.zipf ~n:100 ~s:1.2 in
-  let counts = Array.make 100 0 in
-  for _ = 1 to 100_000 do
-    let k = Dist.zipf_draw z rng in
-    counts.(k) <- counts.(k) + 1
-  done;
-  Alcotest.(check bool) "rank0 > rank10" true (counts.(0) > counts.(10));
-  Alcotest.(check bool) "rank10 > rank60" true (counts.(10) > counts.(60))
-
-let test_zipf_uniform_degenerate () =
-  let rng = Rng.create 47 in
-  let z = Dist.zipf ~n:10 ~s:0.0 in
-  let counts = Array.make 10 0 in
-  for _ = 1 to 50_000 do
-    counts.(Dist.zipf_draw z rng) <- counts.(Dist.zipf_draw z rng) + 1
-  done;
-  let mn = Array.fold_left min max_int counts and mx = Array.fold_left max 0 counts in
-  Alcotest.(check bool) "near-uniform" true (float_of_int mn /. float_of_int mx > 0.8)
-
 let test_categorical_weights () =
   let rng = Rng.create 53 in
   let c = Dist.categorical [| 1.0; 0.0; 3.0 |] in
@@ -192,22 +131,11 @@ let test_welford_matches_naive () =
   check_float "mean" mean (Describe.Acc.mean acc);
   check_close 1e-9 "variance" var (Describe.Acc.variance acc)
 
-let test_acc_min_max_sum () =
+let test_acc_min_max () =
   let acc = Describe.Acc.create () in
   List.iter (Describe.Acc.add acc) [ 3.0; -1.0; 7.0 ];
   check_float "min" (-1.0) (Describe.Acc.min acc);
-  check_float "max" 7.0 (Describe.Acc.max acc);
-  check_float "sum" 9.0 (Describe.Acc.sum acc)
-
-let test_acc_merge () =
-  let xs = Array.init 100 (fun i -> float_of_int i *. 0.37) in
-  let all = Describe.Acc.create () in
-  Array.iter (Describe.Acc.add all) xs;
-  let a = Describe.Acc.create () and b = Describe.Acc.create () in
-  Array.iteri (fun i x -> Describe.Acc.add (if i < 33 then a else b) x) xs;
-  let merged = Describe.Acc.merge a b in
-  check_close 1e-9 "merged mean" (Describe.Acc.mean all) (Describe.Acc.mean merged);
-  check_close 1e-9 "merged var" (Describe.Acc.variance all) (Describe.Acc.variance merged)
+  check_float "max" 7.0 (Describe.Acc.max acc)
 
 let test_variance_constant_series () =
   check_float "constant -> 0" 0.0 (Describe.variance (Array.make 50 3.14))
@@ -245,12 +173,6 @@ let test_sv_sq_dist () =
   (* ||v-c||^2 = 1 + 0 + 9 = 10 *)
   check_close 1e-9 "sq dist" 10.0 (Sv.sq_dist_dense v c ~norm2_dense:norm)
 
-let test_sv_map_indices () =
-  let v = Sv.of_assoc [ (1, 5.0); (3, 7.0) ] in
-  let w = Sv.map_indices (fun i -> i * 10) v in
-  check_float "mapped" 5.0 (Sv.get w 10);
-  check_float "mapped" 7.0 (Sv.get w 30)
-
 let test_sv_rejects_negative_index () =
   Alcotest.check_raises "negative" (Invalid_argument "Sparse_vec.of_assoc: negative index")
     (fun () -> ignore (Sv.of_assoc [ (-1, 1.0) ]))
@@ -264,10 +186,6 @@ let sv_gen =
 let prop_sv_norm2_nonneg =
   QCheck2.Test.make ~name:"sparse_vec norm2 non-negative" ~count:200 sv_gen (fun v ->
       Sv.norm2 v >= 0.0)
-
-let prop_sv_roundtrip =
-  QCheck2.Test.make ~name:"sparse_vec to_assoc/of_assoc roundtrip" ~count:200 sv_gen (fun v ->
-      Sv.equal v (Sv.of_assoc (Sv.to_assoc v)))
 
 let prop_sv_dot_self =
   QCheck2.Test.make ~name:"sparse_vec dot with dense self = norm2" ~count:200 sv_gen (fun v ->
@@ -284,21 +202,6 @@ let prop_sv_dist_to_self_zero =
       Sv.add_into_dense v dense;
       let norm = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 dense in
       Sv.sq_dist_dense v dense ~norm2_dense:norm < 1e-6)
-
-(* ----------------------------- Histogram --------------------------- *)
-
-let test_histogram_basic () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -5.0; 15.0 ];
-  Alcotest.(check int) "bin0 has 0.5 and clamped -5" 2 (Stats.Histogram.count h 0);
-  Alcotest.(check int) "bin1" 2 (Stats.Histogram.count h 1);
-  Alcotest.(check int) "last bin has 9.9 and clamped 15" 2 (Stats.Histogram.count h 9);
-  Alcotest.(check int) "total" 6 (Stats.Histogram.total h)
-
-let test_histogram_mode () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:4.0 ~bins:4 in
-  List.iter (Stats.Histogram.add h) [ 2.5; 2.6; 2.7; 0.1 ];
-  Alcotest.(check int) "mode bin" 2 (Stats.Histogram.mode_bin h)
 
 (* ------------------------------- Folds ----------------------------- *)
 
@@ -363,7 +266,7 @@ let prop_folds_nonempty =
 
 (* ----------------------------- split_label -------------------------- *)
 
-let stream_prefix rng len = Array.init len (fun _ -> Rng.int64 rng)
+let stream_prefix rng len = Array.init len (fun _ -> Rng.bits rng)
 
 let test_split_label_reproducible () =
   let a = Rng.split_label 42 "odb_c" and b = Rng.split_label 42 "odb_c" in
@@ -395,27 +298,12 @@ let prop_split_label_streams =
 
 (* ------------------------------- Series ---------------------------- *)
 
-let test_moving_average_constant () =
-  let xs = Array.make 20 5.0 in
-  let ma = Stats.Series.moving_average xs ~window:5 in
-  Array.iter (fun v -> check_float "flat" 5.0 v) ma
-
 let test_downsample () =
   let xs = Array.init 100 float_of_int in
   let pts = Stats.Series.downsample xs ~points:10 in
   Alcotest.(check int) "10 buckets" 10 (Array.length pts);
   let _, first_mean = pts.(0) in
   check_float "bucket mean" 4.5 first_mean
-
-let test_autocorrelation_periodic () =
-  let xs = Array.init 200 (fun i -> if i mod 10 < 5 then 1.0 else 0.0) in
-  let r10 = Stats.Series.autocorrelation xs ~lag:10 in
-  let r5 = Stats.Series.autocorrelation xs ~lag:5 in
-  Alcotest.(check bool) "period-10 signal" true (r10 > 0.8 && r5 < -0.8)
-
-let test_crossings () =
-  let xs = [| 0.0; 2.0; 0.0; 2.0; 0.0 |] in
-  Alcotest.(check int) "4 crossings of 1" 4 (Stats.Series.crossings xs ~level:1.0)
 
 (* ------------------------------- Table ----------------------------- *)
 
@@ -441,7 +329,6 @@ let test_growvec_int () =
     Stats.Growvec.Int.push v i
   done;
   Alcotest.(check int) "length" 100 (Stats.Growvec.Int.length v);
-  Alcotest.(check int) "get" 57 (Stats.Growvec.Int.get v 57);
   Alcotest.(check (array int)) "to_array" (Array.init 100 (fun i -> i))
     (Stats.Growvec.Int.to_array v);
   Stats.Growvec.Int.clear v;
@@ -452,9 +339,10 @@ let test_growvec_bool () =
   for i = 0 to 63 do
     Stats.Growvec.Bool.push v (i mod 3 = 0)
   done;
-  Alcotest.(check bool) "get" true (Stats.Growvec.Bool.get v 63);
-  Alcotest.(check bool) "get" false (Stats.Growvec.Bool.get v 62);
-  Alcotest.(check int) "length" 64 (Stats.Growvec.Bool.length v)
+  let data = Stats.Growvec.Bool.data v in
+  Alcotest.(check bool) "grew" true (Array.length data >= 64);
+  Alcotest.(check (array bool)) "contents" (Array.init 64 (fun i -> i mod 3 = 0))
+    (Array.sub data 0 64)
 
 (* ----------------------------- Checksum ---------------------------- *)
 
@@ -517,21 +405,13 @@ let () =
         ] );
       ( "dist",
         [
-          Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
-          Alcotest.test_case "normal moments" `Quick test_normal_moments;
-          Alcotest.test_case "geometric support" `Quick test_geometric_support;
-          Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
-          Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
-          Alcotest.test_case "zipf monotone" `Quick test_zipf_monotone;
-          Alcotest.test_case "zipf s=0 uniform" `Quick test_zipf_uniform_degenerate;
           Alcotest.test_case "categorical weights" `Quick test_categorical_weights;
           Alcotest.test_case "categorical rejects bad input" `Quick test_categorical_rejects_bad;
         ] );
       ( "describe",
         [
           Alcotest.test_case "welford vs naive" `Quick test_welford_matches_naive;
-          Alcotest.test_case "min/max/sum" `Quick test_acc_min_max_sum;
-          Alcotest.test_case "merge" `Quick test_acc_merge;
+          Alcotest.test_case "min/max" `Quick test_acc_min_max;
           Alcotest.test_case "constant variance" `Quick test_variance_constant_series;
           Alcotest.test_case "percentile" `Quick test_percentile;
         ] );
@@ -540,15 +420,9 @@ let () =
         :: Alcotest.test_case "get binary search" `Quick test_sv_get_binary_search
         :: Alcotest.test_case "dot dense" `Quick test_sv_dot_dense
         :: Alcotest.test_case "squared distance" `Quick test_sv_sq_dist
-        :: Alcotest.test_case "map indices" `Quick test_sv_map_indices
         :: Alcotest.test_case "rejects negative index" `Quick test_sv_rejects_negative_index
-        :: qcheck [ prop_sv_norm2_nonneg; prop_sv_roundtrip; prop_sv_dot_self; prop_sv_dist_to_self_zero ]
+        :: qcheck [ prop_sv_norm2_nonneg; prop_sv_dot_self; prop_sv_dist_to_self_zero ]
       );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning and clamping" `Quick test_histogram_basic;
-          Alcotest.test_case "mode" `Quick test_histogram_mode;
-        ] );
       ( "folds",
         Alcotest.test_case "partition covers exactly" `Quick test_folds_partition
         :: Alcotest.test_case "balanced sizes" `Quick test_folds_sizes_balanced
@@ -561,10 +435,7 @@ let () =
         :: qcheck [ prop_split_label_streams ] );
       ( "series",
         [
-          Alcotest.test_case "moving average of constant" `Quick test_moving_average_constant;
           Alcotest.test_case "downsample" `Quick test_downsample;
-          Alcotest.test_case "autocorrelation of periodic" `Quick test_autocorrelation_periodic;
-          Alcotest.test_case "crossings" `Quick test_crossings;
         ] );
       ( "table",
         [

@@ -90,13 +90,6 @@ let test_quick_subset () =
     [ "appserver"; "dss"; "oltp"; "synth"; "tenant" ]
     families
 
-let test_find () =
-  (match Scenarios.find "dss-itanium2-q13-t1" with
-  | None -> Alcotest.fail "dss-itanium2-q13-t1 not found"
-  | Some s ->
-      Alcotest.(check string) "family" "dss" s.Scenarios.manifest.Manifest.family);
-  Alcotest.(check bool) "unknown name" true (Scenarios.find "nope" = None)
-
 let test_bad_manifests_rejected () =
   let m family machine params =
     get_ok "make" (Manifest.make ~name:"x" ~family ~machine ~params)
@@ -134,7 +127,11 @@ let test_all_scenarios_build_and_produce_work () =
 
 let test_tenant_merges_threads () =
   let s =
-    match Scenarios.find "tenant-itanium2-oltp-q13" with
+    match
+      List.find_opt
+        (fun s -> s.Scenarios.manifest.Manifest.name = "tenant-itanium2-oltp-q13")
+        (Scenarios.all ())
+    with
     | Some s -> s
     | None -> Alcotest.fail "tenant-itanium2-oltp-q13 missing"
   in
@@ -323,7 +320,6 @@ let () =
           Alcotest.test_case "200+ scenarios" `Quick test_zoo_size;
           Alcotest.test_case "names unique and sorted" `Quick test_zoo_names_unique_sorted;
           Alcotest.test_case "quick subset" `Quick test_quick_subset;
-          Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "bad manifests rejected" `Quick test_bad_manifests_rejected;
           Alcotest.test_case "tenant merges threads" `Quick test_tenant_merges_threads;
           Alcotest.test_case "all scenarios build and produce work" `Slow
