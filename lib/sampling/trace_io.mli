@@ -27,7 +27,15 @@ val to_string : Driver.run -> string
 val of_string : label:string -> string -> Driver.run
 (** Decode archive bytes produced by {!to_string} (or read from a file
     {!save} wrote).  [label] stands in for the file path in error
-    messages.  Same validation and failure contract as {!load}. *)
+    messages.  Same validation and failure contract as {!load}.
+
+    Sample lines must be exactly what {!to_string} writes: fields
+    separated by one space, and ['\n'] right after the last region pair.
+    Ints are [-?[0-9]+] within the [int] range, [min_int] included.
+    Floats are [%h] tokens: ["0x..."] or ["-0x..."] ending in an exponent
+    digit, or ["nan"], ["-nan"], ["infinity"], ["-infinity"], converted
+    by [float_of_string] as Scanf's ["%h"] converts them, so the bits are
+    the same.  Lines past the declared sample count are not read. *)
 
 val load : path:string -> Driver.run
 (** Raises [Failure] with a descriptive message — never a bare decode

@@ -38,14 +38,16 @@ let fd t = t.fd
 let peer t = t.peer
 
 let feed t src n =
-  let need = t.in_len + n in
-  if need > Bytes.length t.inbuf then begin
-    let grown = Bytes.create (max need (2 * Bytes.length t.inbuf)) in
-    Bytes.blit t.inbuf 0 grown 0 t.in_len;
-    t.inbuf <- grown
-  end;
-  Bytes.blit src 0 t.inbuf t.in_len n;
-  t.in_len <- t.in_len + n
+  if not t.closing then begin
+    let need = t.in_len + n in
+    if need > Bytes.length t.inbuf then begin
+      let grown = Bytes.create (max need (2 * Bytes.length t.inbuf)) in
+      Bytes.blit t.inbuf 0 grown 0 t.in_len;
+      t.inbuf <- grown
+    end;
+    Bytes.blit src 0 t.inbuf t.in_len n;
+    t.in_len <- t.in_len + n
+  end
 
 let input t = (t.inbuf, t.in_len)
 

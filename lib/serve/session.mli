@@ -24,7 +24,10 @@ val peer : t -> string
 (** {1 Reading} *)
 
 val feed : t -> bytes -> int -> unit
-(** Append the first [n] bytes just read from the socket. *)
+(** Append the first [n] bytes just read from the socket.  Once the
+    session is closing ({!mark_close}) the bytes are dropped: nothing
+    decodes a closing session's input, and a peer that keeps sending
+    without reading its answers must not grow server memory. *)
 
 val input : t -> bytes * int
 (** The buffered input not yet consumed as frames, and its length, for

@@ -152,12 +152,14 @@ let read_entry t digest ~owns =
           quarantine t path;
           None)
 
+let count_hit t = bump t (fun t -> t.hits <- t.hits + 1)
+
 let find t ~key =
   (* The full-key comparison backstops the digest: a collision is
      indistinguishable from corruption and is handled the same way. *)
   match read_entry t (digest_of_key key) ~owns:(String.equal key) with
   | Some (_, payload) ->
-      bump t (fun t -> t.hits <- t.hits + 1);
+      count_hit t;
       Some payload
   | None ->
       bump t (fun t -> t.misses <- t.misses + 1);

@@ -13,7 +13,7 @@
 type t
 
 type counters = {
-  hits : int;  (** [find] returned a validated payload *)
+  hits : int;  (** [find] returned a validated payload, or {!count_hit} *)
   misses : int;  (** [find] returned nothing (includes corrupt reads) *)
   writes : int;  (** [put] created a new entry file *)
   corrupt : int;  (** entries quarantined by [find]/[fold]/[verify]/[reject] *)
@@ -51,6 +51,10 @@ val reject : t -> key:string -> unit
 val fold : t -> init:'a -> f:('a -> key:string -> payload:string -> 'a) -> 'a
 (** Fold over validated entries in deterministic (shard, digest) order;
     invalid entries quarantine and are skipped. *)
+
+val count_hit : t -> unit
+(** Count a hit for a payload taken from {!fold}, for a caller that
+    serves it as it would a {!find} hit (warm restart). *)
 
 val verify : t -> int * string list
 (** Validate every entry: [(ok_count, bad_digests)].  Bad entries are

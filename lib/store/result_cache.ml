@@ -10,18 +10,18 @@
 
 let state : Cas.t option ref = ref None
 
-(* The one store reader: a payload that does not decode is quarantined
-   and reads as a miss. *)
+(* The one decode path of a store read: a payload that does not decode
+   is quarantined and reads as a miss. *)
+let of_payload cas config name ~key payload =
+  match Codec.decode_entry payload with
+  | Ok (run, curve) -> Some (Fuzzy.Analysis.of_parts config ~name ~run ~curve)
+  | Error _ ->
+      Cas.reject cas ~key;
+      None
+
 let probe cas config name =
   let key = Codec.canonical_key config name in
-  match Cas.find cas ~key with
-  | None -> None
-  | Some payload -> (
-      match Codec.decode_entry payload with
-      | Ok (run, curve) -> Some (Fuzzy.Analysis.of_parts config ~name ~run ~curve)
-      | Error _ ->
-          Cas.reject cas ~key;
-          None)
+  Option.bind (Cas.find cas ~key) (of_payload cas config name ~key)
 
 let attach ~dir =
   let cas = Cas.open_dir ~dir in
@@ -46,21 +46,18 @@ let warm ~jobs () =
   match !state with
   | None -> 0
   | Some cas ->
-      (* Collect keys first, then re-read each through [probe] so warm
-         loads show up in the hit counter like any other store read. *)
-      let keys =
-        List.rev (Cas.fold cas ~init:[] ~f:(fun acc ~key ~payload:_ -> key :: acc))
-      in
-      List.fold_left
-        (fun loaded key ->
+      (* One pass: the fold reads and checksums each entry once, and
+         the callback decodes its payload.  A key that parses counts a
+         hit before the decode, as the [Cas.find] in [probe] would. *)
+      Cas.fold cas ~init:0 ~f:(fun loaded ~key ~payload ->
           match Codec.parse_key ~jobs key with
           | None -> loaded (* foreign stamp or format: leave in place *)
           | Some (config, name) -> (
-              match probe cas config name with
+              Cas.count_hit cas;
+              match of_payload cas config name ~key payload with
               | None -> loaded
               | Some a ->
                   Fuzzy.Experiments.preload a;
                   loaded + 1))
-        0 keys
 
 let counters () = Option.map Cas.counters !state

@@ -16,7 +16,9 @@ val warm : jobs:int -> unit -> int
 (** Preload the in-memory cache from every readable store entry whose key
     parses under the current build's code stamp; returns the number of
     analyses loaded.  [jobs] fills the config field keys deliberately
-    omit.  Loads count as store hits; unreadable entries quarantine. *)
+    omit.  One read per entry; every entry whose key parses counts as a
+    store hit, even if its payload then fails to decode.  Unreadable
+    entries quarantine. *)
 
 val counters : unit -> Cas.counters option
 (** Store counters for this handle, or [None] when detached. *)

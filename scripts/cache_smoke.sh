@@ -5,10 +5,10 @@
 # Round 1: serve with an empty --store, analyze a workload (a compute
 # miss that must be persisted), shut down.  Round 2: restart on the same
 # store and analyze the same workload — the response must come from the
-# warmed cache (stats show store hits and zero analysis-cache misses,
-# i.e. zero recomputes) and be byte-identical to round 1 and to the
-# offline CLI.  Finally `repro cache verify` must pass over the store
-# the two servers produced.
+# warmed cache (stats show exactly one store hit, no store miss and zero
+# analysis-cache misses, i.e. zero recomputes) and be byte-identical to
+# round 1 and to the offline CLI.  Finally `repro cache verify` must pass
+# over the store the two servers produced.
 set -eu
 
 EXE=_build/default/bin/repro.exe
@@ -96,8 +96,11 @@ stop_server
 
 grep -q "warmed 1 cached analyses" "$OUT/server2.err" \
   || fail "restarted server did not warm from the store"
+# Warm reads the one stored entry once: exactly one store hit, no miss.
 hits=$(metric "$OUT/stats2.out" store.hits)
-[ "${hits:-0}" -ge 1 ] || fail "warm restart read nothing from the store (store.hits=$hits)"
+[ "${hits:-0}" -eq 1 ] || fail "warm restart expected 1 store hit (store.hits=$hits)"
+store_misses=$(metric "$OUT/stats2.out" store.misses)
+[ "${store_misses:-1}" -eq 0 ] || fail "warm restart missed the store (store.misses=$store_misses)"
 misses=$(metric "$OUT/stats2.out" cache.misses)
 [ "${misses:-1}" -eq 0 ] || fail "warm restart recomputed an analysis (cache.misses=$misses)"
 corrupt=$(metric "$OUT/stats2.out" store.corrupt)

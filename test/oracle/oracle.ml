@@ -181,3 +181,100 @@ module Cv = struct
     let re = if variance < 1e-12 then Array.make kmax 0.0 else Array.map (fun ek -> ek /. variance) e in
     { Rtree.Cv.k_values = Array.init kmax (fun i -> i + 1); e; re; variance }
 end
+
+(* The sample-line decoder Sampling.Trace_io had before it read by
+   position: Scanf per line, region fields by splitting on spaces.  The
+   shipped decoder must never accept what this one rejects, and must
+   agree with it bit for bit on what both accept. *)
+module Trace_io = struct
+  module Driver = Sampling.Driver
+
+  let version = 2
+
+  let fail_fmt fmt = Printf.ksprintf failwith fmt
+
+  let of_string ~label:path content =
+    if String.length content = 0 then fail_fmt "Trace_io.load: %s: empty file" path;
+    let file_version =
+      try Scanf.sscanf content "fuzzytrace %d" (fun v -> v)
+      with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+        fail_fmt "Trace_io.load: %s: not a fuzzytrace archive" path
+    in
+    let body =
+      (* v1 predates the trailer: nothing to validate against, so the body
+         is the whole file.  Everything newer must carry a valid trailer. *)
+      if file_version = 1 then content
+      else
+        match Stats.Checksum.unseal ~tag:"fuzzytrace" content with
+        | Ok body -> body
+        | Error reason -> fail_fmt "Trace_io.load: %s: %s" path reason
+    in
+    let lines = String.split_on_char '\n' body in
+    let header, sample_lines =
+      match lines with
+      | h :: rest -> (h, Array.of_list rest)
+      | [] -> fail_fmt "Trace_io.load: %s: no header" path
+    in
+    let workload, machine, period, ctx, io, os, total_instrs, total_cycles, n =
+      try
+        Scanf.sscanf header "fuzzytrace %d %s %s %d %d %d %d %d %h %d"
+          (fun v workload machine period ctx io os ti tc n ->
+            if v <> 1 && v <> version then
+              fail_fmt "Trace_io.load: version %d, expected 1 or %d" v version;
+            (workload, machine, period, ctx, io, os, ti, tc, n))
+      with
+      | Scanf.Scan_failure m | Failure m -> fail_fmt "Trace_io.load: bad header: %s" m
+      | End_of_file ->
+          (* A v1 archive cut off inside the header line: no trailer to
+             catch it first, so the scan itself runs out of input. *)
+          fail_fmt "Trace_io.load: %s: truncated header" path
+    in
+    (* The split of a '\n'-terminated body ends with one empty element. *)
+    if n < 0 || Array.length sample_lines < n + 1 then
+      fail_fmt "Trace_io.load: %d sample lines, header declares %d"
+        (Array.length sample_lines - 1)
+        n;
+    let samples =
+      Array.init n (fun i ->
+          let line = sample_lines.(i) in
+          try
+            Scanf.sscanf line "%d %d %d %h %h %h %h %h %d %d %n"
+              (fun eip tid instrs cycles work fe exe other os_instrs nregions pos ->
+                let rest = String.sub line pos (String.length line - pos) in
+                let fields =
+                  List.filter (fun s -> s <> "") (String.split_on_char ' ' rest)
+                in
+                if List.length fields <> 2 * nregions then
+                  fail_fmt "Trace_io.load: sample %d region arity" i;
+                let arr =
+                  try Array.of_list (List.map int_of_string fields)
+                  with Failure _ -> fail_fmt "Trace_io.load: sample %d: bad region field" i
+                in
+                let region_instrs =
+                  Array.init nregions (fun k -> (arr.(2 * k), arr.((2 * k) + 1)))
+                in
+                {
+                  Driver.eip;
+                  tid;
+                  instrs;
+                  cycles;
+                  breakdown = { March.Breakdown.work; fe; exe; other };
+                  os_instrs;
+                  region_instrs;
+                })
+          with
+          | Scanf.Scan_failure m -> fail_fmt "Trace_io.load: sample %d: %s" i m
+          | End_of_file -> fail_fmt "Trace_io.load: sample %d: truncated line" i)
+    in
+    {
+      Driver.workload;
+      machine;
+      samples;
+      period;
+      context_switches = ctx;
+      io_blocks = io;
+      os_instr_total = os;
+      total_instrs;
+      total_cycles;
+    }
+end

@@ -5,7 +5,9 @@
    request head through Http.parse_request.  Each property starts from
    valid bytes, applies seeded byte flips, truncations and insertions,
    and requires a value or the decoder's typed error — never any other
-   exception.  The seed comes from QCHECK_SEED, fixed in `make check`. *)
+   exception.  A trace archive the decoder accepts, mutated or a random
+   run's, must also decode to the same run under the Scanf decoder in
+   test/oracle.  The seed comes from QCHECK_SEED, fixed in `make check`. *)
 
 module W = Serve.Wire
 module P = Serve.Protocol
@@ -106,15 +108,98 @@ let prop_frame =
 
 let traces = [| read_file "fixtures/trace-v1.fuzzytrace"; read_file "fixtures/trace-v2.fuzzytrace" |]
 
+(* Runs are compared field by field, floats by their bits: NaNs and
+   signed zeros included. *)
+let same_run (a : Sampling.Driver.run) (b : Sampling.Driver.run) =
+  let open Sampling.Driver in
+  let same_float x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  let same_sample s t =
+    let u = s.breakdown and v = t.breakdown in
+    s.eip = t.eip && s.tid = t.tid && s.instrs = t.instrs
+    && same_float s.cycles t.cycles
+    && same_float u.March.Breakdown.work v.March.Breakdown.work
+    && same_float u.March.Breakdown.fe v.March.Breakdown.fe
+    && same_float u.March.Breakdown.exe v.March.Breakdown.exe
+    && same_float u.March.Breakdown.other v.March.Breakdown.other
+    && s.os_instrs = t.os_instrs && s.region_instrs = t.region_instrs
+  in
+  a.workload = b.workload && a.machine = b.machine && a.period = b.period
+  && a.context_switches = b.context_switches && a.io_blocks = b.io_blocks
+  && a.os_instr_total = b.os_instr_total && a.total_instrs = b.total_instrs
+  && same_float a.total_cycles b.total_cycles
+  && Array.length a.samples = Array.length b.samples
+  && Array.for_all2 same_sample a.samples b.samples
+
+(* Whatever the shipped decoder accepts, the Scanf decoder it replaced
+   (test/oracle) must accept too and decode to the same run. *)
+let agrees_with_oracle archive run =
+  match Oracle.Trace_io.of_string ~label:"oracle" archive with
+  | expected -> same_run run expected
+  | exception e ->
+      QCheck2.Test.fail_reportf "accepted what the Scanf decoder rejects (%s)"
+        (Printexc.to_string e)
+
 let prop_trace =
   QCheck2.Test.make ~name:"trace archive: Trace_io.of_string" ~count:1000
     QCheck2.Gen.(pair (int_bound 1) gen_mutations)
     (fun (i, ms) ->
       let archive = mutate traces.(i) ms in
-      total "Trace_io.of_string" (fun () ->
-          match Sampling.Trace_io.of_string ~label:"fuzz" archive with
-          | (_ : Sampling.Driver.run) -> ()
-          | exception Failure m when String.starts_with ~prefix:"Trace_io.load: " m -> ()))
+      match Sampling.Trace_io.of_string ~label:"fuzz" archive with
+      | run -> agrees_with_oracle archive run
+      | exception Failure m when String.starts_with ~prefix:"Trace_io.load: " m -> true
+      | exception e ->
+          QCheck2.Test.fail_reportf "Trace_io.of_string raised %s" (Printexc.to_string e))
+
+(* Random runs at the encoder's extremes: 0, max_int and min_int, and the
+   float bit patterns %h prints specially (signed zeros, subnormals,
+   infinities, NaNs of either sign), with 0-8 region pairs a sample. *)
+let gen_run =
+  let open QCheck2.Gen in
+  let int = oneof [ oneofl [ 0; max_int; min_int ]; int; small_signed_int ] in
+  let float =
+    oneof
+      [
+        oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; -.nan; Float.min_float ];
+        map Int64.float_of_bits int64;
+        (* subnormals, either sign *)
+        map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) int64;
+        float;
+      ]
+  in
+  let sample =
+    let* eip = int and* tid = int and* instrs = int and* os_instrs = int in
+    let* cycles = float and* work = float and* fe = float and* exe = float and* other = float in
+    let+ region_instrs = array_size (int_bound 8) (pair int int) in
+    {
+      Sampling.Driver.eip;
+      tid;
+      instrs;
+      cycles;
+      breakdown = { March.Breakdown.work; fe; exe; other };
+      os_instrs;
+      region_instrs;
+    }
+  in
+  let* period = int and* context_switches = int and* io_blocks = int in
+  let* os_instr_total = int and* total_instrs = int and* total_cycles = float in
+  let+ samples = array_size (int_bound 20) sample in
+  {
+    Sampling.Driver.workload = "gzip";
+    machine = "itanium2";
+    samples;
+    period;
+    context_switches;
+    io_blocks;
+    os_instr_total;
+    total_instrs;
+    total_cycles;
+  }
+
+let prop_trace_random_runs =
+  QCheck2.Test.make ~name:"trace archive: random runs decode as the Scanf decoder does"
+    ~count:300 ~print:Sampling.Trace_io.to_string gen_run (fun run ->
+      let archive = Sampling.Trace_io.to_string run in
+      agrees_with_oracle archive (Sampling.Trace_io.of_string ~label:"random" archive))
 
 (* [prop_trace] at QCHECK_SEED=1 found a v1 archive (no checksum) whose
    region field is not an integer escaping as a bare
@@ -210,6 +295,7 @@ let () =
   Alcotest.run "fuzz"
     [
       ( "mutation fuzz",
-        List.map QCheck_alcotest.to_alcotest [ prop_frame; prop_trace; prop_store; prop_http ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_frame; prop_trace; prop_trace_random_runs; prop_store; prop_http ] );
       ("regressions", [ Alcotest.test_case "trace archive" `Quick test_trace_regressions ]);
     ]

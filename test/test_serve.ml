@@ -367,6 +367,21 @@ let test_session_oversized () =
       | Error e -> Alcotest.fail ("expected Oversized, got " ^ W.error_to_string e)
       | Ok _ -> Alcotest.fail "oversized frame accepted")
 
+(* Once a session is closing nothing decodes its input, so what a peer
+   keeps sending (without reading its answers) must be dropped, not
+   buffered. *)
+let test_session_closing_drops_input () =
+  with_null_fd (fun fd ->
+      let sess = Serve.Session.create ~id:2 ~peer:"test" fd in
+      let frame = W.encode (P.encode_request (P.Analyze "gcc")) in
+      let half = Bytes.of_string (String.sub frame 0 (String.length frame / 2)) in
+      Serve.Session.feed sess half (Bytes.length half);
+      Serve.Session.mark_close sess;
+      let mib = Bytes.make (1 lsl 20) 'x' in
+      Serve.Session.feed sess mib (Bytes.length mib);
+      Alcotest.(check int) "buffered input unchanged" (Bytes.length half)
+        (snd (Serve.Session.input sess)))
+
 (* ---------------------------- e2e harness --------------------------- *)
 
 let start_server ?(jobs = 1) ?(extra = []) () =
@@ -1255,6 +1270,8 @@ let () =
         [
           Alcotest.test_case "incremental framing" `Quick test_session_incremental;
           Alcotest.test_case "oversized frame" `Quick test_session_oversized;
+          Alcotest.test_case "closing session drops input" `Quick
+            test_session_closing_drops_input;
         ] );
       ( "evloop",
         [

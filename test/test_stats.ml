@@ -351,6 +351,26 @@ let test_adler32 () =
   Alcotest.(check int) "adler32(Wikipedia)" 0x11E60398 (Stats.Checksum.adler32 "Wikipedia");
   Alcotest.(check int) "adler32 of empty" 1 (Stats.Checksum.adler32 "")
 
+(* The per-byte definition: both sums reduced after every byte. *)
+let adler32_bytewise s =
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod 65521;
+      b := (!b + !a) mod 65521)
+    s;
+  (!b lsl 16) lor !a
+
+(* Block sums reduce once per 5552 bytes; lengths at and past the block
+   edge, and all-'\255' strings (the largest sums a block can reach). *)
+let prop_adler32_blocks =
+  QCheck2.Test.make ~name:"adler32 block sums = per-byte sums" ~count:200
+    ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s))
+    QCheck2.Gen.(
+      let* n = oneof [ int_bound 20_000; oneofl [ 5551; 5552; 5553; 11104 ] ] in
+      oneof [ string_size (pure n); pure (String.make n '\255') ])
+    (fun s -> Stats.Checksum.adler32 s = adler32_bytewise s)
+
 let body = "header 1\nline two\n"
 let sealed = Stats.Checksum.seal ~tag:"fuzzytest" body
 
@@ -453,5 +473,6 @@ let () =
         :: List.map
              (fun ((name, _, _) as case) ->
                Alcotest.test_case ("unseal rejects " ^ name) `Quick (test_unseal_rejects case))
-             unseal_rejections );
+             unseal_rejections
+        @ qcheck [ prop_adler32_blocks ] );
     ]

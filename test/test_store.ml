@@ -68,17 +68,18 @@ let test_key_ignores_jobs () =
   let k4 = Store.Codec.canonical_key { config with Analysis.jobs = 4 } "gcc" in
   Alcotest.(check string) "jobs not in key" k1 k4
 
+(* [key] as another build of the analysis code would have written it. *)
+let with_foreign_stamp key =
+  String.split_on_char '\n' key
+  |> List.map (fun line ->
+         if line = "stamp " ^ Store.Version.code_stamp then "stamp other-code-v9" else line)
+  |> String.concat "\n"
+
 let test_key_rejects_foreign () =
   let key = Store.Codec.canonical_key config "gcc" in
   let stamped other = Option.is_some (Store.Codec.parse_key ~jobs:1 other) in
   Alcotest.(check bool) "own stamp parses" true (stamped key);
-  let foreign =
-    String.split_on_char '\n' key
-    |> List.map (fun line ->
-           if line = "stamp " ^ Store.Version.code_stamp then "stamp other-code-v9" else line)
-    |> String.concat "\n"
-  in
-  Alcotest.(check bool) "foreign stamp rejected" false (stamped foreign);
+  Alcotest.(check bool) "foreign stamp rejected" false (stamped (with_foreign_stamp key));
   Alcotest.(check bool) "garbage rejected" false (stamped "not a key\n")
 
 let test_digest_shape () =
@@ -286,6 +287,35 @@ let test_warm_restart_in_process () =
       Alcotest.(check int) "warm load counted as store hit" 1 c.Store.Cas.hits;
       Alcotest.(check int) "warm wrote nothing" 0 c.Store.Cas.writes)
 
+(* Warm's store accounting, one entry of each kind: a key that parses
+   counts a hit before its payload is decoded, as the [Cas.find] in
+   [probe] does, so an entry whose payload fails to decode is a hit and a
+   quarantine; a foreign key is neither; a damaged file is a quarantine
+   only. *)
+let test_warm_accounting () =
+  isolated (fun () ->
+      let dir = fresh_dir () in
+      let cas = Store.Cas.open_dir ~dir in
+      let key = Store.Codec.canonical_key config in
+      let payload = Store.Codec.encode_entry (Analysis.analyze config "gzip") in
+      Store.Cas.put cas ~key:(key "gzip") payload;
+      Store.Cas.put cas ~key:(with_foreign_stamp (key "gzip")) payload;
+      Store.Cas.put cas ~key:(key "mcf") payload;
+      let path = Store.Cas.path_of_digest cas (Store.Cas.digest_of_key (key "mcf")) in
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      ignore (Unix.lseek fd 200 Unix.SEEK_SET);
+      ignore (Unix.write fd (Bytes.of_string "X") 0 1);
+      Unix.close fd;
+      Store.Cas.put cas ~key:(key "gcc") "not a result payload";
+      Store.Result_cache.attach ~dir;
+      Alcotest.(check int) "one analysis warmed" 1 (Store.Result_cache.warm ~jobs:1 ());
+      let c = Option.get (Store.Result_cache.counters ()) in
+      Alcotest.(check (list int)) "hits, misses, writes, corrupt" [ 2; 0; 0; 2 ]
+        [ c.Store.Cas.hits; c.Store.Cas.misses; c.Store.Cas.writes; c.Store.Cas.corrupt ];
+      let s = Store.Cas.stats cas in
+      Alcotest.(check (pair int int)) "live and quarantined entries" (2, 2)
+        (s.Store.Cas.entries, s.Store.Cas.quarantined))
+
 (* The memory tier keys on the config by value: configs whose floats
    differ only past the sixth decimal have distinct store keys, so they
    must not share a memory entry either. *)
@@ -397,6 +427,7 @@ let () =
           Alcotest.test_case "corrupt entry falls back to recompute" `Quick
             test_tier_corrupt_entry_recomputes;
           Alcotest.test_case "warm restart in process" `Quick test_warm_restart_in_process;
+          Alcotest.test_case "warm accounting per entry kind" `Quick test_warm_accounting;
           Alcotest.test_case "single-flight persists once" `Quick
             test_single_flight_persists_once;
           Alcotest.test_case "memory key separates close floats" `Quick
