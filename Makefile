@@ -62,7 +62,7 @@ serve-smoke: build
 # Concurrent-load smoke (DESIGN.md §16): N forked clients against a
 # sharded server, every response byte-verified; phase two turns on
 # per-peer rate limiting and requires typed refusals with zero lost or
-# mismatched responses.  LOAD_EVLOOP/LOAD_SHARDS select backend/shards.
+# mismatched responses.  LOAD_SHARDS sets the shard count.
 load-smoke: build
 	sh scripts/load_test.sh
 
@@ -71,7 +71,7 @@ load-smoke: build
 # require zero lost/mismatched responses, counter consistency between
 # the scrape and the wire, a machine-normalised p99 within budget of the
 # committed BENCH_soak.json, and /health 200-while-serving /
-# 503-while-draining.  SOAK_EVLOOP/SOAK_SHARDS/SOAK_RPS etc. scale it.
+# 503-while-draining.  SOAK_SHARDS/SOAK_RPS etc. scale it.
 soak-smoke: build
 	sh scripts/soak_test.sh
 

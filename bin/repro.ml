@@ -425,29 +425,6 @@ let serve_cmd =
              shard runs its own event loop and session table, all feeding the one shared \
              worker pool.  Responses stay byte-identical for every value.")
   in
-  let backlog =
-    Arg.(
-      value
-      & opt (bounded_int ~min:1 ~what:"BACKLOG") Serve.Server.default_backlog
-      & info [ "backlog" ] ~docv:"N" ~doc:"listen(2) backlog for the accept socket.")
-  in
-  let evloop_conv =
-    let parse s =
-      match Evloop.backend_of_string s with
-      | Ok b -> Ok b
-      | Error m -> Error (`Msg m)
-    in
-    Arg.conv (parse, fun fmt b -> Format.pp_print_string fmt (Evloop.backend_name b))
-  in
-  let evloop =
-    Arg.(
-      value
-      & opt (some evloop_conv) None
-      & info [ "evloop" ] ~docv:"BACKEND"
-          ~doc:
-            "Event-loop backend: `epoll' (Linux) or `select' (portable).  Default: the best \
-             available.  Behavior is byte-identical on both; only scalability differs.")
-  in
   let rate_burst =
     Arg.(
       value
@@ -503,8 +480,7 @@ let serve_cmd =
              stderr as `metrics listening on ...').  Omit for no HTTP endpoint.")
   in
   let run config address queue max_conns timeout status store_dir io_shards
-      backlog evloop rate_burst rate_every max_request breaker_trip
-      breaker_probe metrics_port =
+      rate_burst rate_every max_request breaker_trip breaker_probe metrics_port =
     if status then
       match
         Serve.Client.with_connection address (fun c -> Serve.Client.call c Serve.Protocol.Stats)
@@ -522,11 +498,6 @@ let serve_cmd =
           Store.Result_cache.attach ~dir;
           let loaded = Store.Result_cache.warm ~jobs:config.Fuzzy.Analysis.jobs () in
           Printf.eprintf "repro-serve: store %s: warmed %d cached analyses\n%!" dir loaded);
-      (match evloop with
-      | Some Evloop.Epoll when not (Evloop.epoll_available ()) ->
-          Printf.eprintf "repro-serve: the epoll backend is not available on this platform\n";
-          exit 1
-      | _ -> ());
       let admission =
         {
           Admission.bucket_capacity = rate_burst;
@@ -551,8 +522,6 @@ let serve_cmd =
           max_connections = max 1 max_conns;
           request_timeout = timeout;
           io_shards;
-          backlog;
-          evloop;
           admission;
           metrics_port;
         }
@@ -575,8 +544,8 @@ let serve_cmd =
           --jobs value.")
     Term.(
       const run $ config_term $ address_term $ queue $ max_conns $ timeout $ status
-      $ store_dir $ io_shards $ backlog $ evloop $ rate_burst $ rate_every
-      $ max_request $ breaker_trip $ breaker_probe $ metrics_port)
+      $ store_dir $ io_shards $ rate_burst $ rate_every $ max_request $ breaker_trip
+      $ breaker_probe $ metrics_port)
 
 let client_cmd =
   let args =

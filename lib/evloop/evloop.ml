@@ -1,50 +1,12 @@
-(* Two backends behind one readiness API.  The ready sets are exposed as
-   membership queries (not an event list) so the caller's iteration order
-   — sessions sorted by connection id — is the only order that exists;
-   epoll's arrival order never becomes observable behavior.
-
-   The epoll externals live in evloop_stubs.c.  They traffic in plain
-   integers for ops/flags and return [(fd, flags) array]; on non-Linux
-   hosts the stubs compile to constant "unsupported" answers, so this
-   module is portable without conditional compilation on the OCaml side. *)
-
-type backend = Select | Epoll
-
-external epoll_supported : unit -> bool = "repro_epoll_supported"
-
-(* Returns the epoll fd, or -errno. *)
-external epoll_create : unit -> int = "repro_epoll_create"
-
-(* op: 0 = add, 1 = modify, 2 = delete; flags: bit0 = read, bit1 = write.
-   Returns 0 or -errno. *)
-external epoll_ctl : int -> int -> Unix.file_descr -> int -> int
-  = "repro_epoll_ctl"
-
-(* flags per entry as for epoll_ctl; error/hangup marks both bits so the
-   owner discovers the condition through an ordinary read/write attempt.
-   EINTR comes back as an empty array. *)
-external epoll_wait : int -> int -> (Unix.file_descr * int) array
-  = "repro_epoll_wait"
-
-(* The OCaml Unix module cannot mint a file_descr from an int; the stub
-   just reinterprets the (immediate) value. *)
-external fd_of_int : int -> Unix.file_descr = "repro_fd_of_int"
-
-let epoll_available () = epoll_supported ()
-let best () = if epoll_available () then Epoll else Select
-
-let backend_of_string = function
-  | "select" -> Ok Select
-  | "epoll" -> Ok Epoll
-  | s -> Error (Printf.sprintf "unknown event-loop backend %S (expected select or epoll)" s)
-
-let backend_name = function Select -> "select" | Epoll -> "epoll"
+(* The ready sets are exposed as membership queries (not an event list)
+   so the caller's iteration order — sessions sorted by connection id —
+   is the only order that exists.  [Unix.select] releases the domain lock
+   while it waits, so a shard parked here never stalls another domain's
+   stop-the-world GC. *)
 
 type interest = { mutable want_read : bool; mutable want_write : bool }
 
 type t = {
-  backend : backend;
-  epfd : int;  (* Epoll only; -1 for Select *)
   fds : (Unix.file_descr, interest) Hashtbl.t;
   ready_read : (Unix.file_descr, unit) Hashtbl.t;
   ready_write : (Unix.file_descr, unit) Hashtbl.t;
@@ -53,76 +15,39 @@ type t = {
   mutable woken : bool;
 }
 
-let uerror ~call errno =
-  raise (Unix.Unix_error (Unix.EUNKNOWNERR errno, call, ""))
-
-let create backend =
-  let epfd =
-    match backend with
-    | Select -> -1
-    | Epoll ->
-        let fd = epoll_create () in
-        if fd < 0 then uerror ~call:"epoll_create" (-fd);
-        fd
-  in
+let create () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  let t =
-    {
-      backend;
-      epfd;
-      fds = Hashtbl.create 64;
-      ready_read = Hashtbl.create 64;
-      ready_write = Hashtbl.create 64;
-      wake_r;
-      wake_w;
-      woken = false;
-    }
-  in
-  (match backend with
-  | Select -> ()
-  | Epoll ->
-      let rc = epoll_ctl t.epfd 0 wake_r 1 in
-      if rc < 0 then uerror ~call:"epoll_ctl" (-rc));
-  t
+  {
+    fds = Hashtbl.create 64;
+    ready_read = Hashtbl.create 64;
+    ready_write = Hashtbl.create 64;
+    wake_r;
+    wake_w;
+    woken = false;
+  }
 
-let backend t = t.backend
-
-let flags_of ~read ~write = (if read then 1 else 0) lor (if write then 2 else 0)
+(* [Unix.select] checks every descriptor against FD_SETSIZE before the
+   system call and raises EINVAL for one past it; with a zero timeout the
+   probe of an accepted descriptor returns at once. *)
+let watchable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (_, _, _) -> false
 
 let add t fd ~read ~write =
-  Hashtbl.replace t.fds fd { want_read = read; want_write = write };
-  match t.backend with
-  | Select -> ()
-  | Epoll ->
-      let rc = epoll_ctl t.epfd 0 fd (flags_of ~read ~write) in
-      if rc < 0 then uerror ~call:"epoll_ctl" (-rc)
+  if not (watchable fd) then raise (Unix.Unix_error (Unix.EINVAL, "Evloop.add", ""));
+  Hashtbl.replace t.fds fd { want_read = read; want_write = write }
 
 let modify t fd ~read ~write =
   match Hashtbl.find_opt t.fds fd with
   | None -> add t fd ~read ~write
   | Some i ->
-      if i.want_read <> read || i.want_write <> write then begin
-        i.want_read <- read;
-        i.want_write <- write;
-        match t.backend with
-        | Select -> ()
-        | Epoll ->
-            let rc = epoll_ctl t.epfd 1 fd (flags_of ~read ~write) in
-            if rc < 0 then uerror ~call:"epoll_ctl" (-rc)
-      end
+      i.want_read <- read;
+      i.want_write <- write
 
-let remove t fd =
-  if Hashtbl.mem t.fds fd then begin
-    Hashtbl.remove t.fds fd;
-    match t.backend with
-    | Select -> ()
-    | Epoll ->
-        (* A descriptor closed elsewhere is already gone from the epoll
-           set; a best-effort delete keeps remove idempotent. *)
-        ignore (epoll_ctl t.epfd 2 fd 0)
-  end
+let remove t fd = Hashtbl.remove t.fds fd
 
 let drain_wake t =
   let buf = Bytes.create 64 in
@@ -137,7 +62,10 @@ let drain_wake t =
   in
   go ()
 
-let wait_select t ~timeout_ms =
+let wait t ~timeout_ms =
+  Hashtbl.reset t.ready_read;
+  Hashtbl.reset t.ready_write;
+  t.woken <- false;
   (* Sorted enumeration (Stats.Det): the fd_set argument order is then a
      pure function of the watched set, like everything else here. *)
   let watched = Stats.Det.hashtbl_bindings t.fds in
@@ -156,25 +84,6 @@ let wait_select t ~timeout_ms =
       List.iter (fun fd -> Hashtbl.replace t.ready_write fd ()) writable
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let wait_epoll t ~timeout_ms =
-  let events = epoll_wait t.epfd timeout_ms in
-  Array.iter
-    (fun (fd, flags) ->
-      if fd = t.wake_r then drain_wake t
-      else begin
-        if flags land 1 <> 0 then Hashtbl.replace t.ready_read fd ();
-        if flags land 2 <> 0 then Hashtbl.replace t.ready_write fd ()
-      end)
-    events
-
-let wait t ~timeout_ms =
-  Hashtbl.reset t.ready_read;
-  Hashtbl.reset t.ready_write;
-  t.woken <- false;
-  match t.backend with
-  | Select -> wait_select t ~timeout_ms
-  | Epoll -> wait_epoll t ~timeout_ms
-
 let readable t fd = Hashtbl.mem t.ready_read fd
 let writable t fd = Hashtbl.mem t.ready_write fd
 let woken t = t.woken
@@ -188,5 +97,4 @@ let wake t =
 let close t =
   let quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> () in
   quietly t.wake_r;
-  quietly t.wake_w;
-  if t.epfd >= 0 then quietly (fd_of_int t.epfd)
+  quietly t.wake_w

@@ -1,12 +1,12 @@
-(** A uniform readiness API over [epoll] (Linux) and [Unix.select] (the
-    portable fallback), for the serve layer's per-shard IO loops.
+(** A readiness API over [Unix.select], for the serve layer's per-shard
+    IO loops.
 
     One {!t} watches a set of file descriptors for read and/or write
     interest.  {!wait} blocks until something is ready (or the timeout
     elapses), then {!readable} and {!writable} answer membership queries
     against the ready set of that wait — the caller iterates its own
-    (deterministically ordered) session list and asks, so event delivery
-    order never leaks into behavior, whichever backend produced it.
+    (deterministically ordered) session list and asks, so the order in
+    which the kernel reports readiness never leaks into behavior.
 
     Every loop owns a self-pipe wakeup: {!wake} is safe to call from any
     domain (pool workers, sibling shards, signal handlers) and makes the
@@ -14,36 +14,31 @@
     wakeup pipe is drained internally; it is never visible as a readable
     descriptor.
 
+    [select] watches only descriptors numbered below [FD_SETSIZE] (1024
+    on Linux).  {!add} refuses any other, so one such descriptor can
+    never make every later {!wait} fail; callers that accept connections
+    ask {!watchable} first.
+
     Failures surface as [Unix.Unix_error]; the module never raises
     [Failure]/[Invalid_argument] on the serve path (G003).  Descriptors
-    must be {!remove}d before they are closed — both backends index by
-    raw descriptor, and select would die with [EBADF] on a stale one. *)
-
-type backend = Select | Epoll
+    must be {!remove}d before they are closed — select would die with
+    [EBADF] on a stale one. *)
 
 type t
 
-val epoll_available : unit -> bool
-(** [true] iff the epoll stubs are backed by a real Linux epoll. *)
+val create : unit -> t
 
-val best : unit -> backend
-(** [Epoll] when available, else [Select]. *)
-
-val backend_of_string : string -> (backend, string) result
-(** ["select"] / ["epoll"] (case-sensitive); anything else is an
-    [Error] naming the valid spellings. *)
-
-val backend_name : backend -> string
-
-val create : backend -> t
-(** Raises [Unix.Unix_error (EUNKNOWNERR _, "epoll_create", _)] if the
-    [Epoll] backend is requested where it is unavailable — callers gate
-    on {!epoll_available} or use {!best}. *)
-
-val backend : t -> backend
+val watchable : Unix.file_descr -> bool
+(** Can {!wait} watch this descriptor?  [false] for one numbered at or
+    past [FD_SETSIZE], which [Unix.select] refuses with [EINVAL]. *)
 
 val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
+(** Raises [Unix.Unix_error (EINVAL, "Evloop.add", _)], leaving the
+    loop unchanged, for a descriptor that is not {!watchable}. *)
+
 val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
+(** Set the interest of a watched descriptor; one not yet watched is
+    {!add}ed. *)
 
 val remove : t -> Unix.file_descr -> unit
 (** Forget a descriptor.  Must precede [Unix.close].  Removing a
@@ -66,5 +61,5 @@ val wake : t -> unit
 (** Thread-/domain-safe: nudge the loop out of {!wait}. *)
 
 val close : t -> unit
-(** Release the backend's descriptors (epoll fd, wakeup pipe).  Watched
-    descriptors themselves are not closed. *)
+(** Release the wakeup pipe.  Watched descriptors themselves are not
+    closed. *)

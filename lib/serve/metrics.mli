@@ -38,7 +38,9 @@ type hist_snapshot = {
 type snapshot = {
   connections_accepted : int;
   connections_active : int;  (** gauge: currently open sessions *)
-  connections_refused : int;  (** turned away at the max-connections cap *)
+  connections_refused : int;
+      (** turned away [Busy]: at the max-connections cap, while draining,
+          or on a descriptor the event loop cannot watch *)
   requests_total : int;
   requests_by_kind : (string * int) list;  (** sorted by kind *)
   responses_ok : int;

@@ -2,37 +2,30 @@ type address = Unix_socket of string | Tcp of int
 
 type config = {
   analysis : Fuzzy.Analysis.config;
-  pipeline : Online.Pipeline.config;
   queue_capacity : int;
   max_connections : int;
   request_timeout : float option;
-  max_payload : int;
   io_shards : int;
-  backlog : int;
-  evloop : Evloop.backend option;
-      (* None = best available (epoll on Linux, else select) *)
   admission : Admission.config;
   metrics_port : int option;
       (* loopback TCP port for the HTTP /metrics + /health endpoint
          (0 = OS-assigned, reported via on_event); None = no endpoint *)
 }
 
-let default_backlog = 128
-
 let config_of_analysis analysis =
   {
     analysis;
-    pipeline = { Online.Pipeline.default with analysis };
     queue_capacity = 64;
     max_connections = 32;
     request_timeout = None;
-    max_payload = Wire.default_max_payload;
     io_shards = 1;
-    backlog = default_backlog;
-    evloop = None;
     admission = Admission.off;
     metrics_port = None;
   }
+
+(* listen(2) backlog of the RPC socket; the kernel clamps it to its own
+   limit. *)
+let rpc_backlog = 128
 
 let describe_address = function
   | Unix_socket path -> "unix:" ^ path
@@ -103,9 +96,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
   let metrics = Metrics.create () in
   let nshards = max 1 cfg.io_shards in
   Metrics.set_io_shards metrics nshards;
-  let backend =
-    match cfg.evloop with Some b -> b | None -> Evloop.best ()
-  in
+  let pipeline = { Online.Pipeline.default with analysis = cfg.analysis } in
   let admission = Admission.create cfg.admission in
   let sync_store_counters () =
     match Store.Result_cache.counters () with
@@ -157,7 +148,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Array.init nshards (fun idx ->
         {
           idx;
-          ev = Evloop.create backend;
+          ev = Evloop.create ();
           sessions = Hashtbl.create 16;
           inbox = Queue.create ();
           inbox_mutex = Mutex.create ();
@@ -178,12 +169,11 @@ let run ?(on_event = fun _ -> ()) cfg address =
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle stop_signal) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal) in
-  let listen_fd = listen_socket address ~backlog:cfg.backlog in
+  let listen_fd = listen_socket address ~backlog:rpc_backlog in
   on_event
-    (Printf.sprintf
-       "listening on %s (jobs=%d, io-shards=%d, evloop=%s, queue=%d, max-conns=%d)"
+    (Printf.sprintf "listening on %s (jobs=%d, io-shards=%d, queue=%d, max-conns=%d)"
        (describe_address address) cfg.analysis.Fuzzy.Analysis.jobs nshards
-       (Evloop.backend_name backend) cfg.queue_capacity cfg.max_connections);
+       cfg.queue_capacity cfg.max_connections);
 
   (* ---- HTTP metrics endpoint (owned by shard 0) ------------------- *)
   let metrics_listen =
@@ -493,7 +483,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
                  })
         | None ->
             Session.open_pipeline sess
-              (Online.Pipeline.create ~name cfg.pipeline);
+              (Online.Pipeline.create ~name pipeline);
             respond sess seq (Protocol.Ingest_ack name))
     | Protocol.Ingest_feed samples -> (
         match Session.pipeline sess with
@@ -562,7 +552,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
   in
   let rec drain_frames sess =
     if not (Session.closing sess) then
-      match Session.next_frame sess ~max_payload:cfg.max_payload with
+      match Session.next_frame sess ~max_payload:Wire.default_max_payload with
       | Ok None -> ()
       | Ok (Some payload) ->
           (match Protocol.decode_request payload with
@@ -606,6 +596,12 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Hashtbl.replace sh.sessions id sess;
     Evloop.add sh.ev fd ~read:true ~write:false
   in
+  (* Out of descriptors (EMFILE/ENFILE), a listener stays readable with
+     nothing it can accept: polling it would spin shard 0.  The listeners
+     then sit out one wait, which ends at the next 100 ms tick or sooner
+     at a session event (a peer's EOF, whose drop frees a descriptor, is
+     one); meanwhile new connections queue in the kernel backlog. *)
+  let accept_paused = ref false in
   (* Shard 0 only, for either listener.  One readiness event may announce
      many queued connections: drain the whole accept backlog until
      EAGAIN, handing each connection to [admit]. *)
@@ -616,15 +612,22 @@ let run ?(on_event = fun _ -> ()) cfg address =
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           continue := false
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          accept_paused := true;
+          continue := false
       | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
           ()
       | fd, addr -> admit fd addr
     done
   in
   let admit_rpc fd addr =
+    (* Checked before any accounting: a descriptor select cannot watch
+       gets the connection-cap answer instead of a session. *)
+    let watchable = Evloop.watchable fd in
     let refused =
       locked (fun () ->
-          if Atomic.get draining || !active >= cfg.max_connections then begin
+          if Atomic.get draining || !active >= cfg.max_connections || not watchable
+          then begin
             Metrics.incr_refused metrics;
             true
           end
@@ -638,6 +641,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
     if refused then begin
       let message =
         if Atomic.get draining then "server is draining"
+        else if not watchable then "connection limit reached (descriptor past FD_SETSIZE)"
         else
           Printf.sprintf "connection limit reached (max %d)" cfg.max_connections
       in
@@ -673,12 +677,20 @@ let run ?(on_event = fun _ -> ()) cfg address =
     end
   in
   (* Scrapes are never refused: /health must keep answering (503) for
-     the whole drain. *)
+     the whole drain.  One on a descriptor select cannot watch is only
+     closed. *)
   let admit_scrape fd _ =
-    Unix.set_nonblock fd;
-    let id = !next_scrape_id in
-    decr next_scrape_id;
-    add_session shards.(0) id fd "scrape"
+    if not (Evloop.watchable fd) then close_quietly fd
+    else begin
+      Unix.set_nonblock fd;
+      let id = !next_scrape_id in
+      decr next_scrape_id;
+      add_session shards.(0) id fd "scrape"
+    end
+  in
+  let listeners =
+    (listen_fd, admit_rpc)
+    :: Option.fold ~none:[] ~some:(fun mfd -> [ (mfd, admit_scrape) ]) metrics_listen
   in
   let process_inbox sh =
     Mutex.lock sh.inbox_mutex;
@@ -852,13 +864,18 @@ let run ?(on_event = fun _ -> ()) cfg address =
             ~read:(not (Session.eof s))
             ~write:(Session.has_output s))
         (sorted_sessions sh);
-      Evloop.wait sh.ev ~timeout_ms:100;
       if sh.idx = 0 then begin
-        if Evloop.readable sh.ev listen_fd then accept_all listen_fd admit_rpc;
-        match metrics_listen with
-        | Some mfd when Evloop.readable sh.ev mfd -> accept_all mfd admit_scrape
-        | Some _ | None -> ()
+        List.iter
+          (fun (lfd, _) ->
+            Evloop.modify sh.ev lfd ~read:(not !accept_paused) ~write:false)
+          listeners;
+        accept_paused := false
       end;
+      Evloop.wait sh.ev ~timeout_ms:100;
+      if sh.idx = 0 then
+        List.iter
+          (fun (lfd, admit) -> if Evloop.readable sh.ev lfd then accept_all lfd admit)
+          listeners;
       process_inbox sh;
       List.iter
         (fun sess ->
@@ -875,10 +892,6 @@ let run ?(on_event = fun _ -> ()) cfg address =
     List.iter (fun sess -> drop_session sh sess) (sorted_sessions sh);
     Evloop.close sh.ev
   in
-  Evloop.add shards.(0).ev listen_fd ~read:true ~write:false;
-  Option.iter
-    (fun mfd -> Evloop.add shards.(0).ev mfd ~read:true ~write:false)
-    metrics_listen;
   let workers =
     Array.map
       (fun sh -> Parallel.Io.spawn (fun () -> shard_loop sh; finish_shard sh))

@@ -1,7 +1,6 @@
-(** The analysis server: [io_shards] accept/IO event loops ({!Evloop}:
-    epoll or select) that parse framed {!Protocol} requests, gate the
-    heavy ones through {!Admission} and fan them out onto the shared
-    {!Parallel.Pool}.
+(** The analysis server: [io_shards] accept/IO event loops ({!Evloop})
+    that parse framed {!Protocol} requests, gate the heavy ones through
+    {!Admission} and fan them out onto the shared {!Parallel.Pool}.
 
     {b Concurrency shape.}  Shard 0 runs on the calling thread and owns
     the listening socket; shards 1..N-1 are {!Parallel.Io} domains.  A
@@ -16,7 +15,7 @@
     whatever order the pool finishes them but written strictly in
     per-connection request order ({!Session}), so a conversation's bytes
     are a pure function of the requests — bit-identical for every
-    [--jobs], every [--io-shards] and both evloop backends.
+    [--jobs] and every [--io-shards].
 
     {b Admission.}  When configured, heavy requests pass a per-peer
     token bucket, a request-size budget and a per-peer circuit breaker
@@ -34,6 +33,13 @@
     in the queue: expiry is checked {e before} submission, so a request
     either times out while waiting (deterministically, for [--timeout 0])
     or runs to completion — a result is never half-delivered.
+
+    {b Descriptors.}  An accepted connection whose descriptor
+    {!Evloop} cannot watch (numbered at or past [FD_SETSIZE]) is
+    refused like one past [max_connections]: [Busy], then closed.  When
+    [accept] runs out of descriptors ([EMFILE]/[ENFILE]) the listeners
+    sit out one loop wait and new connections queue in the kernel
+    backlog until a descriptor frees.
 
     {b Shutdown.}  A [Shutdown] request or SIGINT/SIGTERM starts a drain:
     new connections are refused, new heavy requests answer [Overloaded],
@@ -59,14 +65,10 @@ type config = {
   analysis : Fuzzy.Analysis.config;
       (** the configuration every served analysis runs under (seed,
           scale, interval geometry, [jobs] = pool width) *)
-  pipeline : Online.Pipeline.config;  (** per-session ingest streams *)
   queue_capacity : int;  (** bounded heavy-request queue *)
   max_connections : int;  (** cap; excess connections get [Busy] *)
   request_timeout : float option;  (** max seconds queued, [None] = no limit *)
-  max_payload : int;  (** per-frame payload cap in bytes *)
   io_shards : int;  (** accept/IO domains (clamped to at least 1) *)
-  backlog : int;  (** listen(2) backlog *)
-  evloop : Evloop.backend option;  (** [None] = {!Evloop.best} *)
   admission : Admission.config;  (** {!Admission.off} disables all gates *)
   metrics_port : int option;
       (** loopback TCP port for the HTTP [/metrics] + [/health]
@@ -77,17 +79,14 @@ type config = {
           budgets, and are answered even while draining. *)
 }
 
-val default_backlog : int
-(** 128 — [SOMAXCONN]-ish; the kernel clamps to its own limit anyway. *)
-
 val config_of_analysis : Fuzzy.Analysis.config -> config
-(** Defaults: pipeline from {!Online.Pipeline.default} with the given
-    analysis config; queue 64; 32 connections; no timeout;
-    {!Wire.default_max_payload}; one IO shard; {!default_backlog}; best
-    evloop backend; admission off; no metrics endpoint. *)
+(** Defaults: queue 64; 32 connections; no timeout; one IO shard;
+    admission off; no metrics endpoint. *)
 
 val run : ?on_event:(string -> unit) -> config -> address -> Metrics.snapshot
-(** Bind, listen and serve until drained ([Shutdown] request or
-    SIGINT/SIGTERM).  [on_event] receives human-readable lifecycle lines
-    ("listening on ...", "draining ..."); the library itself never prints.
-    Returns the final metrics snapshot. *)
+(** Bind, listen (backlog 128) and serve until drained ([Shutdown]
+    request or SIGINT/SIGTERM).  Ingest streams run
+    {!Online.Pipeline.default} under [analysis]; frames are capped at
+    {!Wire.default_max_payload}.  [on_event] receives human-readable
+    lifecycle lines ("listening on ...", "draining ..."); the library
+    itself never prints.  Returns the final metrics snapshot. *)

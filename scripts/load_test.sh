@@ -14,8 +14,7 @@
 #      refusals after that — refusals MUST appear, and responses must
 #      still be complete and byte-stable.
 #
-# Knobs (also used by the CI matrix):
-#   LOAD_EVLOOP   epoll|select  evloop backend (default: runtime best)
+# Knobs (also used by CI):
 #   LOAD_SHARDS   N             --io-shards for the server (default 4)
 #   LOAD_CLIENTS  N             concurrent client processes (default 8)
 #   LOAD_REQUESTS M             requests per client (default 60)
@@ -29,9 +28,6 @@ DRAIN_TIMEOUT="${LOAD_SMOKE_DRAIN:-30}"
 SHARDS="${LOAD_SHARDS:-4}"
 CLIENTS="${LOAD_CLIENTS:-8}"
 REQUESTS="${LOAD_REQUESTS:-60}"
-
-EVLOOP_ARGS=""
-[ -n "${LOAD_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${LOAD_EVLOOP}"
 
 [ -x "$EXE" ] || { echo "load-smoke: $EXE not built (run dune build @all)" >&2; exit 1; }
 [ -x "$BENCH" ] || { echo "load-smoke: $BENCH not built (run dune build @all)" >&2; exit 1; }
@@ -66,9 +62,8 @@ run_phase() {
     PHASE="$1"; REFUSALS="$2"; shift 2
     SOCK="${TMPDIR:-/tmp}/repro-load-$$-$PHASE.sock"
     rm -f "$SOCK"
-    # shellcheck disable=SC2086  # EVLOOP_ARGS is intentionally word-split
     "$EXE" serve --quick --socket "$SOCK" --jobs 2 \
-        --io-shards "$SHARDS" $EVLOOP_ARGS "$@" \
+        --io-shards "$SHARDS" "$@" \
         > "$OUT/server.out" 2> "$OUT/server.err" &
     SERVER_PID=$!
 
@@ -110,4 +105,4 @@ trap 'if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi' 
 run_phase open zero
 run_phase limited some --rate-burst 2 --rate-every 1000000
 
-echo "load-smoke: ${CLIENTS}x${REQUESTS} clean under open and rate-limited admission (shards=$SHARDS${LOAD_EVLOOP:+, evloop=$LOAD_EVLOOP})"
+echo "load-smoke: ${CLIENTS}x${REQUESTS} clean under open and rate-limited admission (shards=$SHARDS)"

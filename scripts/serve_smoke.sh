@@ -17,9 +17,9 @@
 # wedged server fails the smoke with diagnostics instead of hanging CI
 # until the job-level kill.
 #
-# SERVE_EVLOOP (epoll|select) and SERVE_SHARDS (N) select the evloop
-# backend and IO shard count — the CI matrix runs this smoke under both
-# backends; byte-equality against the offline CLI must hold under all.
+# SERVE_SHARDS (N) sets the IO shard count — CI also runs this smoke at
+# 4 shards; byte-equality against the offline CLI must hold at every
+# count.
 set -eu
 
 EXE=_build/default/bin/repro.exe
@@ -28,9 +28,6 @@ SOCK="${TMPDIR:-/tmp}/repro-smoke-$$.sock"
 STEP_TIMEOUT="${SERVE_SMOKE_TIMEOUT:-120}"   # seconds per client step
 DRAIN_TIMEOUT="${SERVE_SMOKE_DRAIN:-30}"     # seconds for server exit after shutdown
 SHARDS="${SERVE_SHARDS:-1}"
-
-EVLOOP_ARGS=""
-[ -n "${SERVE_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${SERVE_EVLOOP}"
 
 [ -x "$EXE" ] || { echo "serve-smoke: $EXE not built (run dune build @all)" >&2; exit 1; }
 command -v curl > /dev/null 2>&1 || { echo "serve-smoke: curl is required" >&2; exit 1; }
@@ -64,9 +61,8 @@ bounded() {
     fi
 }
 
-# shellcheck disable=SC2086  # EVLOOP_ARGS is intentionally word-split
 "$EXE" serve --quick --socket "$SOCK" --jobs 2 --io-shards "$SHARDS" \
-    --metrics-port 0 $EVLOOP_ARGS \
+    --metrics-port 0 \
     > "$OUT/server.out" 2> "$OUT/server.err" &
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$SOCK"' EXIT

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Soak test against the operational surface, gated as `make soak-smoke`
-# and in the CI soak job (matrix: select/epoll); the nightly workflow
-# reruns it with bigger knobs.
+# and in the CI soak job; the nightly workflow reruns it with bigger
+# knobs.
 #
 # Starts `repro serve` with the HTTP metrics endpoint on an OS-assigned
 # port, then:
@@ -24,8 +24,7 @@
 # SOAK_WRITE_BASELINE=1 refreshes BENCH_soak.json from the fresh run
 # instead of gating against it (`make soak-baseline`).
 #
-# Knobs (also used by the CI matrix):
-#   SOAK_EVLOOP    epoll|select  evloop backend (default: runtime best)
+# Knobs (also used by the nightly workflow):
 #   SOAK_SHARDS    N             --io-shards for the server (default 1)
 #   SOAK_CLIENTS   N             concurrent client processes (default 4)
 #   SOAK_RPS       R             target requests/sec across clients (default 150)
@@ -45,9 +44,6 @@ CLIENTS="${SOAK_CLIENTS:-4}"
 RPS="${SOAK_RPS:-150}"
 DURATION="${SOAK_DURATION:-4}"
 TOL="${SOAK_P99_TOL:-4.0}"
-
-EVLOOP_ARGS=""
-[ -n "${SOAK_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${SOAK_EVLOOP}"
 
 [ -x "$EXE" ] || { echo "soak: $EXE not built (run dune build @all)" >&2; exit 1; }
 [ -x "$BENCH" ] || { echo "soak: $BENCH not built (run dune build @all)" >&2; exit 1; }
@@ -82,9 +78,8 @@ bounded() {
     fi
 }
 
-# shellcheck disable=SC2086  # EVLOOP_ARGS is intentionally word-split
 "$EXE" serve --quick --socket "$SOCK" --jobs 2 --io-shards "$SHARDS" \
-    --metrics-port 0 $EVLOOP_ARGS \
+    --metrics-port 0 \
     > "$OUT/server.out" 2> "$OUT/server.err" &
 SERVER_PID=$!
 trap 'if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi; rm -f "$SOCK"' EXIT
@@ -219,7 +214,7 @@ SERVER_PID=""
 # CI step summary: a small markdown table when the workflow provides it.
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
     {
-        echo "### Soak (${SOAK_EVLOOP:-best} evloop, shards=$SHARDS)"
+        echo "### Soak (shards=$SHARDS)"
         echo ""
         echo "| clients | rps target | duration | sent | lost | mismatched | p50 us | p99 us |"
         echo "|---|---|---|---|---|---|---|---|"
@@ -237,4 +232,4 @@ if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
     } >> "$GITHUB_STEP_SUMMARY"
 fi
 
-echo "soak: PASS (${CLIENTS} clients at ${RPS} rps for ${DURATION}s, zero lost, scrape consistent${SOAK_EVLOOP:+, evloop=$SOAK_EVLOOP})"
+echo "soak: PASS (${CLIENTS} clients at ${RPS} rps for ${DURATION}s, zero lost, scrape consistent)"

@@ -384,19 +384,27 @@ let test_session_closing_drops_input () =
 
 (* ---------------------------- e2e harness --------------------------- *)
 
-let start_server ?(jobs = 1) ?(extra = []) () =
+(* [nofile] runs the server under `ulimit -n nofile`, through sh, whose
+   exec leaves the server with sh's pid. *)
+let start_server ?(jobs = 1) ?nofile ?(extra = []) () =
   let sock = Filename.temp_file "repro_serve_test" ".sock" in
   Sys.remove sock;
   let argv =
     [ repro_exe; "serve"; "--quick"; "--socket"; sock; "--jobs"; string_of_int jobs ]
     @ extra
   in
+  let argv =
+    match nofile with
+    | None -> argv
+    | Some n ->
+        [ "/bin/sh"; "-c"; Printf.sprintf "ulimit -n %d && exec \"$0\" \"$@\"" n ] @ argv
+  in
   flush stdout;
   flush stderr;
   let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
-    Unix.create_process repro_exe (Array.of_list argv) null_in null_out null_out
+    Unix.create_process (List.hd argv) (Array.of_list argv) null_in null_out null_out
   in
   Unix.close null_in;
   Unix.close null_out;
@@ -525,27 +533,19 @@ let test_jobs_byte_equality () =
       Alcotest.(check string) "served analyze = offline analyze" offline text
   | Ok _ | Stdlib.Error _ -> Alcotest.fail "expected a Report response"
 
-(* Shard fan-out must be invisible in the bytes: 4 IO shards (on each
-   available evloop backend) reproduce the single-shard transcripts
-   exactly, because every connection's ledger lives on one shard and the
-   responses are pure functions of the requests. *)
+(* Shard fan-out must be invisible in the bytes: 4 IO shards reproduce
+   the single-shard transcripts exactly, because every connection's
+   ledger lives on one shard and the responses are pure functions of the
+   requests. *)
 let test_shards_byte_equality () =
   let baseline = collect_run 4 in
-  let backends =
-    [ "select" ] @ (if Evloop.epoll_available () then [ "epoll" ] else [])
-  in
-  List.iter
-    (fun backend ->
-      let sharded =
-        collect_run ~extra:[ "--io-shards"; "4"; "--evloop"; backend ] 4
-      in
-      List.iteri
-        (fun i (a, b) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "client %d identical at 1 vs 4 shards (%s)" i backend)
-            true (String.equal a b))
-        (List.combine baseline sharded))
-    backends
+  let sharded = collect_run ~extra:[ "--io-shards"; "4" ] 4 in
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "client %d identical at 1 vs 4 shards" i)
+        true (String.equal a b))
+    (List.combine baseline sharded)
 
 (* ------------------- e2e: backpressure and deadlines ---------------- *)
 
@@ -769,6 +769,22 @@ let cpu_seconds pid =
   let fields = Array.of_list (String.split_on_char ' ' rest) in
   float_of_int (int_of_string fields.(11) + int_of_string fields.(12)) /. 100.0
 
+(* A raw client socket, connected once the server listens. *)
+let connect_raw sock =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec go tries =
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+        Unix.sleepf 0.05;
+        go (tries - 1)
+    | exception e ->
+        Unix.close fd;
+        raise e
+  in
+  go 200
+
 (* A client that sends one cold analyze and half-closes its socket must
    get the offline report, and the server must not spin re-reading EOF
    while the answer computes: on a host with a core per job, its CPU
@@ -779,19 +795,10 @@ let test_half_close () =
   Fun.protect
     ~finally:(fun () -> stop_server server)
     (fun () ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let fd = connect_raw sock in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          let rec connect tries =
-            match Unix.connect fd (Unix.ADDR_UNIX sock) with
-            | () -> ()
-            | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-              when tries > 0 ->
-                Unix.sleepf 0.05;
-                connect (tries - 1)
-          in
-          connect 200;
           let cpu0 = cpu_seconds pid and t0 = Serve.Clock.now () in
           W.write_frame fd (P.encode_request (P.Analyze "gcc"));
           Unix.shutdown fd Unix.SHUTDOWN_SEND;
@@ -807,6 +814,133 @@ let test_half_close () =
             Alcotest.(check bool)
               (Printf.sprintf "server cpu %.2fs < 1.4 x wall %.2fs" cpu wall)
               true (cpu < 1.4 *. wall)))
+
+(* ----------------------- e2e: descriptor limits --------------------- *)
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+let alive pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with 0, _ -> true | _ -> false
+
+let is_busy = function P.Error { code = P.Busy; _ } -> true | _ -> false
+
+(* Out of descriptors, accept fails with EMFILE and the listener stays
+   readable: the server must neither die nor spin.  Under `ulimit -n 16`
+   twenty idle connections exhaust its table; those it cannot accept wait
+   in the kernel backlog, and once the clients hang up a fresh one is
+   answered. *)
+let test_accept_out_of_descriptors () =
+  let ((sock, pid) as server) = start_server ~nofile:16 () in
+  let conns = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_quietly !conns;
+      stop_server server)
+    (fun () ->
+      for _ = 1 to 20 do
+        conns := connect_raw sock :: !conns
+      done;
+      Unix.sleepf 0.2;
+      Alcotest.(check bool) "server alive past its descriptor limit" true (alive pid);
+      let cpu0 = cpu_seconds pid in
+      Unix.sleepf 1.0;
+      let cpu = cpu_seconds pid -. cpu0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "server cpu %.2fs over 1s saturated < 0.5s" cpu)
+        true (cpu < 0.5);
+      Alcotest.(check bool) "server still alive" true (alive pid);
+      List.iter close_quietly !conns;
+      conns := [];
+      Serve.Client.with_connection ~retry_for:200 (Serve.Server.Unix_socket sock)
+        (fun conn ->
+          match call_ok conn P.Health with
+          | P.Health_ok _ -> ()
+          | resp -> Alcotest.fail ("health after close: " ^ P.render_response resp)))
+
+(* This process's soft RLIMIT_NOFILE, which the servers it starts inherit. *)
+let nofile_limit () =
+  let ic = Unix.open_process_in "ulimit -n" in
+  let limit = String.trim (In_channel.input_all ic) in
+  ignore (Unix.close_process_in ic);
+  Option.value ~default:max_int (int_of_string_opt limit)
+
+(* 1,040 idle connections under --max-conns 1200 push the server's
+   descriptors past select's FD_SETSIZE (1024).  Each connection that
+   lands on such a descriptor is refused with busy, before any
+   accounting; the server stays up, and once some connections close a
+   fresh client is answered. *)
+let test_descriptors_past_fd_setsize () =
+  if nofile_limit () < 1100 then begin
+    print_endline "skipped: RLIMIT_NOFILE is below the 1,100 descriptors this case needs";
+    Alcotest.skip ()
+  end;
+  let ((sock, pid) as server) = start_server ~extra:[ "--max-conns"; "1200" ] () in
+  let conns = ref [] in
+  (* A refused connection is closed by the server, so a request written
+     to it may meet EPIPE instead of the busy frame. *)
+  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_quietly !conns;
+      stop_server server;
+      Sys.set_signal Sys.sigpipe old_pipe)
+    (fun () ->
+      for _ = 1 to 1040 do
+        conns := connect_raw sock :: !conns
+      done;
+      let opened = List.rev !conns in
+      (* The server accepts in arrival order and answers a refusal
+         unprompted: once this later connection reads its busy frame,
+         every earlier one has been accepted or refused. *)
+      let late = connect_raw sock in
+      conns := late :: !conns;
+      Unix.setsockopt_float late Unix.SO_RCVTIMEO 10.0;
+      let busy_frame fd =
+        match Result.map P.decode_response (W.read_frame fd) with
+        | Ok (Ok resp) -> is_busy resp
+        | Ok (Stdlib.Error _) | Stdlib.Error _ -> false
+      in
+      Alcotest.(check bool) "connection past FD_SETSIZE answers busy" true (busy_frame late);
+      Alcotest.(check bool) "server alive" true (alive pid);
+      let refused, idle =
+        List.partition
+          (fun fd ->
+            Unix.set_nonblock fd;
+            match Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+            | _ ->
+                Unix.clear_nonblock fd;
+                if not (busy_frame fd) then
+                  Alcotest.fail "an idle connection got something other than busy";
+                true)
+          opened
+      in
+      Alcotest.(check bool) "some idle connections refused busy" true (refused <> []);
+      List.iteri (fun i fd -> if i < 40 then close_quietly fd) idle;
+      let address = Serve.Server.Unix_socket sock in
+      let rec answered retries =
+        if retries > 200 then Alcotest.fail "no health answer after connections closed";
+        match
+          Serve.Client.with_connection address (fun c ->
+              match Serve.Client.call c P.Health with
+              | Ok (P.Health_ok _) -> Some (call_ok c P.Stats)
+              | Ok resp when is_busy resp -> None
+              | Ok resp -> Alcotest.fail ("health: " ^ P.render_response resp)
+              | Stdlib.Error _ -> None)
+        with
+        | None ->
+            Unix.sleepf 0.05;
+            answered (retries + 1)
+        | Some (P.Stats_snapshot s) -> (retries, s)
+        | Some resp -> Alcotest.fail ("stats: " ^ P.render_response resp)
+      in
+      let retries, s = answered 0 in
+      Alcotest.(check int) "refusals counted"
+        (List.length refused + 1 + retries)
+        s.Serve.Metrics.connections_refused;
+      Alcotest.(check int) "accepted counted"
+        (List.length idle + 1)
+        s.Serve.Metrics.connections_accepted)
 
 (* --------------------------- e2e: http ------------------------------ *)
 
@@ -1160,87 +1294,80 @@ let test_scrapes_leave_rpc_counters () =
 
 (* ------------------------------ evloop ------------------------------ *)
 
-let available_backends () =
-  [ Evloop.Select ] @ (if Evloop.epoll_available () then [ Evloop.Epoll ] else [])
-
-(* One readiness round-trip per available backend: interest registration,
-   level-triggered readability, interest modification, write readiness,
-   wakeup, and idempotent removal all behave identically on both. *)
+(* One readiness round-trip: interest registration, level-triggered
+   readability, interest modification, write readiness, wakeup, and
+   idempotent removal. *)
 let test_evloop_readiness () =
-  List.iter
-    (fun backend ->
-      let name = Evloop.backend_name backend in
-      let ev = Evloop.create backend in
+  let ev = Evloop.create () in
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Evloop.close ev;
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      Evloop.add ev r ~read:true ~write:false;
+      Evloop.wait ev ~timeout_ms:0;
+      Alcotest.(check bool) "idle pipe not readable" false (Evloop.readable ev r);
+      Alcotest.(check bool) "not woken" false (Evloop.woken ev);
+      ignore (Unix.write_substring w "x" 0 1);
+      Evloop.wait ev ~timeout_ms:1000;
+      Alcotest.(check bool) "pending byte readable" true (Evloop.readable ev r);
+      (* Level-triggered: the byte is still there on the next wait. *)
+      Evloop.wait ev ~timeout_ms:0;
       Alcotest.(check bool)
-        (name ^ ": backend preserved")
-        true
-        (Evloop.backend ev = backend);
-      let r, w = Unix.pipe () in
-      Fun.protect
-        ~finally:(fun () ->
-          Evloop.close ev;
-          Unix.close r;
-          Unix.close w)
-        (fun () ->
-          Evloop.add ev r ~read:true ~write:false;
-          Evloop.wait ev ~timeout_ms:0;
-          Alcotest.(check bool)
-            (name ^ ": idle pipe not readable")
-            false (Evloop.readable ev r);
-          Alcotest.(check bool) (name ^ ": not woken") false (Evloop.woken ev);
-          ignore (Unix.write_substring w "x" 0 1);
-          Evloop.wait ev ~timeout_ms:1000;
-          Alcotest.(check bool)
-            (name ^ ": pending byte readable")
-            true (Evloop.readable ev r);
-          (* Level-triggered: the byte is still there on the next wait. *)
-          Evloop.wait ev ~timeout_ms:0;
-          Alcotest.(check bool)
-            (name ^ ": still readable (level-triggered)")
-            true (Evloop.readable ev r);
-          Evloop.modify ev r ~read:false ~write:false;
-          Evloop.wait ev ~timeout_ms:0;
-          Alcotest.(check bool)
-            (name ^ ": interest withdrawn")
-            false (Evloop.readable ev r);
-          Evloop.add ev w ~read:false ~write:true;
-          Evloop.wait ev ~timeout_ms:1000;
-          Alcotest.(check bool)
-            (name ^ ": pipe writable")
-            true (Evloop.writable ev w);
-          Alcotest.(check bool)
-            (name ^ ": read fd not writable")
-            false (Evloop.writable ev r);
-          Evloop.wake ev;
-          Evloop.wait ev ~timeout_ms:1000;
-          Alcotest.(check bool) (name ^ ": woken") true (Evloop.woken ev);
-          Evloop.wait ev ~timeout_ms:0;
-          Alcotest.(check bool)
-            (name ^ ": wake consumed")
-            false (Evloop.woken ev);
-          Evloop.remove ev r;
-          Evloop.remove ev r;
-          (* idempotent *)
-          Evloop.remove ev w))
-    (available_backends ())
+        "still readable (level-triggered)" true (Evloop.readable ev r);
+      Evloop.modify ev r ~read:false ~write:false;
+      Evloop.wait ev ~timeout_ms:0;
+      Alcotest.(check bool) "interest withdrawn" false (Evloop.readable ev r);
+      Evloop.add ev w ~read:false ~write:true;
+      Evloop.wait ev ~timeout_ms:1000;
+      Alcotest.(check bool) "pipe writable" true (Evloop.writable ev w);
+      Alcotest.(check bool) "read fd not writable" false (Evloop.writable ev r);
+      Evloop.wake ev;
+      Evloop.wait ev ~timeout_ms:1000;
+      Alcotest.(check bool) "woken" true (Evloop.woken ev);
+      Evloop.wait ev ~timeout_ms:0;
+      Alcotest.(check bool) "wake consumed" false (Evloop.woken ev);
+      Evloop.remove ev r;
+      Evloop.remove ev r;
+      (* idempotent *)
+      Evloop.remove ev w)
 
-let test_evloop_backend_names () =
-  Alcotest.(check string) "select name" "select"
-    (Evloop.backend_name Evloop.Select);
-  Alcotest.(check string) "epoll name" "epoll" (Evloop.backend_name Evloop.Epoll);
-  (match Evloop.backend_of_string "select" with
-  | Ok Evloop.Select -> ()
-  | _ -> Alcotest.fail "backend_of_string select");
-  (match Evloop.backend_of_string "epoll" with
-  | Ok Evloop.Epoll -> ()
-  | _ -> Alcotest.fail "backend_of_string epoll");
-  (match Evloop.backend_of_string "kqueue" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus backend accepted");
-  let best = Evloop.best () in
-  Alcotest.(check bool) "best matches availability" true
-    (if Evloop.epoll_available () then best = Evloop.Epoll
-     else best = Evloop.Select)
+(* select cannot watch a descriptor numbered at or past FD_SETSIZE
+   (1024): the loop refuses one and keeps serving the rest.  dup returns
+   the lowest free number, so the last of 1025 dups held open has at
+   least 1024 descriptors below it. *)
+let test_evloop_refuses_high_fd () =
+  let ev = Evloop.create () in
+  let r, w = Unix.pipe () in
+  let dups = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close !dups;
+      Evloop.close ev;
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      (match
+         for _ = 1 to 1025 do
+           dups := Unix.dup r :: !dups
+         done
+       with
+      | () -> ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          print_endline "skipped: RLIMIT_NOFILE stops the dups before descriptor 1024";
+          Alcotest.skip ());
+      let high = List.hd !dups in
+      Alcotest.(check bool) "low pipe end watchable" true (Evloop.watchable r);
+      Alcotest.(check bool) "descriptor >= 1024 not watchable" false (Evloop.watchable high);
+      Evloop.add ev r ~read:true ~write:false;
+      (match Evloop.add ev high ~read:true ~write:false with
+      | () -> Alcotest.fail "registered a descriptor select cannot watch"
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> ());
+      ignore (Unix.write_substring w "x" 0 1);
+      Evloop.wait ev ~timeout_ms:1000;
+      Alcotest.(check bool) "low pipe end still readable" true (Evloop.readable ev r))
 
 (* ----------------------------- alcotest ----------------------------- *)
 
@@ -1276,13 +1403,14 @@ let () =
       ( "evloop",
         [
           Alcotest.test_case "readiness round-trip" `Quick test_evloop_readiness;
-          Alcotest.test_case "backend names" `Quick test_evloop_backend_names;
+          Alcotest.test_case "refuses descriptors past FD_SETSIZE" `Quick
+            test_evloop_refuses_high_fd;
         ] );
       ( "server",
         [
           Alcotest.test_case "8 clients byte-identical across jobs" `Slow
             test_jobs_byte_equality;
-          Alcotest.test_case "byte-identical across shards and backends" `Slow
+          Alcotest.test_case "byte-identical across shards" `Slow
             test_shards_byte_equality;
           Alcotest.test_case "queue overflow -> overloaded" `Quick test_overload;
           Alcotest.test_case "deadline -> timeout" `Quick test_timeout;
@@ -1294,6 +1422,10 @@ let () =
             test_ingest_equivalence;
           Alcotest.test_case "health over tcp" `Quick test_tcp_health;
           Alcotest.test_case "half-closed peer: offline bytes, no spin" `Quick test_half_close;
+          Alcotest.test_case "out of descriptors: no crash, no spin" `Quick
+            test_accept_out_of_descriptors;
+          Alcotest.test_case "descriptors past FD_SETSIZE -> busy" `Quick
+            test_descriptors_past_fd_setsize;
         ] );
       ( "http",
         [
