@@ -1,28 +1,25 @@
-(** A readiness API over [Unix.select], for the serve layer's per-shard
+(** A readiness wait over [Unix.select], for the serve layer's per-shard
     IO loops.
 
-    One {!t} watches a set of file descriptors for read and/or write
-    interest.  {!wait} blocks until something is ready (or the timeout
-    elapses), then {!readable} and {!writable} answer membership queries
-    against the ready set of that wait — the caller iterates its own
-    (deterministically ordered) session list and asks, so the order in
-    which the kernel reports readiness never leaks into behavior.
+    A {!t} keeps no interest table: each {!wait} is passed the
+    descriptors to watch for reading and for writing on that pass, and
+    {!readable} then answers membership queries against that wait's
+    ready set — the caller iterates its own (deterministically ordered)
+    session list and asks, so the order in which the kernel reports
+    readiness never leaks into behavior.  A descriptor the caller has
+    closed is simply never passed again.
 
     Every loop owns a self-pipe wakeup: {!wake} is safe to call from any
     domain (pool workers, sibling shards, signal handlers) and makes the
-    next (or current) {!wait} return promptly with {!woken} set.  The
-    wakeup pipe is drained internally; it is never visible as a readable
-    descriptor.
+    next (or current) {!wait} return promptly.  The wakeup pipe is
+    drained internally; it is never visible as a readable descriptor.
 
     [select] watches only descriptors numbered below [FD_SETSIZE] (1024
-    on Linux).  {!add} refuses any other, so one such descriptor can
-    never make every later {!wait} fail; callers that accept connections
-    ask {!watchable} first.
+    on Linux); callers that accept connections ask {!watchable} first
+    and never pass any other to {!wait}, which would fail with [EINVAL].
 
     Failures surface as [Unix.Unix_error]; the module never raises
-    [Failure]/[Invalid_argument] on the serve path (G003).  Descriptors
-    must be {!remove}d before they are closed — select would die with
-    [EBADF] on a stale one. *)
+    [Failure]/[Invalid_argument] on the serve path (G003). *)
 
 type t
 
@@ -32,34 +29,20 @@ val watchable : Unix.file_descr -> bool
 (** Can {!wait} watch this descriptor?  [false] for one numbered at or
     past [FD_SETSIZE], which [Unix.select] refuses with [EINVAL]. *)
 
-val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Raises [Unix.Unix_error (EINVAL, "Evloop.add", _)], leaving the
-    loop unchanged, for a descriptor that is not {!watchable}. *)
-
-val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Set the interest of a watched descriptor; one not yet watched is
-    {!add}ed. *)
-
-val remove : t -> Unix.file_descr -> unit
-(** Forget a descriptor.  Must precede [Unix.close].  Removing a
-    descriptor that was never added is a no-op. *)
-
-val wait : t -> timeout_ms:int -> unit
-(** Block until at least one watched descriptor is ready, {!wake} is
-    called, or [timeout_ms] elapses ([timeout_ms < 0] means forever).
-    Replaces the ready sets queried by {!readable}/{!writable}/{!woken};
-    interrupted waits ([EINTR]) return with empty ready sets. *)
+val wait :
+  t -> read:Unix.file_descr list -> write:Unix.file_descr list -> timeout_ms:int -> unit
+(** Block until a [read] descriptor is readable, a [write] one writable,
+    {!wake} is called, or [timeout_ms] elapses ([timeout_ms < 0] means
+    forever).  Replaces the ready set {!readable} queries; an
+    interrupted wait ([EINTR]) returns with it empty.  Write readiness
+    only ends the wait: the caller just tries the write. *)
 
 val readable : t -> Unix.file_descr -> bool
-val writable : t -> Unix.file_descr -> bool
-
-val woken : t -> bool
-(** Did the last {!wait} consume a {!wake}?  (The wake bytes themselves
-    are drained internally.) *)
+(** Was this descriptor among the last {!wait}'s [read] list, and
+    readable? *)
 
 val wake : t -> unit
 (** Thread-/domain-safe: nudge the loop out of {!wait}. *)
 
 val close : t -> unit
-(** Release the wakeup pipe.  Watched descriptors themselves are not
-    closed. *)
+(** Release the wakeup pipe. *)

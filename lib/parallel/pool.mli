@@ -67,6 +67,3 @@ val shared : jobs:int -> t
 val default_jobs : ?cap:int -> unit -> int
 (** The [JOBS] environment variable if set and positive, otherwise
     [Domain.recommended_domain_count ()] capped at [cap] (default 8). *)
-
-val env_jobs : unit -> int option
-(** Just the [JOBS] environment variable, if set to a positive integer. *)

@@ -45,12 +45,16 @@ type pending = {
   mutable cancelled : bool;
 }
 
-(* One accept/IO domain.  A shard owns its sessions and its evloop
-   outright; everything cross-shard arrives through [inbox]. *)
+module Int_map = Map.Make (Int)
+
+(* One accept/IO domain.  A shard owns its sessions, kept in id order,
+   its evloop and its read buffer outright; everything cross-shard
+   arrives through [inbox]. *)
 type shard = {
   idx : int;
   ev : Evloop.t;
-  sessions : (int, Session.t) Hashtbl.t;
+  mutable sessions : Session.t Int_map.t;
+  buf : Bytes.t;  (* every read lands here; [Session.feed] copies it out *)
   inbox : message Queue.t;
   inbox_mutex : Mutex.t;
 }
@@ -140,16 +144,14 @@ let run ?(on_event = fun _ -> ()) cfg address =
      a peer is forgotten when its last connection closes. *)
   let peer_refs : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let draining = Atomic.make false in
-  (* Pool workers finish here; any shard may drain and route. *)
-  let completions : (string * Protocol.response) Queue.t = Queue.create () in
-  let completions_mutex = Mutex.create () in
 
   let shards =
     Array.init nshards (fun idx ->
         {
           idx;
           ev = Evloop.create ();
-          sessions = Hashtbl.create 16;
+          sessions = Int_map.empty;
+          buf = Bytes.create 65536;
           inbox = Queue.create ();
           inbox_mutex = Mutex.create ();
         })
@@ -163,7 +165,6 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Mutex.unlock sh.inbox_mutex;
     Evloop.wake sh.ev
   in
-  let wake_all () = Array.iter (fun sh -> Evloop.wake sh.ev) shards in
 
   let stop_signal _ = Atomic.set draining true in
   let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -246,13 +247,9 @@ let run ?(on_event = fun _ -> ()) cfg address =
       | Metrics_http.Http.Request r -> reply (http_response r)
   in
 
-  let sorted_sessions sh =
-    List.map snd (Stats.Det.hashtbl_bindings sh.sessions)
-  in
   (* Called only from [sh]'s own thread. *)
   let drop_session sh sess =
-    Hashtbl.remove sh.sessions (Session.id sess);
-    Evloop.remove sh.ev (Session.fd sess);
+    sh.sessions <- Int_map.remove (Session.id sess) sh.sessions;
     close_quietly (Session.fd sess);
     if not (is_scrape sess) then
       locked (fun () ->
@@ -296,7 +293,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
      Any delivery — including Failed — is a backend outcome for the
      breaker; only Timeout counts as shed. *)
   let apply_delivery sh ~conn ~seq ~frame ~code =
-    match Hashtbl.find_opt sh.sessions conn with
+    match Int_map.find_opt conn sh.sessions with
     | None -> ()  (* subscriber hung up while the work ran *)
     | Some sess ->
         locked (fun () ->
@@ -305,28 +302,25 @@ let run ?(on_event = fun _ -> ()) cfg address =
               ~shed:(code = Some "timeout"));
         Session.put_response sess ~seq frame
   in
-  (* Fan one finished pending out to every subscriber: same-shard ones
-     directly, the rest via their owner's inbox.  The response is encoded
-     once; subscribers share the frame bytes. *)
-  let route ~from p resp =
-    let frame = Wire.encode (Protocol.encode_response resp) in
-    let code = code_of resp in
-    (* Latency is observed when the response is produced (here), not when
-       each subscriber's bytes hit its socket: one observation per counted
-       request, even if a subscriber hung up while the work ran. *)
+  (* The one way finished work reaches its subscribers: each gets the
+     response's frame, encoded once by the caller, in its owner shard's
+     inbox.  Runs under [core], in the critical section that took [p] out
+     of [by_key], so no subscriber can join after the fan-out.  Latency
+     is observed when the response is produced (here), not when each
+     subscriber's bytes hit its socket: one observation per counted
+     request, even if a subscriber hung up while the work ran. *)
+  let deliver p (frame, code) =
     let now = Clock.now () in
-    locked (fun () ->
-        List.iter
-          (fun (_, _, t0) ->
-            Metrics.observe_latency metrics ~kind:p.kind ~seconds:(now -. t0))
-          p.subscribers);
+    List.iter
+      (fun (_, _, t0) ->
+        Metrics.observe_latency metrics ~kind:p.kind ~seconds:(now -. t0))
+      p.subscribers;
     List.iter
       (fun (conn, seq, _) ->
-        let owner = shards.(shard_of_conn conn) in
-        if owner.idx = from.idx then apply_delivery owner ~conn ~seq ~frame ~code
-        else post owner (Deliver { conn; seq; frame; code }))
+        post shards.(shard_of_conn conn) (Deliver { conn; seq; frame; code }))
       (List.rev p.subscribers)
   in
+  let encoded resp = (Wire.encode (Protocol.encode_response resp), code_of resp) in
   let work_for req name () =
     match req with
     | Protocol.Analyze _ ->
@@ -471,7 +465,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
         on_event "shutdown requested; draining";
         respond sess seq Protocol.Shutdown_ack;
         Session.mark_close sess;
-        wake_all ()
+        Array.iter (fun sh -> Evloop.wake sh.ev) shards
     | Protocol.Ingest_open name -> (
         match Session.pipeline sess with
         | Some _ ->
@@ -572,8 +566,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
           Session.mark_close sess
   in
   let read_session sh sess =
-    let buf = Bytes.create 65536 in
-    match Unix.read (Session.fd sess) buf 0 (Bytes.length buf) with
+    match Unix.read (Session.fd sess) sh.buf 0 (Bytes.length sh.buf) with
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       ->
         ()
@@ -584,7 +577,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
         if Session.has_pending sess then Session.mark_eof sess
         else drop_session sh sess
     | n ->
-        Session.feed sess buf n;
+        Session.feed sess sh.buf n;
         if is_scrape sess then answer_scrape sess else drain_frames sess
   in
   let next_conn_id = ref 0 in
@@ -593,8 +586,8 @@ let run ?(on_event = fun _ -> ()) cfg address =
      others when an [Accepted] message arrives. *)
   let add_session sh id fd peer =
     let sess = Session.create ~id ~peer fd in
-    Hashtbl.replace sh.sessions id sess;
-    Evloop.add sh.ev fd ~read:true ~write:false
+    sh.sessions <- Int_map.add id sess sh.sessions;
+    sess
   in
   (* Out of descriptors (EMFILE/ENFILE), a listener stays readable with
      nothing it can accept: polling it would spin shard 0.  The listeners
@@ -672,7 +665,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
           Hashtbl.replace peer_refs peer
             (1 + Option.value ~default:0 (Hashtbl.find_opt peer_refs peer));
           Metrics.incr_shard_accept metrics ~shard:sh.idx);
-      if sh.idx = 0 then add_session sh id fd peer
+      if sh.idx = 0 then read_session sh (add_session sh id fd peer)
       else post sh (Accepted { id; fd; peer })
     end
   in
@@ -685,7 +678,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
       Unix.set_nonblock fd;
       let id = !next_scrape_id in
       decr next_scrape_id;
-      add_session shards.(0) id fd "scrape"
+      read_session shards.(0) (add_session shards.(0) id fd "scrape")
     end
   in
   let listeners =
@@ -693,67 +686,41 @@ let run ?(on_event = fun _ -> ()) cfg address =
     :: Option.fold ~none:[] ~some:(fun mfd -> [ (mfd, admit_scrape) ]) metrics_listen
   in
   let process_inbox sh =
+    let msgs = Queue.create () in
     Mutex.lock sh.inbox_mutex;
-    let msgs = Queue.fold (fun acc m -> m :: acc) [] sh.inbox in
-    Queue.clear sh.inbox;
+    Queue.transfer sh.inbox msgs;
     Mutex.unlock sh.inbox_mutex;
-    List.iter
+    Queue.iter
       (function
-        | Accepted { id; fd; peer } -> add_session sh id fd peer
+        | Accepted { id; fd; peer } -> ignore (add_session sh id fd peer)
         | Deliver { conn; seq; frame; code } ->
             apply_delivery sh ~conn ~seq ~frame ~code)
-      (List.rev msgs)
+      msgs
   in
-  (* [inflight] is decremented only after the result's deliveries are
-     posted, so "no inflight and empty queues" really means "nothing can
-     still arrive" — the shards' exit condition relies on that. *)
-  let drain_completions sh =
-    Mutex.lock completions_mutex;
-    let finished = Queue.fold (fun acc item -> item :: acc) [] completions in
-    Queue.clear completions;
-    Mutex.unlock completions_mutex;
-    List.iter
-      (fun (key, resp) ->
-        let p =
-          locked (fun () ->
-              match Hashtbl.find_opt by_key key with
-              | None -> None
-              | Some p ->
-                  Hashtbl.remove by_key key;
-                  Some p)
-        in
-        (match p with None -> () | Some p -> route ~from:sh p resp);
-        locked (fun () -> decr inflight))
-      (List.rev finished)
+  let timed_out =
+    encoded
+      (Protocol.Error
+         { code = Protocol.Timeout; message = "deadline exceeded while queued" })
   in
-  (* Expiry runs before submission (shard 0 owns both for the waiting
-     queue's head), so a request either times out while waiting or runs
-     to completion — for [--timeout 0] that makes the Timeout answer
-     deterministic at every jobs value. *)
-  let expire_waiting sh =
-    let expired =
-      locked (fun () ->
-          let acc = ref [] in
-          Queue.iter
-            (fun p ->
-              if (not p.cancelled) && Clock.expired ~deadline:p.deadline then begin
-                p.cancelled <- true;
-                decr waiting_count;
-                Hashtbl.remove by_key p.key;
-                acc := p :: !acc
-              end)
-            waiting;
-          List.rev !acc)
-    in
-    List.iter
-      (fun p ->
-        route ~from:sh p
-          (Protocol.Error
-             {
-               code = Protocol.Timeout;
-               message = "deadline exceeded while queued";
-             }))
-      expired
+  (* Under [core]: answer a waiting [p] Timeout if its deadline has
+     passed.  Every submission asks first, in the critical section that
+     pops [p], and shard 0 sweeps the whole queue each pass, so a request
+     either times out while waiting or runs to completion — for
+     [--timeout 0] that makes the Timeout answer deterministic at every
+     jobs and io-shards value. *)
+  let expire p =
+    let expired = Clock.expired ~deadline:p.deadline in
+    if expired then begin
+      p.cancelled <- true;
+      decr waiting_count;
+      Hashtbl.remove by_key p.key;
+      deliver p timed_out
+    end;
+    expired
+  in
+  let expire_waiting () =
+    locked (fun () ->
+        Queue.iter (fun p -> if not p.cancelled then ignore (expire p)) waiting)
   in
   let submit p =
     ignore
@@ -775,10 +742,14 @@ let run ?(on_event = fun _ -> ()) cfg address =
                  Protocol.Error
                    { code = Protocol.Failed; message = Printexc.to_string e }
            in
-           Mutex.lock completions_mutex;
-           Queue.push (p.key, resp) completions;
-           Mutex.unlock completions_mutex;
-           wake_all ()))
+           let frame = encoded resp in
+           (* [inflight] drops only after the deliveries are posted, so "no
+              inflight work and an empty inbox" really means "nothing can
+              still arrive" — the shards' exit condition relies on that. *)
+           locked (fun () ->
+               Hashtbl.remove by_key p.key;
+               deliver p frame;
+               decr inflight)))
   in
   let submit_ready () =
     (* Collect under the lock, submit outside it: at jobs=1 the pool runs
@@ -791,7 +762,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
             if !inflight < max_inflight && not (Queue.is_empty waiting) then begin
               let p = Queue.pop waiting in
               (* A cancelled entry was already answered with Timeout. *)
-              if not p.cancelled then begin
+              if not (p.cancelled || expire p) then begin
                 decr waiting_count;
                 incr inflight;
                 Metrics.observe_inflight metrics !inflight;
@@ -805,8 +776,8 @@ let run ?(on_event = fun _ -> ()) cfg address =
     List.iter submit ready
   in
   (* Write as much owed output as the (non-blocking) socket accepts.
-     A short or refused write leaves the session with write interest in
-     the evloop; the loop resumes exactly where it stopped, so one
+     A short or refused write leaves the session with write interest for
+     the next wait; the loop resumes exactly where it stopped, so one
      stalled client never blocks the other connections. *)
   let flush_session sh sess =
     let rec go () =
@@ -824,26 +795,44 @@ let run ?(on_event = fun _ -> ()) cfg address =
               go ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              ()  (* socket full; the evloop will report writability *)
+              ()  (* socket full; wait for writability *)
           | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
               drop_session sh sess)
     in
     go ()
   in
-  let queue_empty q m =
-    Mutex.lock m;
-    let e = Queue.is_empty q in
-    Mutex.unlock m;
+  (* The pass's one walk over the shard's sessions, in id order: flush
+     each, then gather the wait's read and write descriptors and whether
+     the shard still owes any response.  A peer that sent EOF
+     stays readable forever: polling it would spin the shard until its
+     response is written.  Other closing sessions keep read interest so
+     their input is still drained from the socket: closing a socket with
+     unread input can reset a TCP peer before it reads its answer. *)
+  let flush_all sh =
+    Int_map.fold
+      (fun id sess ((reads, writes, owes) as acc) ->
+        flush_session sh sess;
+        if not (Int_map.mem id sh.sessions) then acc
+        else
+          let fd = Session.fd sess in
+          ( (if Session.eof sess then reads else fd :: reads),
+            (if Session.has_output sess then fd :: writes else writes),
+            owes || Session.has_pending sess ))
+      sh.sessions ([], [], false)
+  in
+  let inbox_empty sh =
+    Mutex.lock sh.inbox_mutex;
+    let e = Queue.is_empty sh.inbox in
+    Mutex.unlock sh.inbox_mutex;
     e
   in
   (* A shard may stop once nothing global is in flight and it owes its
      own sessions nothing.  Other shards may still be flushing theirs. *)
-  let shard_done sh =
+  let shard_done sh ~owes =
     Atomic.get draining
+    && (not owes)
     && locked (fun () -> !waiting_count = 0 && !inflight = 0)
-    && queue_empty completions completions_mutex
-    && queue_empty sh.inbox sh.inbox_mutex
-    && List.for_all (fun s -> not (Session.has_pending s)) (sorted_sessions sh)
+    && inbox_empty sh
   in
   let announced_drain = ref false in
   let rec shard_loop sh =
@@ -851,45 +840,37 @@ let run ?(on_event = fun _ -> ()) cfg address =
       announced_drain := true;
       on_event "draining: refusing new work, finishing in-flight requests"
     end;
-    if shard_done sh then ()
-    else begin
-      (* A peer that sent EOF stays readable forever: polling it would
-         spin the shard until its response is written.  Other closing
-         sessions keep read interest so their input is still drained
-         from the socket: closing a socket with unread input can reset a
-         TCP peer before it reads its answer. *)
-      List.iter
-        (fun s ->
-          Evloop.modify sh.ev (Session.fd s)
-            ~read:(not (Session.eof s))
-            ~write:(Session.has_output s))
-        (sorted_sessions sh);
-      if sh.idx = 0 then begin
-        List.iter
-          (fun (lfd, _) ->
-            Evloop.modify sh.ev lfd ~read:(not !accept_paused) ~write:false)
-          listeners;
-        accept_paused := false
-      end;
-      Evloop.wait sh.ev ~timeout_ms:100;
+    let reads, writes, owes = flush_all sh in
+    if not (shard_done sh ~owes) then begin
+      let reads =
+        if sh.idx = 0 && not !accept_paused then List.map fst listeners @ reads
+        else reads
+      in
+      if sh.idx = 0 then accept_paused := false;
+      Evloop.wait sh.ev ~read:reads ~write:writes ~timeout_ms:100;
+      Int_map.iter
+        (fun _ sess ->
+          if Evloop.readable sh.ev (Session.fd sess) then read_session sh sess)
+        sh.sessions;
+      (* Shard 0 reads a new connection's first request in the pass that
+         accepts it (at jobs=1 the next pass may wait behind an inline
+         analysis, or never come while draining), but only after the input
+         already queued on older connections. *)
       if sh.idx = 0 then
         List.iter
           (fun (lfd, admit) -> if Evloop.readable sh.ev lfd then accept_all lfd admit)
           listeners;
-      process_inbox sh;
-      List.iter
-        (fun sess ->
-          if Evloop.readable sh.ev (Session.fd sess) then read_session sh sess)
-        (sorted_sessions sh);
-      drain_completions sh;
-      if sh.idx = 0 then expire_waiting sh;
+      if sh.idx = 0 then expire_waiting ();
       submit_ready ();
-      List.iter (fun sess -> flush_session sh sess) (sorted_sessions sh);
+      (* After [submit_ready]: at jobs=1 the pool ran the work inline, and
+         its answers, already in the inbox, are written by the walk that
+         opens the next pass, before any wait. *)
+      process_inbox sh;
       shard_loop sh
     end
   in
   let finish_shard sh =
-    List.iter (fun sess -> drop_session sh sess) (sorted_sessions sh);
+    Int_map.iter (fun _ sess -> drop_session sh sess) sh.sessions;
     Evloop.close sh.ev
   in
   let workers =

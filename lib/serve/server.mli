@@ -9,13 +9,13 @@
     ledger — happens only on that shard; cross-shard traffic (accepted
     connections, routed responses) moves through per-shard mailboxes and
     evloop wakeups.  Request {e work} (workload analysis) runs on pool
-    workers, which hand results back through a mutex-guarded completion
-    queue; shared bookkeeping (queue, batching table, metrics,
-    admission) sits behind one core lock.  Responses are computed in
-    whatever order the pool finishes them but written strictly in
-    per-connection request order ({!Session}), so a conversation's bytes
-    are a pure function of the requests — bit-identical for every
-    [--jobs] and every [--io-shards].
+    workers, and the task that finishes one posts the encoded response
+    to each subscriber's shard mailbox; shared bookkeeping (queue,
+    batching table, metrics, admission) sits behind one core lock.
+    Responses are computed in whatever order the pool finishes them but
+    written strictly in per-connection request order ({!Session}), so a
+    conversation's bytes are a pure function of the requests —
+    bit-identical for every [--jobs] and every [--io-shards].
 
     {b Admission.}  When configured, heavy requests pass a per-peer
     token bucket, a request-size budget and a per-peer circuit breaker
@@ -30,7 +30,7 @@
     response ("pool-backed batching").
 
     {b Deadlines.}  [request_timeout] bounds how long a request may wait
-    in the queue: expiry is checked {e before} submission, so a request
+    in the queue: expiry is checked as it leaves the queue, so a request
     either times out while waiting (deterministically, for [--timeout 0])
     or runs to completion — a result is never half-delivered.
 

@@ -385,8 +385,10 @@ let test_session_closing_drops_input () =
 (* ---------------------------- e2e harness --------------------------- *)
 
 (* [nofile] runs the server under `ulimit -n nofile`, through sh, whose
-   exec leaves the server with sh's pid. *)
-let start_server ?(jobs = 1) ?nofile ?(extra = []) () =
+   exec leaves the server with sh's pid.  [env] entries go in front of
+   this process's environment, so they win; [errfile], if given,
+   receives the server's stderr. *)
+let start_server ?(jobs = 1) ?nofile ?(extra = []) ?(env = []) ?errfile () =
   let sock = Filename.temp_file "repro_serve_test" ".sock" in
   Sys.remove sock;
   let argv =
@@ -403,11 +405,19 @@ let start_server ?(jobs = 1) ?nofile ?(extra = []) () =
   flush stderr;
   let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err_out =
+    match errfile with
+    | None -> null_out
+    | Some path -> Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
+  in
   let pid =
-    Unix.create_process (List.hd argv) (Array.of_list argv) null_in null_out null_out
+    Unix.create_process_env (List.hd argv) (Array.of_list argv)
+      (Array.append (Array.of_list env) (Unix.environment ()))
+      null_in null_out err_out
   in
   Unix.close null_in;
   Unix.close null_out;
+  if Option.is_some errfile then Unix.close err_out;
   (sock, pid)
 
 let stop_server (sock, pid) =
@@ -585,6 +595,49 @@ let test_timeout () =
           | resp -> Alcotest.fail ("stats: " ^ P.render_response resp));
           ignore (call_ok conn P.Shutdown)))
 
+(* Every shard that submits work checks the deadline first, and each
+   Timeout answer reaches its subscriber through the owner shard's
+   inbox.  At four shards the first four connection ids land on shards
+   0-3; every connection's analyze must answer timeout, all four must be
+   counted, and the drain must end. *)
+let test_timeout_across_shards () =
+  let ((sock, pid) as server) =
+    start_server ~extra:[ "--io-shards"; "4"; "--timeout"; "0" ] ()
+  in
+  Fun.protect
+    ~finally:(fun () -> stop_server server)
+    (fun () ->
+      let address = Serve.Server.Unix_socket sock in
+      let conns = List.init 4 (fun _ -> Serve.Client.connect ~retry_for:200 address) in
+      List.iteri
+        (fun i conn ->
+          match call_ok conn (P.Analyze "gcc") with
+          | P.Error { code = P.Timeout; _ } -> ()
+          | resp ->
+              Alcotest.failf "connection %d: expected timeout, got %s" i
+                (P.render_response resp))
+        conns;
+      (match call_ok (List.hd conns) P.Stats with
+      | P.Stats_snapshot s ->
+          Alcotest.(check (list (pair string int)))
+            "one connection per shard"
+            [ ("00", 1); ("01", 1); ("02", 1); ("03", 1) ]
+            s.Serve.Metrics.accepted_by_shard;
+          Alcotest.(check (list (pair string int)))
+            "timeouts counted" [ ("timeout", 4) ] s.Serve.Metrics.responses_error
+      | resp -> Alcotest.fail ("stats: " ^ P.render_response resp));
+      ignore (call_ok (List.hd conns) P.Shutdown);
+      let rec drained tries =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when tries > 0 ->
+            Unix.sleepf 0.05;
+            drained (tries - 1)
+        | 0, _ -> false
+        | _ -> true
+      in
+      Alcotest.(check bool) "drain ends" true (drained 200);
+      List.iter Serve.Client.close conns)
+
 let test_unknown_workload () =
   with_server (fun address ->
       Serve.Client.with_connection ~retry_for:200 address (fun conn ->
@@ -757,6 +810,47 @@ let test_tcp_health () =
                 workloads
           | resp -> Alcotest.fail ("health: " ^ P.render_response resp));
           ignore (call_ok conn P.Shutdown)))
+
+(* ------------------------ e2e: read buffer -------------------------- *)
+
+(* A shard reads into one buffer for its whole life.  A fresh 64 KiB
+   buffer per read went straight to the major heap: 200 one-shot health
+   connections (a request read and an EOF read each) then allocated
+   about 3.4M major words.  OCAMLRUNPARAM=v=0x400 makes the server print
+   its GC totals on stderr at exit. *)
+let test_read_buffer_reused () =
+  let errfile = Filename.temp_file "repro_serve_test" ".err" in
+  let ((sock, pid) as server) =
+    start_server ~env:[ "OCAMLRUNPARAM=v=0x400" ] ~errfile ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server server;
+      Sys.remove errfile)
+    (fun () ->
+      let address = Serve.Server.Unix_socket sock in
+      for _ = 1 to 200 do
+        Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+            match call_ok conn P.Health with
+            | P.Health_ok _ -> ()
+            | resp -> Alcotest.fail ("health: " ^ P.render_response resp))
+      done;
+      Serve.Client.with_connection address (fun conn -> ignore (call_ok conn P.Shutdown));
+      ignore (Unix.waitpid [] pid);
+      let major_words =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ':' line with
+            | [ "major_words"; n ] -> int_of_string_opt (String.trim n)
+            | _ -> None)
+          (String.split_on_char '\n' (read_file errfile))
+      in
+      match major_words with
+      | None -> Alcotest.fail "no major_words line on the server's stderr"
+      | Some words ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d major words < 1,000,000" words)
+            true (words < 1_000_000))
 
 (* ------------------------- e2e: half-close -------------------------- *)
 
@@ -944,33 +1038,8 @@ let test_descriptors_past_fd_setsize () =
 
 (* --------------------------- e2e: http ------------------------------ *)
 
-(* Variant of [start_server] that keeps the server's stderr in a file:
-   with --metrics-port 0 the OS assigns the HTTP port and the server
+(* With --metrics-port 0 the OS assigns the HTTP port and the server
    reports it in a "metrics listening" stderr line. *)
-let start_server_http ?(extra = []) () =
-  let sock = Filename.temp_file "repro_serve_test" ".sock" in
-  Sys.remove sock;
-  let errfile = Filename.temp_file "repro_serve_test" ".err" in
-  let argv =
-    [
-      repro_exe; "serve"; "--quick"; "--socket"; sock; "--jobs"; "1";
-      "--metrics-port"; "0";
-    ]
-    @ extra
-  in
-  flush stdout;
-  flush stderr;
-  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let err_out = Unix.openfile errfile [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Unix.create_process repro_exe (Array.of_list argv) null_in null_out err_out
-  in
-  Unix.close null_in;
-  Unix.close null_out;
-  Unix.close err_out;
-  (sock, pid, errfile)
-
 let metrics_port_of errfile =
   let tag = "metrics listening on http://127.0.0.1:" in
   let parse () =
@@ -1005,8 +1074,9 @@ let metrics_port_of errfile =
   poll 200
 
 (* Start a --metrics-port 0 server, wait for its port, run [f], stop. *)
-let with_http_server ?extra f =
-  let sock, pid, errfile = start_server_http ?extra () in
+let with_http_server ?(extra = []) f =
+  let errfile = Filename.temp_file "repro_serve_test" ".err" in
+  let sock, pid = start_server ~extra:([ "--metrics-port"; "0" ] @ extra) ~errfile () in
   Fun.protect
     ~finally:(fun () ->
       stop_server (sock, pid);
@@ -1294,10 +1364,16 @@ let test_scrapes_leave_rpc_counters () =
 
 (* ------------------------------ evloop ------------------------------ *)
 
-(* One readiness round-trip: interest registration, level-triggered
-   readability, interest modification, write readiness, wakeup, and
-   idempotent removal. *)
+(* One readiness round-trip over the stateless wait: a wait reports only
+   descriptors it was passed, readability is level-triggered, write
+   interest and [wake] each end a long wait early, and the wakeup pipe is
+   never reported readable.  pipe(2) takes the two lowest free
+   descriptors, so the loop's wakeup pipe reuses the numbers of the probe
+   pipe closed just before [Evloop.create]. *)
 let test_evloop_readiness () =
+  let wake_r, wake_w = Unix.pipe () in
+  Unix.close wake_r;
+  Unix.close wake_w;
   let ev = Evloop.create () in
   let r, w = Unix.pipe () in
   Fun.protect
@@ -1306,38 +1382,49 @@ let test_evloop_readiness () =
       Unix.close r;
       Unix.close w)
     (fun () ->
-      Evloop.add ev r ~read:true ~write:false;
-      Evloop.wait ev ~timeout_ms:0;
+      let timed_wait ~read ~write =
+        let t0 = Serve.Clock.now () in
+        Evloop.wait ev ~read ~write ~timeout_ms:5000;
+        Serve.Clock.now () -. t0
+      in
+      Evloop.wait ev ~read:[ r ] ~write:[] ~timeout_ms:0;
       Alcotest.(check bool) "idle pipe not readable" false (Evloop.readable ev r);
-      Alcotest.(check bool) "not woken" false (Evloop.woken ev);
       ignore (Unix.write_substring w "x" 0 1);
-      Evloop.wait ev ~timeout_ms:1000;
+      Evloop.wait ev ~read:[] ~write:[] ~timeout_ms:0;
+      Alcotest.(check bool)
+        "descriptor not passed, not reported" false (Evloop.readable ev r);
+      Evloop.wait ev ~read:[ r ] ~write:[] ~timeout_ms:1000;
       Alcotest.(check bool) "pending byte readable" true (Evloop.readable ev r);
       (* Level-triggered: the byte is still there on the next wait. *)
-      Evloop.wait ev ~timeout_ms:0;
+      Evloop.wait ev ~read:[ r ] ~write:[] ~timeout_ms:0;
       Alcotest.(check bool)
         "still readable (level-triggered)" true (Evloop.readable ev r);
-      Evloop.modify ev r ~read:false ~write:false;
-      Evloop.wait ev ~timeout_ms:0;
-      Alcotest.(check bool) "interest withdrawn" false (Evloop.readable ev r);
-      Evloop.add ev w ~read:false ~write:true;
-      Evloop.wait ev ~timeout_ms:1000;
-      Alcotest.(check bool) "pipe writable" true (Evloop.writable ev w);
-      Alcotest.(check bool) "read fd not writable" false (Evloop.writable ev r);
+      let waited = timed_wait ~read:[] ~write:[ w ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "write interest ends the wait (%.3fs)" waited)
+        true (waited < 2.5);
+      Alcotest.(check bool) "writable end not readable" false (Evloop.readable ev w);
       Evloop.wake ev;
-      Evloop.wait ev ~timeout_ms:1000;
-      Alcotest.(check bool) "woken" true (Evloop.woken ev);
-      Evloop.wait ev ~timeout_ms:0;
-      Alcotest.(check bool) "wake consumed" false (Evloop.woken ev);
-      Evloop.remove ev r;
-      Evloop.remove ev r;
-      (* idempotent *)
-      Evloop.remove ev w)
+      let waited = timed_wait ~read:[] ~write:[] in
+      Alcotest.(check bool)
+        (Printf.sprintf "wake ends the wait (%.3fs)" waited)
+        true (waited < 2.5);
+      Alcotest.(check bool) "wakeup pipe not reported" false (Evloop.readable ev wake_r);
+      Evloop.wake ev;
+      Evloop.wait ev ~read:[ r ] ~write:[] ~timeout_ms:1000;
+      Alcotest.(check bool) "readable beside a wake" true (Evloop.readable ev r);
+      Alcotest.(check bool)
+        "wakeup pipe not reported beside a readable descriptor" false
+        (Evloop.readable ev wake_r);
+      Evloop.wait ev ~read:[] ~write:[] ~timeout_ms:0;
+      Alcotest.(check bool)
+        "nothing passed, nothing reported" false (Evloop.readable ev r))
 
 (* select cannot watch a descriptor numbered at or past FD_SETSIZE
-   (1024): the loop refuses one and keeps serving the rest.  dup returns
-   the lowest free number, so the last of 1025 dups held open has at
-   least 1024 descriptors below it. *)
+   (1024): [watchable] says so, which is how the server refuses one, and
+   a wait over the low descriptors keeps working.  dup returns the lowest
+   free number, so the last of 1025 dups held open has at least 1024
+   descriptors below it. *)
 let test_evloop_refuses_high_fd () =
   let ev = Evloop.create () in
   let r, w = Unix.pipe () in
@@ -1361,13 +1448,9 @@ let test_evloop_refuses_high_fd () =
       let high = List.hd !dups in
       Alcotest.(check bool) "low pipe end watchable" true (Evloop.watchable r);
       Alcotest.(check bool) "descriptor >= 1024 not watchable" false (Evloop.watchable high);
-      Evloop.add ev r ~read:true ~write:false;
-      (match Evloop.add ev high ~read:true ~write:false with
-      | () -> Alcotest.fail "registered a descriptor select cannot watch"
-      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> ());
       ignore (Unix.write_substring w "x" 0 1);
-      Evloop.wait ev ~timeout_ms:1000;
-      Alcotest.(check bool) "low pipe end still readable" true (Evloop.readable ev r))
+      Evloop.wait ev ~read:[ r ] ~write:[] ~timeout_ms:1000;
+      Alcotest.(check bool) "low pipe end readable" true (Evloop.readable ev r))
 
 (* ----------------------------- alcotest ----------------------------- *)
 
@@ -1414,6 +1497,8 @@ let () =
             test_shards_byte_equality;
           Alcotest.test_case "queue overflow -> overloaded" `Quick test_overload;
           Alcotest.test_case "deadline -> timeout" `Quick test_timeout;
+          Alcotest.test_case "timeouts reach every shard" `Quick
+            test_timeout_across_shards;
           Alcotest.test_case "unknown workload" `Quick test_unknown_workload;
           Alcotest.test_case "rate limit -> typed refusal" `Quick test_rate_limit;
           Alcotest.test_case "size budget -> too_large" `Quick test_too_large;
@@ -1421,6 +1506,7 @@ let () =
           Alcotest.test_case "ingest stream = repro stream" `Slow
             test_ingest_equivalence;
           Alcotest.test_case "health over tcp" `Quick test_tcp_health;
+          Alcotest.test_case "one read buffer per shard" `Quick test_read_buffer_reused;
           Alcotest.test_case "half-closed peer: offline bytes, no spin" `Quick test_half_close;
           Alcotest.test_case "out of descriptors: no crash, no spin" `Quick
             test_accept_out_of_descriptors;
