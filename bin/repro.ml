@@ -13,18 +13,24 @@ let unknown_workload name =
   Array.iter (fun n -> Printf.eprintf "  %s\n" n) Workload.Catalog.names;
   exit 1
 
-(* An int argument with a hard floor.  Out-of-range values are rejected
-   by cmdliner itself (error + usage, non-zero exit) instead of being
-   silently dropped back to the default, which is how `--jobs 0' used to
-   behave. *)
-let bounded_int ~min ~what =
+(* An int argument with hard bounds.  Out-of-range values are rejected
+   by cmdliner itself (error + usage, non-zero exit), never dropped back
+   to a default; a port must be checked here because the socket address
+   would silently take it modulo 65536. *)
+let int_within ~min ~max ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some v when v >= min -> Ok v
-    | Some v -> Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" what min v))
+    | Some v when v >= min && v <= max -> Ok v
+    | Some v when max = max_int ->
+        Error (`Msg (Printf.sprintf "%s must be >= %d (got %d)" what min v))
+    | Some v ->
+        Error (`Msg (Printf.sprintf "%s must be in %d..%d (got %d)" what min max v))
     | None -> Error (`Msg (Printf.sprintf "%s must be an integer (got %S)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let bounded_int = int_within ~max:max_int
+let port_int = int_within ~min:0 ~max:65535
 
 (* Returns (config, quick): most commands only want the config, but
    `zoo atlas' reuses the --quick flag to also select the quick scenario
@@ -241,20 +247,6 @@ let lint_cmd =
       & info [ "root" ] ~docv:"DIR"
           ~doc:"Directory to lint (default: the current repo checkout).")
   in
-  let rules =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "rules" ] ~docv:"IDS"
-          ~doc:"Comma-separated rule ids to run (default: all of D001-D008).")
-  in
-  let waivers =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "waivers" ] ~docv:"FILE"
-          ~doc:"Waiver baseline, relative to --root (default: lint.waivers).")
-  in
   let deep =
     Arg.(
       value & flag
@@ -264,36 +256,10 @@ let lint_cmd =
              nondeterminism reachability, task-context race detection, handler \
              exception escape and the dead-export audit.")
   in
-  let run json root rules waivers deep =
-    let cfg = { Lint.Engine.default with Lint.Engine.root } in
-    let cfg =
-      match rules with
-      | Some s ->
-          let ids =
-            String.split_on_char ',' s |> List.map String.trim
-            |> List.filter (fun id -> id <> "")
-          in
-          { cfg with Lint.Engine.rules = Some ids }
-      | None -> cfg
-    in
-    let cfg =
-      match waivers with
-      | Some w -> { cfg with Lint.Engine.waivers_file = w }
-      | None -> cfg
-    in
+  let run json root deep =
     let res =
-      if deep then
-        match Lint.Engine.run_deep cfg with
-        | Error msg ->
-            Printf.eprintf "lint: %s\n" msg;
-            exit 2
-        | Ok d -> d.Lint.Engine.dresult
-      else
-        match Lint.Engine.run cfg with
-        | Error msg ->
-            Printf.eprintf "lint: %s\n" msg;
-            exit 2
-        | Ok res -> res
+      if deep then (Lint.Engine.run_deep ~root).Lint.Engine.dresult
+      else Lint.Engine.run ~root
     in
     print_string (if json then Lint.Reporter.json res else Lint.Reporter.human res);
     if Lint.Engine.errors res > 0 then exit 1
@@ -307,7 +273,7 @@ let lint_cmd =
           lib/, missing .mli files and wildcard exception handlers.  With $(b,--deep), \
           also build the alias-aware whole-repo reference graph and run G001-G004.  \
           Exits non-zero on any unwaived error.")
-    Term.(const run $ json $ root $ rules $ waivers $ deep)
+    Term.(const run $ json $ root $ deep)
 
 let graph_cmd =
   let root =
@@ -328,20 +294,15 @@ let graph_cmd =
           ~doc:"Emit the function-level graph (nodes, edges, globals, roots) as JSON.")
   in
   let run root dot json =
-    let cfg = { Lint.Engine.default with Lint.Engine.root } in
-    match Lint.Engine.run_deep cfg with
-    | Error msg ->
-        Printf.eprintf "graph: %s\n" msg;
-        exit 2
-    | Ok d ->
-        let effects id =
-          match Lint.Graph.node_index d.Lint.Engine.graph id with
-          | Some i -> Lint.Effects.effect_names d.Lint.Engine.effects.(i)
-          | None -> []
-        in
-        if dot then print_string (Lint.Graph.to_dot ~effects d.Lint.Engine.graph)
-        else if json then print_string (Lint.Graph.to_json ~effects d.Lint.Engine.graph)
-        else print_string (Lint.Graph.summary d.Lint.Engine.graph)
+    let d = Lint.Engine.run_deep ~root in
+    let effects id =
+      match Lint.Graph.node_index d.Lint.Engine.graph id with
+      | Some i -> Lint.Effects.effect_names d.Lint.Engine.effects.(i)
+      | None -> []
+    in
+    if dot then print_string (Lint.Graph.to_dot ~effects d.Lint.Engine.graph)
+    else if json then print_string (Lint.Graph.to_json ~effects d.Lint.Engine.graph)
+    else print_string (Lint.Graph.summary d.Lint.Engine.graph)
   in
   Cmd.v
     (Cmd.info "graph"
@@ -363,7 +324,7 @@ let address_term =
   let port =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (port_int ~what:"PORT")) None
       & info [ "port" ] ~docv:"N"
           ~doc:"Serve on (or connect to) TCP port $(docv) on 127.0.0.1 instead of a socket.")
   in
@@ -398,12 +359,6 @@ let serve_cmd =
             "Per-request deadline: a request queued longer than $(docv) seconds answers \
              `timeout' instead of running.  Deadlines only gate queue wait, so they never \
              truncate a result.")
-  in
-  let status =
-    Arg.(
-      value & flag
-      & info [ "status" ]
-          ~doc:"Do not serve: query a running server's live metrics and exit.")
   in
   let store_dir =
     Arg.(
@@ -472,67 +427,55 @@ let serve_cmd =
   let metrics_port =
     Arg.(
       value
-      & opt (some (bounded_int ~min:0 ~what:"METRICS-PORT")) None
+      & opt (some (port_int ~what:"METRICS-PORT")) None
       & info [ "metrics-port" ] ~docv:"PORT"
           ~doc:
             "Serve HTTP GET /metrics (Prometheus text exposition) and GET /health on \
              loopback port $(docv) (0 = OS-assigned; the bound port is reported on \
              stderr as `metrics listening on ...').  Omit for no HTTP endpoint.")
   in
-  let run config address queue max_conns timeout status store_dir io_shards
-      rate_burst rate_every max_request breaker_trip breaker_probe metrics_port =
-    if status then
-      match
-        Serve.Client.with_connection address (fun c -> Serve.Client.call c Serve.Protocol.Stats)
-      with
-      | Ok resp ->
-          print_string (Serve.Protocol.render_response resp);
-          if Serve.Protocol.is_error resp then exit 1
-      | Error m ->
-          Printf.eprintf "status query failed: %s\n" m;
-          exit 1
-    else begin
-      (match store_dir with
-      | None -> ()
-      | Some dir ->
-          Store.Result_cache.attach ~dir;
-          let loaded = Store.Result_cache.warm ~jobs:config.Fuzzy.Analysis.jobs () in
-          Printf.eprintf "repro-serve: store %s: warmed %d cached analyses\n%!" dir loaded);
-      let admission =
-        {
-          Admission.bucket_capacity = rate_burst;
-          refill_every = rate_every;
-          max_request_bytes = max_request;
-          breaker_trip;
-          breaker_probe_after = breaker_probe;
-        }
-      in
-      if Admission.enabled admission then
-        Printf.eprintf
-          "repro-serve: admission control on (burst=%d every=%d max-request=%d \
-           breaker=%d/%d)\n%!"
-          rate_burst rate_every max_request breaker_trip breaker_probe;
-      let scfg = Serve.Server.config_of_analysis config in
-      let scfg =
-        {
-          scfg with
-          (* 0 is meaningful: every heavy request answers `overloaded',
-             which is how the backpressure path is tested. *)
-          Serve.Server.queue_capacity = max 0 queue;
-          max_connections = max 1 max_conns;
-          request_timeout = timeout;
-          io_shards;
-          admission;
-          metrics_port;
-        }
-      in
-      (* Lifecycle chatter goes to stderr; stdout carries only the final
-         deterministic metrics snapshot. *)
-      let snapshot =
-        Serve.Server.run ~on_event:(fun m -> Printf.eprintf "repro-serve: %s\n%!" m) scfg address
-      in
-      print_string (Serve.Metrics.render snapshot)
-    end
+  let run config address queue max_conns timeout store_dir io_shards rate_burst
+      rate_every max_request breaker_trip breaker_probe metrics_port =
+    (match store_dir with
+    | None -> ()
+    | Some dir ->
+        Store.Result_cache.attach ~dir;
+        let loaded = Store.Result_cache.warm ~jobs:config.Fuzzy.Analysis.jobs () in
+        Printf.eprintf "repro-serve: store %s: warmed %d cached analyses\n%!" dir loaded);
+    let admission =
+      {
+        Admission.bucket_capacity = rate_burst;
+        refill_every = rate_every;
+        max_request_bytes = max_request;
+        breaker_trip;
+        breaker_probe_after = breaker_probe;
+      }
+    in
+    if Admission.enabled admission then
+      Printf.eprintf
+        "repro-serve: admission control on (burst=%d every=%d max-request=%d \
+         breaker=%d/%d)\n%!"
+        rate_burst rate_every max_request breaker_trip breaker_probe;
+    let scfg = Serve.Server.config_of_analysis config in
+    let scfg =
+      {
+        scfg with
+        (* 0 is meaningful: every heavy request answers `overloaded',
+           which is how the backpressure path is tested. *)
+        Serve.Server.queue_capacity = max 0 queue;
+        max_connections = max 1 max_conns;
+        request_timeout = timeout;
+        io_shards;
+        admission;
+        metrics_port;
+      }
+    in
+    (* Lifecycle chatter goes to stderr; stdout carries only the final
+       deterministic metrics snapshot. *)
+    let snapshot =
+      Serve.Server.run ~on_event:(fun m -> Printf.eprintf "repro-serve: %s\n%!" m) scfg address
+    in
+    print_string (Serve.Metrics.render snapshot)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -543,9 +486,9 @@ let serve_cmd =
           metrics.  Responses are byte-identical to the offline commands for every \
           --jobs value.")
     Term.(
-      const run $ config_term $ address_term $ queue $ max_conns $ timeout $ status
-      $ store_dir $ io_shards $ rate_burst $ rate_every $ max_request $ breaker_trip
-      $ breaker_probe $ metrics_port)
+      const run $ config_term $ address_term $ queue $ max_conns $ timeout $ store_dir
+      $ io_shards $ rate_burst $ rate_every $ max_request $ breaker_trip $ breaker_probe
+      $ metrics_port)
 
 let client_cmd =
   let args =
@@ -622,21 +565,30 @@ let client_cmd =
   in
   let run config address wait args =
     let retry_for = if wait then 100 else 0 in
-    Serve.Client.with_connection ~retry_for address (fun conn ->
-        match args with
-        | [ "analyze"; w ] -> simple_call conn (Serve.Protocol.Analyze w)
-        | [ "quadrant"; w ] -> simple_call conn (Serve.Protocol.Quadrant w)
-        | [ "re-curve"; w ] -> simple_call conn (Serve.Protocol.Re_curve w)
-        | [ "ingest"; w ] -> ingest config conn w
-        | [ "stats" ] -> simple_call conn Serve.Protocol.Stats
-        | [ "health" ] -> simple_call conn Serve.Protocol.Health
-        | [ "shutdown" ] -> simple_call conn Serve.Protocol.Shutdown
-        | other ->
-            fail
-              (Printf.sprintf
-                 "unknown request %S; expected analyze|quadrant|re-curve|ingest WORKLOAD, or \
-                  stats|health|shutdown"
-                 (String.concat " " other)))
+    match Serve.Client.connect ~retry_for address with
+    | exception Unix.Unix_error (err, _, _) ->
+        fail
+          (Printf.sprintf "cannot connect to %s: %s"
+             (Serve.Server.describe_address address)
+             (Unix.error_message err))
+    | conn ->
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close conn)
+          (fun () ->
+            match args with
+            | [ "analyze"; w ] -> simple_call conn (Serve.Protocol.Analyze w)
+            | [ "quadrant"; w ] -> simple_call conn (Serve.Protocol.Quadrant w)
+            | [ "re-curve"; w ] -> simple_call conn (Serve.Protocol.Re_curve w)
+            | [ "ingest"; w ] -> ingest config conn w
+            | [ "stats" ] -> simple_call conn Serve.Protocol.Stats
+            | [ "health" ] -> simple_call conn Serve.Protocol.Health
+            | [ "shutdown" ] -> simple_call conn Serve.Protocol.Shutdown
+            | other ->
+                fail
+                  (Printf.sprintf
+                     "unknown request %S; expected analyze|quadrant|re-curve|ingest WORKLOAD, or \
+                      stats|health|shutdown"
+                     (String.concat " " other)))
   in
   Cmd.v
     (Cmd.info "client"

@@ -25,9 +25,9 @@ let bit_spawn = 32
 let bit_raises = 64
 
 let bit_of_ndet = function
-  | Graph.Nrandom -> bit_random
-  | Graph.Nclock -> bit_clock
-  | Graph.Nhash -> bit_hash
+  | Rules_det.Nrandom -> bit_random
+  | Rules_det.Nclock -> bit_clock
+  | Rules_det.Nhash -> bit_hash
 
 let effect_names bits =
   List.filter_map
@@ -54,13 +54,14 @@ let base_effects (n : Graph.node) =
   !bits
 
 (* Calls into a sanctum module do not propagate the effect it contains:
-   lib/stats/rng.ml is *supposed* to be the one place randomness lives. *)
+   [Rules_det.sanctum Nrandom] is *supposed* to be the one place randomness
+   lives. *)
 let barrier_mask (g : Graph.t) j =
   let file = g.Graph.nodes.(j).Graph.nfile in
   List.fold_left
-    (fun acc (f, kind) ->
-      if f = file then acc land lnot (bit_of_ndet kind) else acc)
-    (lnot 0) Graph.sanctum_files
+    (fun acc kind ->
+      if Rules_det.sanctum kind = file then acc land lnot (bit_of_ndet kind) else acc)
+    (lnot 0) Rules_det.[ Nrandom; Nclock; Nhash ]
 
 (* One propagation sweep: eff'(u) = base(u) | union over resolved edges
    u->v of (eff(v) & barrier(v)).  Pure; returns a fresh array. *)
@@ -180,36 +181,6 @@ let g001_rule =
     check = (fun _ -> []);
   }
 
-(* Would the matching D-rule have fired on the *raw* identifier at this
-   site?  If so, the fast path already reports it and G001 stays silent. *)
-let covered_by_d_rule ~file ~(site : Graph.ndet_site) =
-  match site.Graph.skind with
-  | Graph.Nrandom ->
-      String.starts_with ~prefix:"Random." site.Graph.sraw
-      && file <> "lib/stats/rng.ml"
-  | Graph.Nclock ->
-      List.mem site.Graph.sraw Rules_det.wall_clock
-      && (not (Rule.under "bench" file))
-      && file <> "lib/serve/clock.ml"
-  | Graph.Nhash ->
-      List.mem site.Graph.sraw Rules_det.hashtbl_traversals
-      && Rule.in_lib file
-      && file <> "lib/stats/det.ml"
-
-(* Is the site in the D-rule's scope at all (same policy, applied to the
-   resolved name)? *)
-let in_d_scope ~file ~(site : Graph.ndet_site) =
-  match site.Graph.skind with
-  | Graph.Nrandom -> file <> "lib/stats/rng.ml"
-  | Graph.Nclock ->
-      (not (Rule.under "bench" file)) && file <> "lib/serve/clock.ml"
-  | Graph.Nhash -> Rule.in_lib file && file <> "lib/stats/det.ml"
-
-let in_sanctum ~file ~(site : Graph.ndet_site) =
-  List.exists
-    (fun (f, kind) -> f = file && kind = site.Graph.skind)
-    Graph.sanctum_files
-
 let g001 (g : Graph.t) =
   let det_roots = Graph.roots_of_kind g "determinism" in
   let parent = Graph.bfs g ~starts:det_roots in
@@ -220,18 +191,22 @@ let g001 (g : Graph.t) =
       let reachable = parent.(i) >= -1 in
       List.iter
         (fun (site : Graph.ndet_site) ->
-          if in_sanctum ~file ~site then ()
-          else if covered_by_d_rule ~file ~site then ()
-          else if in_d_scope ~file ~site || reachable then begin
+          let kind = site.Graph.skind in
+          let in_scope = Rules_det.in_scope kind file in
+          (* Would the D-rule have fired on the *raw* identifier here?  Then
+             the fast path already reports it and G001 stays silent. *)
+          let d_reports = in_scope && Rules_det.ndet_of_name site.Graph.sraw = Some kind in
+          if file = Rules_det.sanctum kind || d_reports then ()
+          else if in_scope || reachable then begin
             let what =
               if site.Graph.sraw = site.Graph.sname then site.Graph.sname
               else Printf.sprintf "%s (= %s)" site.Graph.sraw site.Graph.sname
             in
             let why =
-              match site.Graph.skind with
-              | Graph.Nrandom -> "nondeterministic global RNG"
-              | Graph.Nclock -> "wall-clock read"
-              | Graph.Nhash -> "bucket-order Hashtbl traversal"
+              match kind with
+              | Rules_det.Nrandom -> "nondeterministic global RNG"
+              | Rules_det.Nclock -> "wall-clock read"
+              | Rules_det.Nhash -> "bucket-order Hashtbl traversal"
             in
             let via =
               if reachable then

@@ -22,7 +22,7 @@ val sweep : Graph.t -> succ:int array array -> int array -> int array
 val infer : Graph.t -> int array
 (** Transitive effect set per node: the least fixpoint of {!sweep} over
     {!base_effects}, computed SCC-by-SCC in callee-first order, with
-    sanctum barriers ({!Graph.sanctum_files}) cutting the matching effect
+    sanctum barriers ({!Rules_det.sanctum}) cutting the matching effect
     at the blessed containment modules. *)
 
 type origin = { ofile : string; oline : int; ocol : int }
@@ -32,10 +32,8 @@ val raise_sets : Graph.t -> (string * origin) list array
     site), propagated over applied edges through each call site's handler
     mask.  ["?"] stands for a constructor that is not statically known. *)
 
-val g001_rule : Rule.t
 val g001 : Graph.t -> Rule.finding list
 
-val g003_rule : Rule.t
 val default_interesting : string list
 
 val g003 : ?interesting:string list -> Graph.t -> Rule.finding list

@@ -1,32 +1,9 @@
 let rules = Rules_det.all @ Rules_hygiene.all
 
-(* The deep (whole-repo, graph-based) rules.  Their [check] fields are
-   stubs: they need the reference graph, not a source list, so [run_deep]
-   drives them directly.  Listed here for documentation and id lookup. *)
-let deep_rules = [ Effects.g001_rule; Race.g002_rule; Effects.g003_rule; Graph.g004_rule ]
-
-let find_rule id =
-  match List.find_opt (fun r -> r.Rule.id = id) rules with
-  | Some _ as r -> r
-  | None -> List.find_opt (fun r -> r.Rule.id = id) deep_rules
-
-type config = {
-  root : string;
-  dirs : string list;
-  exclude : string list;
-  rules : string list option;
-  waivers_file : string;
-}
-
-let default =
-  {
-    root = ".";
-    dirs = [ "lib"; "bin"; "bench"; "test" ];
-    (* The fixture tree exists to violate every rule; golden-tested separately. *)
-    exclude = [ "test/lint_fixtures" ];
-    rules = None;
-    waivers_file = "lint.waivers";
-  }
+(* Walked under the lint root.  The fixture tree exists to violate every
+   rule; it is golden-tested separately. *)
+let dirs = [ "lib"; "bin"; "bench"; "test" ]
+let exclude = [ "test/lint_fixtures" ]
 
 type result = {
   findings : Rule.finding list;
@@ -41,95 +18,21 @@ let count sev res =
 let errors = count Rule.Error
 let warnings = count Rule.Warning
 
-let w000 (wpath : string) (e : Waivers.entry) =
-  {
-    Rule.rule = "W000";
-    severity = Rule.Warning;
-    file = wpath;
-    line = e.Waivers.entry_line;
-    col = 0;
-    message =
-      Printf.sprintf "stale waiver: %s %s matches no finding; delete it" e.Waivers.rule
-        e.Waivers.path;
-  }
-
-let collect_allows sources =
-  List.concat_map
-    (fun (s : Rule.source) ->
-      let of_ast =
-        match s.Rule.ast with
-        | Some ast -> Waivers.allows ~file:s.Rule.path ast
-        | None -> []
-      in
-      let of_sig =
-        match s.Rule.intf with
-        | Some sg -> Waivers.allows_sig ~file:s.Rule.path sg
-        | None -> []
-      in
-      of_ast @ of_sig)
-    sources
-
-(* Apply both waiver channels and turn leftover baseline entries into W000
-   — but only entries for rules this run actually executed: a shallow run
-   must not call a deep-rule (Gxxx) baseline entry stale. *)
-let finish ~executed ~waivers ~allows ~parse_findings ~files raw =
-  let kept, waived, unused = Waivers.apply waivers ~allows raw in
-  let stale =
-    match executed with
-    | None -> []
-    | Some ids ->
-        List.filter (fun (e : Waivers.entry) -> List.mem e.Waivers.rule ids) unused
-        |> List.map (w000 waivers.Waivers.wpath)
-  in
-  {
-    findings = List.sort Rule.compare_finding (parse_findings @ kept @ stale);
-    waived = List.sort Rule.compare_finding waived;
-    files;
-  }
-
-let run_sources ?rules:rule_filter ?(waivers = Waivers.empty) sources =
-  let active =
-    match rule_filter with
-    | None -> rules
-    | Some ids -> List.filter (fun r -> List.mem r.Rule.id ids) rules
-  in
-  let parse_findings =
+(* Apply the attribute waivers; parse errors are never waivable. *)
+let finish sources raw =
+  let kept, waived = Waivers.apply sources raw in
+  let parse_errors =
     List.filter_map (fun (s : Rule.source) -> s.Rule.parse_error) sources
   in
-  let raw = List.concat_map (fun r -> r.Rule.check sources) active in
-  let executed =
-    (* Under --rules a baseline entry for a disabled rule is not stale. *)
-    match rule_filter with
-    | Some _ -> None
-    | None -> Some (List.map (fun r -> r.Rule.id) active)
-  in
-  finish ~executed ~waivers ~allows:(collect_allows sources) ~parse_findings
-    ~files:(List.length sources) raw
+  {
+    findings = List.sort Rule.compare_finding (parse_errors @ kept);
+    waived = List.sort Rule.compare_finding waived;
+    files = List.length sources;
+  }
 
-let validate_rule_filter = function
-  | None -> Ok None
-  | Some ids -> (
-      match List.filter (fun id -> find_rule id = None) ids with
-      | [] -> Ok (Some ids)
-      | unknown ->
-          Error
-            (Printf.sprintf "unknown rule id(s): %s (known: %s)"
-               (String.concat ", " unknown)
-               (String.concat ", " (List.map (fun r -> r.Rule.id) rules))))
-
-let run cfg =
-  match validate_rule_filter cfg.rules with
-  | Error _ as e -> e
-  | Ok rule_filter -> (
-      let sources = Loader.load ~root:cfg.root ~dirs:cfg.dirs ~exclude:cfg.exclude in
-      let wfile = Filename.concat cfg.root cfg.waivers_file in
-      let waivers =
-        if Sys.file_exists wfile then Waivers.load ~path:cfg.waivers_file wfile
-        else Ok Waivers.empty
-      in
-      match waivers with
-      | Error msg -> Error (Printf.sprintf "%s: %s" cfg.waivers_file msg)
-      | Ok waivers -> Ok (run_sources ?rules:rule_filter ~waivers sources))
+let check_all sources = List.concat_map (fun r -> r.Rule.check sources) rules
+let run_sources sources = finish sources (check_all sources)
+let run ~root = run_sources (Loader.load ~root ~dirs ~exclude)
 
 (* ------------------------------------------------------------------ *)
 (* The deep pass: shallow rules plus the graph-based G-rules, over a wider
@@ -137,48 +40,21 @@ let run cfg =
 
 type deep = { dresult : result; graph : Graph.t; effects : int array }
 
-let run_deep_sources ?(waivers = Waivers.empty) ?(libnames = []) sources =
+let run_deep_sources ?(libnames = []) sources =
   (* Shallow rules keep their historical scope: everything but examples/. *)
   let shallow_sources =
     List.filter
       (fun (s : Rule.source) -> not (Rule.under "examples" s.Rule.path))
       sources
   in
-  let parse_findings =
-    List.filter_map (fun (s : Rule.source) -> s.Rule.parse_error) sources
-  in
-  let raw_shallow = List.concat_map (fun r -> r.Rule.check shallow_sources) rules in
   let graph = Graph.build ~libnames sources in
   let effects = Effects.infer graph in
-  let raw_deep =
-    Effects.g001 graph @ Race.g002 graph @ Effects.g003 graph @ Graph.g004 graph
+  let raw =
+    check_all shallow_sources @ Effects.g001 graph @ Race.g002 graph
+    @ Effects.g003 graph @ Graph.g004 graph
   in
-  let executed =
-    Some (List.map (fun r -> r.Rule.id) rules @ List.map (fun r -> r.Rule.id) deep_rules)
-  in
-  let dresult =
-    finish ~executed ~waivers ~allows:(collect_allows sources) ~parse_findings
-      ~files:(List.length sources)
-      (raw_shallow @ raw_deep)
-  in
-  { dresult; graph; effects }
+  { dresult = finish sources raw; graph; effects }
 
-let deep_dirs cfg = cfg.dirs @ [ "examples" ]
-
-let load_deep cfg =
-  let sources =
-    Loader.load ~root:cfg.root ~dirs:(deep_dirs cfg) ~exclude:cfg.exclude
-  in
-  let libnames = Loader.libraries ~root:cfg.root in
-  (sources, libnames)
-
-let run_deep cfg =
-  let sources, libnames = load_deep cfg in
-  let wfile = Filename.concat cfg.root cfg.waivers_file in
-  let waivers =
-    if Sys.file_exists wfile then Waivers.load ~path:cfg.waivers_file wfile
-    else Ok Waivers.empty
-  in
-  match waivers with
-  | Error msg -> Error (Printf.sprintf "%s: %s" cfg.waivers_file msg)
-  | Ok waivers -> Ok (run_deep_sources ~waivers ~libnames sources)
+let run_deep ~root =
+  run_deep_sources ~libnames:(Loader.libraries ~root)
+    (Loader.load ~root ~dirs:(dirs @ [ "examples" ]) ~exclude)

@@ -125,10 +125,8 @@ type write = {
 
 type raise_site = { rexn : string; rline : int; rcol : int }
 
-type ndet_kind = Nrandom | Nclock | Nhash
-
 type ndet_site = {
-  skind : ndet_kind;
+  skind : Rules_det.kind;
   sname : string;  (* resolved canonical name, e.g. "Hashtbl.fold" *)
   sraw : string;  (* as written, e.g. "H.fold" *)
   sline : int;
@@ -232,22 +230,7 @@ let io_prefixes = [ "Unix."; "In_channel."; "Out_channel."; "output_"; "input_" 
 let is_io name =
   (List.mem name io_names
   || List.exists (fun p -> String.starts_with ~prefix:p name) io_prefixes)
-  && not (List.mem name Rules_det.wall_clock)
-
-let ndet_of_name name =
-  if String.starts_with ~prefix:"Random." name then Some Nrandom
-  else if List.mem name Rules_det.wall_clock then Some Nclock
-  else if List.mem name Rules_det.hashtbl_traversals then Some Nhash
-  else None
-
-(* The blessed containment sites: calling into these files does not
-   propagate the matching effect (their whole point is to discipline it). *)
-let sanctum_files =
-  [
-    ("lib/stats/rng.ml", Nrandom);
-    ("lib/serve/clock.ml", Nclock);
-    ("lib/stats/det.ml", Nhash);
-  ]
+  && Rules_det.ndet_of_name name <> Some Rules_det.Nclock
 
 (* Determinism-critical roots: the analysis/CV kernels, the streaming
    driver, the serve request path and the store codec.  `handler` roots
@@ -568,7 +551,7 @@ let add_edge ctx ~dst ~resolved ~applied ~raw (loc : Location.t) =
 
 let record_effects ctx ~name ~raw (loc : Location.t) =
   let line, col = Syntax.line_col loc in
-  (match ndet_of_name name with
+  (match Rules_det.ndet_of_name name with
   | Some k ->
       ctx.node.nndet <-
         { skind = k; sname = name; sraw = raw; sline = line; scol = col }

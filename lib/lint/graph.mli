@@ -38,10 +38,8 @@ type raise_site = { rexn : string; rline : int; rcol : int }
 (** A raise surviving its lexical handlers; [rexn = "?"] when the
     constructor is not statically known. *)
 
-type ndet_kind = Nrandom | Nclock | Nhash
-
 type ndet_site = {
-  skind : ndet_kind;
+  skind : Rules_det.kind;
   sname : string;  (** resolved canonical name, e.g. ["Hashtbl.fold"] *)
   sraw : string;  (** as written, e.g. ["H.fold"] *)
   sline : int;
@@ -90,13 +88,8 @@ val default_roots : (string * string) list
 (** Built-in (kind, node-id-prefix) root patterns; kinds are ["determinism"]
     and ["handler"].  Code adds more with [[@lint.root "..."]]. *)
 
-val sanctum_files : (string * ndet_kind) list
-(** The blessed containment modules: calls into them do not propagate the
-    matching nondeterminism effect. *)
-
 val pool_functions : string list
 
-val ndet_of_name : string -> ndet_kind option
 val is_io : string -> bool
 val mask_catches : mask -> string -> bool
 
@@ -133,8 +126,6 @@ val roots_of_kind : t -> string -> int list
 val task_reachable : t -> int array
 (** BFS parents from every pool-task entry (named entries plus targets of
     in-task edges): [>= -1] marks code that may run on pool domains. *)
-
-val g004_rule : Rule.t
 
 val g004 : t -> Rule.finding list
 (** Dead-export audit: [.mli] values of lib modules, including those of

@@ -2,5 +2,4 @@
     domains with no dominating lock.  Inventory comes from {!Graph.build};
     the sync check is a lexical-dominance heuristic (DESIGN.md §15). *)
 
-val g002_rule : Rule.t
 val g002 : Graph.t -> Rule.finding list

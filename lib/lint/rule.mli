@@ -25,7 +25,7 @@ type source = {
 
 type t = {
   id : string;
-  title : string;  (** one-line summary for [--rules] listings *)
+  title : string;  (** one-line summary *)
   doc : string;  (** the determinism/hygiene argument the rule protects *)
   severity : severity;
   check : source list -> finding list;

@@ -17,7 +17,6 @@ let d005 =
       | "==" | "!=" ->
           Some (name ^ ": physical equality; compare structurally or by key")
       | _ -> None)
-    ()
 
 let stdout_printers =
   [
@@ -38,7 +37,6 @@ let d006 =
       if List.mem name stdout_printers then
         Some (name ^ ": lib/ must not print; return a string or use a sink/formatter")
       else None)
-    ()
 
 let d007 =
   let rule =

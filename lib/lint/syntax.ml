@@ -85,10 +85,8 @@ let iter_idents ast f =
           match longident_name txt with Some name -> f name loc | None -> ())
       | _ -> ())
 
-let ident_rule ~id ~title ~doc ?(severity = Rule.Error) ~scope ~hit () =
-  let rule =
-    { Rule.id; title; doc; severity; check = (fun _ -> []) }
-  in
+let ident_rule ~id ~title ~doc ~scope ~hit =
+  let rule = { Rule.id; title; doc; severity = Rule.Error; check = (fun _ -> []) } in
   let check =
     Rule.per_file (fun (s : Rule.source) ->
         if not (scope s.path) then []

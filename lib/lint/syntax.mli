@@ -30,10 +30,8 @@ val ident_rule :
   id:string ->
   title:string ->
   doc:string ->
-  ?severity:Rule.severity ->
   scope:(string -> bool) ->
   hit:(string -> string option) ->
-  unit ->
   Rule.t
 (** Build the common rule shape: in every file selected by [scope], flag each
-    value identifier for which [hit name] returns a message. *)
+    value identifier for which [hit name] returns a message, as an error. *)

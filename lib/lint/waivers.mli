@@ -1,42 +1,9 @@
-(** Waivers: [\[@lint.allow "Dxxx"\]] attributes and the [lint.waivers]
-    baseline file.  Format of the file, one waiver per line:
-
-    {v
-    # comment
-    D007 lib/foo/bar.ml            reason text
-    D005 lib/foo/baz.ml:42         reason text (line-specific)
-    v} *)
-
-type entry = {
-  rule : string;
-  path : string;
-  line : int option;  (** [None] waives the rule for the whole file *)
-  reason : string;
-  entry_line : int;  (** position in the waiver file, for W000 reports *)
-}
-
-type t = { wpath : string; entries : entry list }
-
-val empty : t
-val parse_string : path:string -> string -> (t, string) result
-val load : path:string -> string -> (t, string) result
-(** [load ~path file] reads [file] from disk; [path] is the root-relative
-    name used in reports. *)
-
-type allow = { arule : string; afile : string; from_line : int; to_line : int }
-
-val allows : file:string -> Parsetree.structure -> allow list
-(** Line ranges waived by [\[@lint.allow\]] attributes on expressions, value
-    bindings, or floating [\[@@@lint.allow\]] structure items (whole file). *)
-
-val allows_sig : file:string -> Parsetree.signature -> allow list
-(** The [.mli] counterpart: [\[@@lint.allow\]] on a [val] declaration (G004)
-    or a floating [\[@@@lint.allow\]] for the whole interface. *)
+(** Waivers: [\[@lint.allow "Dxxx"\]] attributes, the one way to waive a
+    finding.  In an [.ml] the attribute goes on the offending expression or
+    an enclosing value binding; in an [.mli] on a [val] (nested
+    [module X : sig ... end] vals included); a floating
+    [\[@@@lint.allow "..."\]] waives the whole file. *)
 
 val apply :
-  t ->
-  allows:allow list ->
-  Rule.finding list ->
-  Rule.finding list * Rule.finding list * entry list
-(** [(kept, waived, unused_entries)] — partition findings and report baseline
-    entries that matched nothing. *)
+  Rule.source list -> Rule.finding list -> Rule.finding list * Rule.finding list
+(** [(kept, waived)]: partition findings by the attributes in [sources]. *)

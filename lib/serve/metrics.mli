@@ -116,4 +116,4 @@ val snapshot : t -> snapshot
 
 val render : snapshot -> string
 (** Fixed-format table, one metric per line, keys sorted — the output of
-    [repro serve --status] and [repro client stats]. *)
+    [repro client stats] and of [repro serve] when it exits. *)

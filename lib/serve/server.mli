@@ -61,6 +61,9 @@
 
 type address = Unix_socket of string | Tcp of int
 
+val describe_address : address -> string
+(** ["unix:PATH"] or ["tcp:127.0.0.1:PORT"], as the lifecycle log prints it. *)
+
 type config = {
   analysis : Fuzzy.Analysis.config;
       (** the configuration every served analysis runs under (seed,

@@ -29,7 +29,7 @@ fail() { echo "lint-deep-smoke: $*" >&2; exit 1; }
 
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
-cp -r lib bin bench test examples dune-project lint.waivers "$SCRATCH/"
+cp -r lib bin bench test examples dune-project "$SCRATCH/"
 
 # Baseline: the pristine copy must deep-lint clean, or the assertions
 # below would prove nothing.

@@ -91,12 +91,6 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$MPORT/health" |
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$MPORT/nope" || true)
 [ "$code" = "404" ] || fail "unknown path returned $code (want 404)"
 
-# `repro serve --status` renders the same snapshot without serving.
-bounded "$EXE" serve --status --socket "$SOCK" > "$OUT/status.out" \
-  || fail "serve --status failed or timed out (${STEP_TIMEOUT}s)"
-grep -q "serve metrics" "$OUT/status.out" \
-  || fail "serve --status did not render metrics"
-
 # Graceful shutdown: the server must drain and exit 0 on its own within
 # the drain budget.  Poll instead of a bare `wait` so a wedged drain
 # cannot hang the smoke.

@@ -1,3 +1,5 @@
-(* Fixture: D004 Domain.spawn outside lib/parallel -- waived in the
-   fixture lint.waivers to exercise file-level waivers. *)
+(* Fixture: D004 Domain.spawn outside lib/parallel -- waived by the
+   floating attribute at the end of this file. *)
 let go f = Domain.spawn f
+
+[@@@lint.allow "D004"]

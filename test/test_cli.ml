@@ -5,14 +5,18 @@
 
 let exe = Filename.concat (Filename.concat ".." "bin") "repro.exe"
 
-(* Run the binary, returning (exit code, combined stdout+stderr). *)
-let run_repro args =
+(* Run the binary, returning (exit code, combined stdout+stderr).  With
+   [timeout], a binary that accepts what it should refuse (a server that
+   starts serving) is killed after that many seconds instead of hanging
+   the suite. *)
+let run_repro ?timeout args =
   let out = Filename.temp_file "repro-cli" ".out" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s > %s 2>&1"
+        Printf.sprintf "%s%s %s > %s 2>&1"
+          (match timeout with Some s -> Printf.sprintf "timeout %d " s | None -> "")
           (Filename.quote exe)
           (String.concat " " (List.map Filename.quote args))
           (Filename.quote out)
@@ -60,7 +64,18 @@ let test_bad_option_values_rejected () =
   check_rejected ~ctx:"--reservoir 0" ~expect:"RESERVOIR"
     (run_repro [ "stream"; "--quick"; "--reservoir"; "0"; "gzip" ]);
   check_rejected ~ctx:"--window 1" ~expect:"WINDOW"
-    (run_repro [ "stream"; "--quick"; "--window"; "1"; "gzip" ])
+    (run_repro [ "stream"; "--quick"; "--window"; "1"; "gzip" ]);
+  (* A port outside 0..65535 would be taken modulo 65536 by the socket
+     address (65537 serves on port 1).  serve and client share --port. *)
+  let serve args = run_repro ~timeout:10 ("serve" :: "--quick" :: args) in
+  check_rejected ~ctx:"serve --port 65537" ~expect:"PORT" (serve [ "--port"; "65537" ]);
+  check_rejected ~ctx:"serve --port -1" ~expect:"PORT" (serve [ "--port=-1" ]);
+  check_rejected ~ctx:"serve --metrics-port 70000" ~expect:"METRICS-PORT"
+    (serve [ "--port"; "0"; "--metrics-port"; "70000" ]);
+  check_rejected ~ctx:"serve --metrics-port 65536" ~expect:"METRICS-PORT"
+    (serve [ "--port"; "0"; "--metrics-port=65536" ]);
+  check_rejected ~ctx:"client --port 65537" ~expect:"PORT"
+    (run_repro [ "client"; "--port"; "65537"; "health" ])
 
 let test_valid_invocations_still_work () =
   let code, text = run_repro [ "workloads" ] in
@@ -68,6 +83,18 @@ let test_valid_invocations_still_work () =
   Alcotest.(check bool) "lists gzip" true (contains text "gzip");
   let code, _ = run_repro [ "cache"; "gc"; "--dir"; "_cli-test-store" ] in
   Alcotest.(check int) "cache gc (no budgets) exits 0" 0 code
+
+(* No server listening: one diagnostic line and exit 1, not an uncaught
+   Unix_error from inside cmdliner. *)
+let test_client_without_server () =
+  let sock = Filename.temp_file "repro-cli" ".sock" in
+  Sys.remove sock;
+  let code, text = run_repro [ "client"; "--socket"; sock; "health" ] in
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) (Printf.sprintf "no internal error in %S" text) false
+    (contains text "internal error");
+  Alcotest.(check bool) (Printf.sprintf "names the address in %S" text) true
+    (contains text ("repro-client: cannot connect to unix:" ^ sock ^ ": "))
 
 let () =
   Alcotest.run "cli"
@@ -80,4 +107,7 @@ let () =
           Alcotest.test_case "valid invocations unaffected" `Quick
             test_valid_invocations_still_work;
         ] );
+      ( "client",
+        [ Alcotest.test_case "no server: one line, exit 1" `Quick test_client_without_server ]
+      );
     ]

@@ -1,14 +1,17 @@
 (* Tests for the deep half of the linter (lib/lint: Graph, Effects, Race,
    G001–G004): QCheck properties for the SCC kernel, the effect fixpoint and
-   the alias resolver, unit fixtures per G rule through the same
+   the alias resolver, unit fixtures per G rule and for the attribute forms
+   that waive file-level and interface findings, all through the same
    [Engine.run_deep_sources] entry point the CLI uses, and an integration
-   check that the real repo deep-lints clean with the shipped waivers. *)
+   check that the real repo deep-lints clean with the attributes it
+   carries. *)
 
 module Rule = Lint.Rule
 module Loader = Lint.Loader
 module Syntax = Lint.Syntax
 module Graph = Lint.Graph
 module Effects = Lint.Effects
+module Rules_det = Lint.Rules_det
 module Engine = Lint.Engine
 
 let src path code = Loader.of_string ~path code
@@ -35,17 +38,7 @@ let contains ~affix s =
 (* ----------------------------- registry ------------------------------ *)
 
 let test_registry () =
-  Alcotest.(check (list string))
-    "deep registry ids" [ "G001"; "G002"; "G003"; "G004" ]
-    (List.map (fun (r : Rule.t) -> r.Rule.id) Engine.deep_rules);
   Alcotest.(check int) "shallow registry size" 8 (List.length Engine.rules);
-  List.iter
-    (fun id ->
-      match Engine.find_rule id with
-      | Some r -> Alcotest.(check string) "find_rule id" id r.Rule.id
-      | None -> Alcotest.failf "find_rule %s = None" id)
-    [ "D001"; "G001"; "G004" ];
-  Alcotest.(check bool) "unknown id rejected" true (Engine.find_rule "Z999" = None);
   (* The built-in root table covers both kinds. *)
   List.iter
     (fun kind ->
@@ -351,6 +344,26 @@ let test_g004_dead_export () =
   check_ids "included module escapes the audit" []
     (List.filter (fun id -> id = "G004") (rule_ids escaped))
 
+(* Findings without an expression to carry an attribute: D007 is waived by
+   a floating attribute in the .ml, G004 by one on the val (nested
+   signatures included) or a floating one in the .mli. *)
+let test_waiver_forms () =
+  let d =
+    deep
+      [ src "lib/x/a.ml" "[@@@lint.allow \"D007\"]\nlet v () = 1";
+        src "lib/y/b.ml" "let dead () = 1\nmodule Inner = struct let lost () = 2 end";
+        src "lib/y/b.mli"
+          "val dead : unit -> int [@@lint.allow \"G004\"]\n\
+           module Inner : sig\n\
+          \  val lost : unit -> int [@@lint.allow \"G004\"]\n\
+           end";
+        src "lib/z/c.ml" "let gone () = 3";
+        src "lib/z/c.mli" "[@@@lint.allow \"G004\"]\nval gone : unit -> int" ]
+  in
+  check_ids "nothing reported" [] (rule_ids d);
+  check_ids "waived ids" [ "D007"; "G004"; "G004"; "G004" ]
+    (List.map (fun (f : Rule.finding) -> f.Rule.rule) d.Engine.dresult.Engine.waived)
+
 (* --------------------------- graph shape ----------------------------- *)
 
 let test_graph_projections () =
@@ -365,7 +378,7 @@ let test_graph_projections () =
   Alcotest.(check bool) "module graph has the X.A -> Y.B edge" true
     (List.mem ("X.A", "Y.B") (Graph.module_graph g));
   Alcotest.(check bool) "nondeterminism classifier knows Random" true
-    (Graph.ndet_of_name "Random.int" = Some Graph.Nrandom);
+    (Rules_det.ndet_of_name "Random.int" = Some Rules_det.Nrandom);
   (* Both serializations mention every node; a smoke-level shape check. *)
   let json = Graph.to_json ~effects:(fun _ -> []) g in
   let dot = Graph.to_dot g in
@@ -382,20 +395,18 @@ let test_repo_deep_clean () =
   let root = "../../.." in
   if not (Sys.file_exists (Filename.concat root "dune-project")) then ()
   else
-    match Engine.run_deep { Engine.default with Engine.root } with
-    | Error msg -> Alcotest.failf "engine error: %s" msg
-    | Ok d ->
-        let errs = Engine.errors d.Engine.dresult in
-        let warns = Engine.warnings d.Engine.dresult in
-        if errs + warns > 0 then
-          Alcotest.failf "repo deep lint not clean: %d error(s), %d warning(s):\n%s"
-            errs warns
-            (String.concat "\n"
-               (List.map
-                  (fun (f : Rule.finding) ->
-                    Printf.sprintf "%s:%d %s %s" f.Rule.file f.Rule.line f.Rule.rule
-                      f.Rule.message)
-                  d.Engine.dresult.Engine.findings))
+    let d = Engine.run_deep ~root in
+    let errs = Engine.errors d.Engine.dresult in
+    let warns = Engine.warnings d.Engine.dresult in
+    if errs + warns > 0 then
+      Alcotest.failf "repo deep lint not clean: %d error(s), %d warning(s):\n%s" errs
+        warns
+        (String.concat "\n"
+           (List.map
+              (fun (f : Rule.finding) ->
+                Printf.sprintf "%s:%d %s %s" f.Rule.file f.Rule.line f.Rule.rule
+                  f.Rule.message)
+              d.Engine.dresult.Engine.findings))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -426,6 +437,7 @@ let () =
           Alcotest.test_case "G002 task race" `Quick test_g002_race;
           Alcotest.test_case "G003 handler escape" `Quick test_g003_handler;
           Alcotest.test_case "G004 dead export" `Quick test_g004_dead_export;
+          Alcotest.test_case "waiver forms" `Quick test_waiver_forms;
           Alcotest.test_case "projections" `Quick test_graph_projections;
         ] );
       ("integration", [ Alcotest.test_case "repo deep-lints clean" `Quick test_repo_deep_clean ]);

@@ -1,17 +1,16 @@
 (* Unit tests for the determinism & hygiene linter (lib/lint): one positive
-   and one negative fixture per rule, waiver handling (attributes and the
-   baseline file), reporter determinism, and an integration check that the
-   real repo lints clean with the shipped lint.waivers. *)
+   and one negative fixture per rule, [@lint.allow] attribute waivers,
+   reporter determinism, and an integration check that the real repo lints
+   clean with the attributes it carries. *)
 
 module Rule = Lint.Rule
 module Loader = Lint.Loader
-module Waivers = Lint.Waivers
 module Engine = Lint.Engine
 module Reporter = Lint.Reporter
 
 let src path code = Loader.of_string ~path code
 
-let run ?rules ?waivers sources = Engine.run_sources ?rules ?waivers sources
+let run = Engine.run_sources
 
 let rule_ids (res : Engine.result) =
   List.map (fun (f : Rule.finding) -> f.Rule.rule) res.Engine.findings
@@ -25,9 +24,10 @@ let test_d001 () =
   let bad = [ src "lib/x/a.ml" "let r () = Random.int 6"; src "lib/x/a.mli" "" ] in
   check_ids "D001 fires" [ "D001" ] (rule_ids (run bad));
   let ok =
-    [ src "lib/stats/rng.ml" "let self_test () = Random.self_init ()" ]
+    [ src "lib/stats/rng.ml" "let self_test () = Random.self_init ()";
+      src "lib/stats/rng.mli" "" ]
   in
-  check_ids "rng.ml exempt" [] (rule_ids (run ~rules:[ "D001" ] ok))
+  check_ids "rng.ml exempt" [] (rule_ids (run ok))
 
 let test_d002 () =
   let bad = [ src "bin/a.ml" "let t () = Unix.gettimeofday ()" ] in
@@ -67,8 +67,10 @@ let test_d003 () =
 let test_d004 () =
   let bad = [ src "lib/x/a.ml" "let g f = Domain.spawn f"; src "lib/x/a.mli" "" ] in
   check_ids "D004 fires" [ "D004" ] (rule_ids (run bad));
-  let ok = [ src "lib/parallel/pool.ml" "let g f = Domain.spawn f" ] in
-  check_ids "lib/parallel exempt" [] (rule_ids (run ~rules:[ "D004" ] ok))
+  let ok =
+    [ src "lib/parallel/pool.ml" "let g f = Domain.spawn f"; src "lib/parallel/pool.mli" "" ]
+  in
+  check_ids "lib/parallel exempt" [] (rule_ids (run ok))
 
 let test_d005 () =
   let bad = [ src "lib/x/a.ml" "let s a b = a == b || a != b"; src "lib/x/a.mli" "" ] in
@@ -135,33 +137,6 @@ let test_attribute_wrong_rule () =
   let res = run [ src "lib/x/a.ml" code; src "lib/x/a.mli" "" ] in
   check_ids "wrong id does not waive" [ "D003" ] (rule_ids res)
 
-let waivers_of_string text =
-  match Waivers.parse_string ~path:"lint.waivers" text with
-  | Ok w -> w
-  | Error msg -> Alcotest.failf "waiver parse: %s" msg
-
-let test_file_waiver () =
-  let sources = [ src "lib/x/a.ml" "let g f = Domain.spawn f"; src "lib/x/a.mli" "" ] in
-  let w = waivers_of_string "D004 lib/x/a.ml contained by a fixture pool\n" in
-  let res = run ~waivers:w sources in
-  check_ids "file waiver applies" [] (rule_ids res);
-  Alcotest.(check int) "waived" 1 (List.length res.Engine.waived);
-  (* Same entry pinned to the wrong line must not waive. *)
-  let w = waivers_of_string "D004 lib/x/a.ml:99 wrong line\n" in
-  check_ids "wrong line keeps finding + W000" [ "D004"; "W000" ]
-    (List.sort compare (rule_ids (run ~waivers:w sources)))
-
-let test_stale_waiver () =
-  let w = waivers_of_string "D001 lib/gone.ml file was deleted\n" in
-  let res = run ~waivers:w [ src "lib/x/a.ml" "let x = 1"; src "lib/x/a.mli" "" ] in
-  check_ids "stale entry surfaces as W000" [ "W000" ] (rule_ids res);
-  Alcotest.(check int) "W000 is a warning, not an error" 0 (Engine.errors res)
-
-let test_waiver_parse_error () =
-  match Waivers.parse_string ~path:"lint.waivers" "D001\n" with
-  | Ok _ -> Alcotest.fail "malformed line accepted"
-  | Error _ -> ()
-
 (* ----------------------------- reporters ----------------------------- *)
 
 let test_reporter_deterministic () =
@@ -175,33 +150,24 @@ let test_reporter_deterministic () =
   Alcotest.(check string) "human stable" (Reporter.human r1) (Reporter.human r2);
   Alcotest.(check string) "json stable" (Reporter.json r1) (Reporter.json r2)
 
-let test_rules_filter () =
-  let sources =
-    [ src "lib/x/a.ml" "let r () = Random.int 6\nlet s a b = a == b" ]
-  in
-  check_ids "only D001 runs" [ "D001" ] (rule_ids (run ~rules:[ "D001" ] sources))
-
 (* ---------------------------- integration ---------------------------- *)
 
 (* dune runtest executes from _build/default/test; the checkout root is
-   three levels up.  The whole tree must lint clean with the shipped
-   lint.waivers — the static half of the determinism gate.  Exactly one
-   shallow finding is waived: graph.ml's own sorted_bindings carries a
-   point [@lint.allow "D003"] (the fold it wraps is the sanctioned
-   sorted-traversal implementation the rule steers everyone else to). *)
+   three levels up.  The whole tree must lint clean — the static half of
+   the determinism gate.  Exactly one shallow finding is waived: graph.ml's
+   own sorted_bindings carries a point [@lint.allow "D003"] (the fold it
+   wraps is the sanctioned sorted-traversal implementation the rule steers
+   everyone else to). *)
 let test_repo_clean () =
   let root = "../../.." in
   if not (Sys.file_exists (Filename.concat root "dune-project")) then ()
   else
-    match Engine.run { Engine.default with Engine.root } with
-    | Error msg -> Alcotest.failf "engine error: %s" msg
-    | Ok res ->
-        let render = Reporter.human res in
-        Alcotest.(check string)
-          "repo lints clean (zero errors, zero warnings)"
-          (Printf.sprintf "lint clean: %d files checked, 1 finding(s) waived.\n"
-             res.Engine.files)
-          render
+    let res = Engine.run ~root in
+    Alcotest.(check string)
+      "repo lints clean (zero errors, zero warnings)"
+      (Printf.sprintf "lint clean: %d files checked, 1 finding(s) waived.\n"
+         res.Engine.files)
+      (Reporter.human res)
 
 let () =
   Alcotest.run "lint"
@@ -223,15 +189,9 @@ let () =
           Alcotest.test_case "attribute" `Quick test_attribute_waiver;
           Alcotest.test_case "floating attribute" `Quick test_floating_attribute_waiver;
           Alcotest.test_case "attribute wrong rule" `Quick test_attribute_wrong_rule;
-          Alcotest.test_case "baseline file" `Quick test_file_waiver;
-          Alcotest.test_case "stale entry -> W000" `Quick test_stale_waiver;
-          Alcotest.test_case "malformed line rejected" `Quick test_waiver_parse_error;
         ] );
       ( "reporting",
-        [
-          Alcotest.test_case "byte-deterministic" `Quick test_reporter_deterministic;
-          Alcotest.test_case "--rules filter" `Quick test_rules_filter;
-        ] );
+        [ Alcotest.test_case "byte-deterministic" `Quick test_reporter_deterministic ] );
       ( "integration",
         [ Alcotest.test_case "repo lints clean" `Quick test_repo_clean ] );
     ]
