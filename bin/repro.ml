@@ -237,6 +237,15 @@ let stream_cmd =
           bit-identical for every --jobs value.")
     Term.(const run $ config_term $ names $ reservoir $ window $ no_trace)
 
+(* The linter and the graph read whatever sources they find under
+   --root, so a mistyped root would read as an empty, clean tree: refuse
+   one that is not a directory. *)
+let require_dir root =
+  if not (Sys.file_exists root && Sys.is_directory root) then begin
+    Printf.eprintf "repro: --root %s: not a directory\n" root;
+    exit 1
+  end
+
 let lint_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the machine-readable JSON report.")
@@ -257,6 +266,7 @@ let lint_cmd =
              exception escape and the dead-export audit.")
   in
   let run json root deep =
+    require_dir root;
     let res =
       if deep then (Lint.Engine.run_deep ~root).Lint.Engine.dresult
       else Lint.Engine.run ~root
@@ -294,6 +304,7 @@ let graph_cmd =
           ~doc:"Emit the function-level graph (nodes, edges, globals, roots) as JSON.")
   in
   let run root dot json =
+    require_dir root;
     let d = Lint.Engine.run_deep ~root in
     let effects id =
       match Lint.Graph.node_index d.Lint.Engine.graph id with

@@ -5,7 +5,7 @@
    The example program alternates three phases:
    - "parse":  branchy, cache-resident;
    - "kernel": streaming over a 12 MB array (memory-bound);
-   - "emit":   random writes over a medium working set;
+   - "emit":   random references over a medium working set;
    plus a fourth "background" phase whose reference rate drifts with a
    random walk the EIPs cannot see (a Q-III ingredient).
 
@@ -26,7 +26,7 @@ let build_model ~seed =
         ~pattern:Synth.Sequential ~refs_per_kinstr:420.0 ~hot_frac:0.5
         ~branch_entropy:0.02 ~duration_quanta:(200, 400) ();
       Synth.phase ~label:"emit" ~region:9002 ~n_eips:300 ~work_bytes:(2 * 1024 * 1024)
-        ~pattern:Synth.Random ~write_frac:0.6 ~duration_quanta:(100, 200) ();
+        ~pattern:Synth.Random ~duration_quanta:(100, 200) ();
       Synth.phase ~label:"background" ~region:9003 ~n_eips:500 ~work_bytes:(4 * 1024 * 1024)
         ~pattern:Synth.Random
         ~rate_mod:(Synth.Walk { step = 0.08; lo = 0.5; hi = 2.0 })

@@ -50,7 +50,7 @@ let seq_scan ctx ~region ~heap ?(instr_per_row = 60) ?(selectivity = 0.5)
            let prev_line = if row = 0 then -1 else (Heap.addr_of_row heap (row - 1)) / line_bytes in
            let first_line = addr / line_bytes in
            let last_line = (addr + heap.Heap.row_bytes - 1) / line_bytes in
-           for l = max first_line (prev_line + 1) to last_line do
+           for l = Int.max first_line (prev_line + 1) to last_line do
              Sink.data_ref sink (l * line_bytes)
            done;
            Sink.branch sink ~pc:pc_loop ~taken:(row + 1 < heap.Heap.rows);
@@ -133,7 +133,7 @@ let sort ctx ~region ~space ~bytes ?(run_bytes = 1 lsl 20) ?(fanin = 8)
         let a = src_base + (!offset * line_bytes) in
         Sink.instrs sink ~region instr_per_line;
         Sink.data_ref sink a;
-        Sink.data_ref sink ~write:true (dst_base + (!offset * line_bytes));
+        Sink.data_ref sink (dst_base + (!offset * line_bytes));
         (* Merge comparison: winner side is data-dependent. *)
         Sink.branch sink ~pc:pc_cmp ~taken:(Rng.bool ctx.rng);
         incr offset
@@ -167,7 +167,7 @@ let hash_join ctx ~region ~space ~build ~probe ?(match_prob = 0.7) ?(instr_per_r
           let addr = Heap.addr_of_row build !cursor in
           Sink.instrs sink ~region instr_per_row;
           Sink.data_ref sink addr;
-          Sink.data_ref sink ~write:true (scatter ());
+          Sink.data_ref sink (scatter ());
           incr cursor
         done;
         if !cursor >= build.Heap.rows then begin
@@ -209,7 +209,7 @@ let aggregate ctx ~region ~space ~src ?(groups = 256) ?(instr_per_row = 45)
         let addr = Heap.addr_of_row src !cursor in
         Sink.instrs sink ~region instr_per_row;
         Sink.data_ref sink addr;
-        Sink.data_ref sink ~write:true (group_base + (Rng.int ctx.rng groups * 32));
+        Sink.data_ref sink (group_base + (Rng.int ctx.rng groups * 32));
         Sink.branch sink ~pc:pc_loop ~taken:(!cursor + 1 < src.Heap.rows);
         incr cursor
       done;

@@ -12,7 +12,6 @@ type drained = {
   region_instrs : (int * int) array;  (** (region id, instrs) pairs *)
   n_refs : int;
   addrs : int array;  (** the data references are its first [n_refs] entries *)
-  writes : bool array;  (** parallel to [addrs] *)
   n_branches : int;
   branch_pcs : int array;  (** the branches are its first [n_branches] entries *)
   branch_taken : bool array;  (** parallel to [branch_pcs] *)
@@ -23,7 +22,10 @@ type drained = {
 
 val create : unit -> t
 val instrs : t -> region:int -> int -> unit
-val data_ref : t -> ?write:bool -> int -> unit
+val data_ref : t -> int -> unit
+(** Record a data reference by byte address.  Loads and stores alike:
+    the cache model allocates on both and never tells them apart. *)
+
 val branch : t -> pc:int -> taken:bool -> unit
 val io_wait : t -> unit
 
@@ -38,7 +40,7 @@ val account_branches : t -> int -> unit
 
 val total_instrs : t -> int
 val drain : t -> drained
-(** Return everything accumulated and reset the sink.  The four event
+(** Return everything accumulated and reset the sink.  The three event
     arrays are the sink's own buffers, not copies, and may be longer than
     their counts: they stay valid only until the sink is next written
     to. *)

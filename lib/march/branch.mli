@@ -14,3 +14,7 @@ val create : table_bits:int -> unit -> t
 val update : t -> pc:int -> taken:bool -> bool
 (** Predict, then train with the actual direction and shift the history.
     Returns [true] when the prediction was wrong (a mispredict). *)
+
+val mispredicts : t -> pcs:int array -> taken:bool array -> n:int -> int
+(** [update] each of the first [n] branches in order and count the
+    mispredicts. *)

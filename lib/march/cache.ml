@@ -56,6 +56,16 @@ let access t addr =
     !found
   end
 
+(* The levels are walked here, next to [access], so a reference costs one
+   call into this module however deep it goes (DESIGN.md §12a). *)
+let walk path addr =
+  let n = Array.length path in
+  let i = ref 0 in
+  while !i < n && not (access path.(!i) addr) do
+    incr i
+  done;
+  !i
+
 let probe t addr =
   let line = addr asr t.line_bits in
   let base = (line land (t.sets - 1)) * t.ways in

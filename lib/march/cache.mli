@@ -16,6 +16,13 @@ val access : t -> int -> bool
 (** [access t addr] returns [true] on hit; always updates LRU and
     allocates the line on miss. *)
 
+val walk : t array -> int -> int
+(** [walk path addr] accesses [addr] in [path.(0)], [path.(1)], ... and
+    stops at the first hit: it returns that cache's index, or
+    [Array.length path] when every cache missed.  Each cache it passes
+    allocates the line, as {!access} does; the caches after the hit are
+    not touched. *)
+
 val probe : t -> int -> bool
 (** Hit test without state change. *)
 

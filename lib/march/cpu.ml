@@ -32,43 +32,46 @@ let create cfg =
 let config t = t.cfg
 
 (* Loops rather than [Array.iter] closures keep the float accumulators
-   unboxed; the accumulation order is the one every golden was made with. *)
+   unboxed; the accumulation order is the one every golden was made with.
+   Each reference is one [Cache.walk] down its path, whose index reads
+   the stall cycles out of an unboxed latency table. *)
 let run t (q : Quantum.t) =
   let cfg = t.cfg in
+  let lats = Hierarchy.latencies t.hier in
   let work = float_of_int q.instrs *. cfg.base_cpi in
   (* Front end: instruction fetches through L1I/L2/L3, plus branch
      mispredict flushes. *)
   let fe = ref 0.0 in
+  let inst = Hierarchy.inst_path t.hier in
   for i = 0 to Array.length q.inst_lines - 1 do
-    let lvl = Hierarchy.access_inst t.hier q.inst_lines.(i) in
-    let lat = Hierarchy.data_latency cfg lvl in
+    let lat = lats.(Cache.walk inst q.inst_lines.(i)) in
     if lat > 0.0 then fe := !fe +. (q.inst_weight *. lat *. cfg.fetch_miss_factor)
   done;
-  let mispredicts = ref 0 in
-  for i = 0 to q.n_branches - 1 do
-    if Branch.update t.branch ~pc:q.branch_pcs.(i) ~taken:q.branch_taken.(i) then
-      incr mispredicts
-  done;
-  let mispredicts_w = float_of_int !mispredicts *. q.branch_weight in
+  let mispredicts =
+    Branch.mispredicts t.branch ~pcs:q.branch_pcs ~taken:q.branch_taken ~n:q.n_branches
+  in
+  let mispredicts_w = float_of_int mispredicts *. q.branch_weight in
   fe := !fe +. (mispredicts_w *. cfg.mispredict_penalty);
   (* Execution: data misses, partially hidden by the core's overlap. *)
   let exe = ref 0.0 and tlb_misses = ref 0 and l3m = ref 0 and dm = ref 0 in
+  let data = Hierarchy.data_path t.hier in
+  let mem = Array.length data in
   for i = 0 to q.n_refs - 1 do
     let addr = q.ref_addrs.(i) in
     if not (Tlb.access t.dtlb addr) then incr tlb_misses;
-    let lvl = Hierarchy.access_data t.hier addr in
-    (match lvl with
-    | Hierarchy.L1 -> ()
-    | Hierarchy.L2 | Hierarchy.L3 -> incr dm
-    | Hierarchy.Mem -> (
-        incr dm;
+    let lvl = Cache.walk data addr in
+    if lvl > 0 then begin
+      incr dm;
+      if lvl = mem then begin
         incr l3m;
         (* A confirmed stream pre-installs the following lines, so the
            next sequential accesses hit the L2 instead of memory. *)
         match t.prefetcher with
         | Some pf -> List.iter (Hierarchy.install t.hier) (Prefetch.on_miss pf addr)
-        | None -> ()));
-    let lat = Hierarchy.data_latency cfg lvl in
+        | None -> ()
+      end
+    end;
+    let lat = lats.(lvl) in
     if lat > 0.0 then exe := !exe +. (q.ref_weight *. lat *. (1.0 -. cfg.overlap))
   done;
   let other =

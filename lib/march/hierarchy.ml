@@ -1,10 +1,14 @@
 type level = L1 | L2 | L3 | Mem
 
+(* A data or instruction reference walks its path with [Cache.walk]; the
+   walk's index is the level that served it, and [lat] maps the index to
+   its stall cycles.  [outer] is the shared L2 (and L3), where prefetches
+   land. *)
 type t = {
-  l1i : Cache.t;
-  l1d : Cache.t;
-  l2 : Cache.t;
-  l3 : Cache.t option;
+  data : Cache.t array;
+  inst : Cache.t array;
+  outer : Cache.t array;
+  lat : float array;
 }
 
 let of_geom (g : Config.geometry) =
@@ -12,32 +16,21 @@ let of_geom (g : Config.geometry) =
 
 let create (cfg : Config.t) =
   Config.validate cfg;
-  {
-    l1i = of_geom cfg.l1i;
-    l1d = of_geom cfg.l1d;
-    l2 = of_geom cfg.l2;
-    l3 = Option.map of_geom cfg.l3;
-  }
+  let l1i = of_geom cfg.l1i and l1d = of_geom cfg.l1d and l2 = of_geom cfg.l2 in
+  let outer, lat =
+    match cfg.l3 with
+    | Some g -> ([| l2; of_geom g |], [| 0.0; cfg.lat_l2; cfg.lat_l3; cfg.lat_mem |])
+    | None -> ([| l2 |], [| 0.0; cfg.lat_l2; cfg.lat_mem |])
+  in
+  { data = Array.append [| l1d |] outer; inst = Array.append [| l1i |] outer; outer; lat }
 
-let beyond_l1 t addr =
-  if Cache.access t.l2 addr then L2
-  else
-    match t.l3 with
-    | Some l3 -> if Cache.access l3 addr then L3 else Mem
-    | None -> Mem
+let access_data t addr =
+  let i = Cache.walk t.data addr in
+  if i = 0 then L1 else if i = Array.length t.data then Mem else if i = 1 then L2 else L3
 
-let access_data t addr = if Cache.access t.l1d addr then L1 else beyond_l1 t addr
+let install t addr = Array.iter (fun c -> ignore (Cache.access c addr : bool)) t.outer
 
-let access_inst t addr = if Cache.access t.l1i addr then L1 else beyond_l1 t addr
-
-let install t addr =
-  ignore (Cache.access t.l2 addr : bool);
-  match t.l3 with Some l3 -> ignore (Cache.access l3 addr : bool) | None -> ()
-
-let data_latency (cfg : Config.t) = function
-  | L1 -> 0.0
-  | L2 -> cfg.lat_l2
-  | L3 -> cfg.lat_l3
-  | Mem -> cfg.lat_mem
-
-let l1d t = t.l1d
+let data_path t = t.data
+let inst_path t = t.inst
+let latencies t = t.lat
+let l1d t = t.data.(0)

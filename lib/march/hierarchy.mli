@@ -10,15 +10,21 @@ val access_data : t -> int -> level
 (** Deepest level that had to service the data reference; fills all levels
     above it. *)
 
-val access_inst : t -> int -> level
-(** Same for an instruction-fetch reference (separate L1I, shared
-    L2/L3). *)
-
 val install : t -> int -> unit
 (** Pre-install a line into the L2/L3 (prefetch fill); does not touch the
     L1. *)
 
-val data_latency : Config.t -> level -> float
-(** Extra stall cycles a data access at this level costs (0 for L1). *)
+val data_path : t -> Cache.t array
+(** L1D, L2 and the L3 when the machine has one: {!Cache.walk} over it
+    serves a data reference as {!access_data} does, and returns the
+    serving level as an index into {!latencies}. *)
+
+val inst_path : t -> Cache.t array
+(** The same with the L1I in front (instruction fetch). *)
+
+val latencies : t -> float array
+(** The extra stall cycles an access served at each level costs, in path
+    order: 0 for the L1, the outer levels' latencies, then memory's.
+    Indexed by what {!Cache.walk} returns over either path. *)
 
 val l1d : t -> Cache.t

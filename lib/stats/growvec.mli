@@ -1,5 +1,5 @@
-(** Growable unboxed vectors used by trace sinks on the hot path of the
-    workload simulators. *)
+(** A growable unboxed int vector, for collecting an unknown number of
+    ints without a list. *)
 
 module Int : sig
   type t
@@ -11,19 +11,4 @@ module Int : sig
   (** Reset length to zero; capacity is retained. *)
 
   val to_array : t -> int array
-
-  val data : t -> int array
-  (** The backing array, without copying: only its first [length t]
-      elements are the vector's.  A later [push] overwrites it, or
-      replaces it when the vector grows. *)
-end
-
-module Bool : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  val push : t -> bool -> unit
-  val clear : t -> unit
-  val data : t -> bool array
-  (** As {!Int.data}. *)
 end

@@ -32,7 +32,7 @@ let model ?(params = default_params) ?(name = "sjas") ?addr_base ~seed () =
       ~label:(Printf.sprintf "handler%d" i)
       ~region:(region_base + i) ~n_eips:params.eips_per_region ~eip_skew:0.8
       ~work_bytes:params.session_bytes ~pattern:Synth.Random ~refs_per_kinstr:300.0
-      ~hot_frac:0.965 ~write_frac:0.35 ~branches_per_kinstr:140.0 ~branch_entropy:0.12
+      ~hot_frac:0.965 ~branches_per_kinstr:140.0 ~branch_entropy:0.12
       ~duration_quanta:(2, 6)
       ~rate_mod:(Synth.Walk { step = 0.035; lo = 0.8; hi = 1.25 })
       ()
@@ -40,7 +40,7 @@ let model ?(params = default_params) ?(name = "sjas") ?addr_base ~seed () =
   let gc =
     Synth.phase ~label:"gc" ~region:(region_base + params.handler_regions)
       ~n_eips:2400 ~eip_skew:1.0 ~work_bytes:params.oldgen_bytes ~pattern:Synth.Chase
-      ~refs_per_kinstr:420.0 ~hot_frac:0.94 ~write_frac:0.2 ~branches_per_kinstr:90.0
+      ~refs_per_kinstr:420.0 ~hot_frac:0.94 ~branches_per_kinstr:90.0
       ~branch_entropy:0.1 ~duration_quanta:(3, 9) ()
   in
   let phases =

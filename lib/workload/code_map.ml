@@ -76,7 +76,7 @@ let code_lines t rng ~region_instrs ~max_lines =
       (fun (region, w) ->
         let e = entry t region in
         (* This region's share of the line budget, at least 1 sample. *)
-        let share = max 1 (max_lines * w / total) in
+        let share = Int.max 1 (max_lines * w / total) in
         for _ = 1 to share do
           if !count < max_lines then begin
             let eip = e.base + (Dist.categorical_draw e.sampler rng * eip_stride) in

@@ -99,7 +99,10 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
           Sink.branch sink ~pc:(region_base * 1024) ~taken:(key land 1 = 0);
           if row >= 0 && row < accounts.Heap.rows then begin
             let addr = Heap.addr_of_row accounts row in
-            Sink.data_ref sink ~write:(Rng.bernoulli trng 0.3) addr;
+            (* The draw a store flag took when stores were recorded:
+               the stream's draw order is output, so it stays. *)
+            ignore (Rng.bits trng : int);
+            Sink.data_ref sink addr;
             if not (Dbengine.Bufcache.touch buf addr) then
               if Rng.bernoulli trng params.yield_prob then begin
                 Sink.io_wait sink;
@@ -110,7 +113,7 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
         (* Log append: sequential writes, always cached. *)
         let log_row = !log_cursor mod log.Heap.rows in
         log_cursor := !log_cursor + 1;
-        Sink.data_ref sink ~write:true (Heap.addr_of_row log log_row);
+        Sink.data_ref sink (Heap.addr_of_row log log_row);
         (* Commit branch. *)
         Sink.branch sink ~pc:((region_base * 1024) + 8) ~taken:true
       done;

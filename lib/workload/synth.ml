@@ -14,7 +14,6 @@ type phase = {
   pattern : pattern;
   refs_per_kinstr : float;
   hot_frac : float;
-  write_frac : float;
   branches_per_kinstr : float;
   branch_entropy : float;
   duration_quanta : int * int;
@@ -23,8 +22,7 @@ type phase = {
 }
 
 let phase ~label ~region ~n_eips ?(eip_skew = 1.0) ~work_bytes ~pattern
-    ?(refs_per_kinstr = 350.0) ?(hot_frac = 0.9) ?(write_frac = 0.1)
-    ?(branches_per_kinstr = 120.0)
+    ?(refs_per_kinstr = 350.0) ?(hot_frac = 0.9) ?(branches_per_kinstr = 120.0)
     ?(branch_entropy = 0.05) ~duration_quanta ?(rate_mod = Steady) ?(work_walk = 0) () =
   if work_bytes <= 0 then invalid_arg "Synth.phase: work_bytes must be positive";
   let lo, hi = duration_quanta in
@@ -39,7 +37,6 @@ let phase ~label ~region ~n_eips ?(eip_skew = 1.0) ~work_bytes ~pattern
     pattern;
     refs_per_kinstr;
     hot_frac;
-    write_frac;
     branches_per_kinstr;
     branch_entropy;
     duration_quanta;
@@ -128,16 +125,20 @@ let thread rng ~code ~space ~phases ~tid =
     let stride = match p.pattern with Sequential | Strided _ -> line | Random | Chase -> 0 in
     (* Keep the sampled stream's spatial density equal to the logical
        stream's: advance by (candidates / emitted) lines per sample. *)
-    let scale = if emit_refs = 0 then 1 else max 1 (want_refs / max 1 emit_refs) in
+    let scale = if emit_refs = 0 then 1 else Int.max 1 (want_refs / Int.max 1 emit_refs) in
+    let lines = Int.max 1 (span / line) in
     for _ = 1 to emit_refs do
       let addr =
         if stride > 0 then begin
           s.cursor <- (s.cursor + (stride * scale)) mod span;
           s.base + s.window + s.cursor
         end
-        else s.base + s.window + (Rng.int rng (max 1 (span / line)) * line)
+        else s.base + s.window + (Rng.int rng lines * line)
       in
-      Sink.data_ref sink ~write:(Rng.bernoulli rng p.write_frac) addr
+      (* The draw a store flag took when stores were recorded: the
+         stream's draw order is output, so it stays. *)
+      ignore (Rng.bits rng : int);
+      Sink.data_ref sink addr
     done;
     let want_branches = int_of_float (p.branches_per_kinstr *. kinstr) in
     let emit_branches = min want_branches max_branches_per_quantum in

@@ -37,7 +37,6 @@ type phase = {
   hot_frac : float;
       (** fraction of references to a small always-L1-resident hot area
           (stack, locals); these can never stall and are not emitted *)
-  write_frac : float;
   branches_per_kinstr : float;
   branch_entropy : float;  (** fraction of branches with random direction *)
   duration_quanta : int * int;  (** uniform range, in sampling quanta *)
@@ -54,7 +53,6 @@ val phase :
   pattern:pattern ->
   ?refs_per_kinstr:float ->
   ?hot_frac:float ->
-  ?write_frac:float ->
   ?branches_per_kinstr:float ->
   ?branch_entropy:float ->
   duration_quanta:int * int ->
@@ -62,7 +60,7 @@ val phase :
   ?work_walk:int ->
   unit ->
   phase
-(** Defaults: skew 1.0, 350 refs/kinstr, hot fraction 0.9, 10% writes,
+(** Defaults: skew 1.0, 350 refs/kinstr, hot fraction 0.9,
     120 branches/kinstr, entropy 0.05, steady rate, fixed window.
 
     Only {e miss candidates} are emitted into the sink: cold sequential

@@ -1,6 +1,7 @@
 (** Specification implementations of the CART grower and the
-    cross-validated RE curve (DESIGN.md §12), and the Scanf trace-archive
-    decoder ({!Trace_io}).  The shipped {!Rtree.Tree.build} and
+    cross-validated RE curve (DESIGN.md §12), the Scanf trace-archive
+    decoder ({!Trace_io}), and the boxed-state RNG and record-node B-tree
+    the simulator had before its per-event rewrite (§12a).  The shipped {!Rtree.Tree.build} and
     {!Rtree.Cv.relative_error_curve} must be bit-identical to these,
     which QCheck asserts in [test_rtree.ml].  The oracle shares no code
     with [lib/rtree] beyond the data types: it has its own copy of the
@@ -33,4 +34,44 @@ module Trace_io : sig
       shipped decoder may reject more, never less, and must return the
       same run bit for bit wherever it accepts; [test_fuzz.ml] checks
       both over random runs and over mutated v1/v2 archives. *)
+end
+
+module Rng : sig
+  (** {!Stats.Rng} with its SplitMix64 state in a boxed [int64] field and
+      a recursive rejection loop in [int].  The shipped generator must
+      give the same stream for every seed and every sequence of
+      operations; [test_stats.ml] checks it with QCheck. *)
+
+  type t
+
+  val create : int -> t
+  val split : t -> t
+  val split_label : int -> string -> t
+  val bits : t -> int
+  val int : t -> int -> int
+  val int_in : t -> int -> int -> int
+  val float : t -> float -> float
+  val bool : t -> bool
+  val bernoulli : t -> float -> bool
+  val shuffle : t -> 'a array -> unit
+  val permutation : t -> int -> int array
+end
+
+module Btree : sig
+  (** {!Dbengine.Btree} with a record per node and a binary search in
+      each.  The shipped tree must return the same value and visit the
+      same addresses in the same order on every lookup, and agree on
+      [find], [height], [n_keys] and [footprint_bytes];
+      [test_dbengine.ml] checks it with QCheck. *)
+
+  type t
+
+  val create : ?fanout:int -> node_bytes:int -> base_addr:int -> unit -> t
+  val bulk_load : t -> (int * int) array -> unit
+  val find : t -> int -> int option
+  val lookup : t -> int -> visit:(int -> unit) -> int
+  val height : t -> int
+  val n_keys : t -> int
+  val footprint_bytes : t -> int
+  val check_invariants : t -> unit
 end

@@ -96,6 +96,26 @@ let test_client_without_server () =
   Alcotest.(check bool) (Printf.sprintf "names the address in %S" text) true
     (contains text ("repro-client: cannot connect to unix:" ^ sock ^ ": "))
 
+(* A --root that is not a directory must not read as an empty, clean
+   tree: one line on stderr and a non-zero exit, for a missing path and
+   for a regular file. *)
+let test_root_refused args () =
+  let missing = Filename.temp_file "repro-cli" ".root" in
+  Sys.remove missing;
+  let file = Filename.temp_file "repro-cli" ".root" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun root ->
+          let code, text = run_repro (args @ [ "--root"; root ]) in
+          let ctx = String.concat " " args ^ " --root " ^ root in
+          Alcotest.(check bool) (ctx ^ ": non-zero exit") true (code <> 0);
+          Alcotest.(check string) (ctx ^ ": one line")
+            (Printf.sprintf "repro: --root %s: not a directory\n" root)
+            text)
+        [ missing; file ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -106,6 +126,14 @@ let () =
             test_bad_option_values_rejected;
           Alcotest.test_case "valid invocations unaffected" `Quick
             test_valid_invocations_still_work;
+        ] );
+      ( "root",
+        [
+          Alcotest.test_case "lint refuses a non-directory" `Quick (test_root_refused [ "lint" ]);
+          Alcotest.test_case "lint --deep refuses a non-directory" `Quick
+            (test_root_refused [ "lint"; "--deep" ]);
+          Alcotest.test_case "graph refuses a non-directory" `Quick
+            (test_root_refused [ "graph" ]);
         ] );
       ( "client",
         [ Alcotest.test_case "no server: one line, exit 1" `Quick test_client_without_server ]

@@ -275,11 +275,13 @@ let test_hierarchy_mem_counter () =
   Alcotest.(check int) "10 memory accesses" 10 !mem
 
 let test_hierarchy_p4_misses_cost_memory () =
-  let h = Hierarchy.create Config.pentium4 in
-  ignore h;
-  Alcotest.(check (float 1e-9)) "mem latency" Config.pentium4.Config.lat_mem
-    (Hierarchy.data_latency Config.pentium4 Hierarchy.Mem);
-  Alcotest.(check (float 1e-9)) "L1 free" 0.0 (Hierarchy.data_latency Config.pentium4 Hierarchy.L1)
+  (* No L3 on the Pentium 4: a walk that misses both caches is served by
+     memory at index 2. *)
+  let lat = Hierarchy.latencies (Hierarchy.create Config.pentium4) in
+  Alcotest.(check int) "L1, L2, memory" 3 (Array.length lat);
+  Alcotest.(check (float 1e-9)) "mem latency" Config.pentium4.Config.lat_mem lat.(2);
+  Alcotest.(check (float 1e-9)) "L2 latency" Config.pentium4.Config.lat_l2 lat.(1);
+  Alcotest.(check (float 1e-9)) "L1 free" 0.0 lat.(0)
 
 (* ----------------------------- Breakdown --------------------------- *)
 

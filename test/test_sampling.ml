@@ -69,12 +69,12 @@ let test_driver_validation () =
    digests were taken before the allocation-free rewrite of the cache,
    TLB, CPU loop, sink hand-off and B-tree descent, and must never be
    regenerated to make a simulator change pass. *)
-let sample_digest ~name ~machine =
+let sample_digest ?(samples = 400) ?(regions = false) ~name ~machine () =
   let w = (Catalog.find name).Catalog.build ~seed:42 ~scale:0.25 in
   let run =
-    Driver.run w ~cpu:(March.Cpu.create machine) ~rng:(Rng.split_label 42 name) ~samples:400
+    Driver.run w ~cpu:(March.Cpu.create machine) ~rng:(Rng.split_label 42 name) ~samples
   in
-  let b = Buffer.create (400 * 72) in
+  let b = Buffer.create (samples * 72) in
   let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
   let add_float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
   Array.iter
@@ -88,7 +88,15 @@ let sample_digest ~name ~machine =
       add_float bd.March.Breakdown.work;
       add_float bd.fe;
       add_float bd.exe;
-      add_float bd.other)
+      add_float bd.other;
+      if regions then begin
+        add_int (Array.length s.region_instrs);
+        Array.iter
+          (fun (r, n) ->
+            add_int r;
+            add_int n)
+          s.region_instrs
+      end)
     run.Driver.samples;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -100,13 +108,34 @@ let test_driver_pinned_digests () =
   List.iter
     (fun (name, machine, expected) ->
       Alcotest.(check string) (name ^ " on " ^ machine) expected
-        (sample_digest ~name ~machine:(cfg machine)))
+        (sample_digest ~name ~machine:(cfg machine) ()))
     [
       ("odb_c", "itanium2", "98ba8fe482626e3de1aadbabae627bab");
       ("odb_h_q18", "itanium2", "ce10ffce32effe29ca1eb870fcf85ca1");
       ("mcf", "xeon", "2461333afb3ee3c160a10001b6327a21");
       ("swim", "pentium4+pf", "c3219ec712051e524034230b5758f4c1");
       ("sjas", "itanium2", "9938f786da52a2fbd88a0b64ba56d8a7");
+    ]
+
+(* The six driver runs of a quick cold analyze (48 intervals of 50
+   samples), digested as above plus every sample's [region_instrs]: the
+   sink's region counts, odb_h_q13's sequential scan and the synthetic
+   SPEC fill (mgrid, gzip) that the five pins above do not reach.  Taken
+   before the per-event rewrite of the RNG, B-tree, sink and cache walk;
+   never regenerate them to make a simulator change pass. *)
+let test_driver_pinned_cold_analyze_digests () =
+  List.iter
+    (fun (name, machine, expected) ->
+      Alcotest.(check string) (name ^ " on " ^ machine) expected
+        (sample_digest ~samples:2400 ~regions:true ~name ~machine:(March.Config.by_name machine)
+           ()))
+    [
+      ("odb_c", "itanium2", "47fa66200bf9a3793b6bc662a4056e2c");
+      ("mgrid", "itanium2", "e244af91c6ae406fb8205be34be12829");
+      ("odb_h_q18", "itanium2", "ffb68db5ebb18ae6878211a96ab86212");
+      ("odb_h_q13", "itanium2", "945b26a4233cabfa7d4436b6fa60c8ce");
+      ("gzip", "itanium2", "2e3149d697fa4ad598e18a9aa9bf0197");
+      ("gzip", "pentium4", "0bd6a5b785789b7bd59025935a5b16a3");
     ]
 
 (* -------------------------------- Eipv ----------------------------- *)
@@ -206,6 +235,8 @@ let () =
             test_driver_spec_vs_server_switch_rates;
           Alcotest.test_case "validation" `Quick test_driver_validation;
           Alcotest.test_case "pinned sample digests" `Quick test_driver_pinned_digests;
+          Alcotest.test_case "pinned cold-analyze digests" `Quick
+            test_driver_pinned_cold_analyze_digests;
         ] );
       ( "eipv",
         [

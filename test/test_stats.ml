@@ -296,6 +296,69 @@ let prop_split_label_streams =
       let s2 = stream_prefix (Rng.split_label seed l2) 8 in
       s1 = s1' && (l1 = l2 || s1 <> s2))
 
+(* The shipped generator against the boxed-state oracle it replaced:
+   from the same seed, every operation in a random sequence must give
+   the same result, floats compared by their bits. *)
+type rng_op =
+  | Bits
+  | Int of int
+  | Int_in of int * int
+  | Float of float
+  | Bool
+  | Bernoulli of float
+  | Split
+  | Split_label of int * string
+  | Shuffle of int
+  | Permutation of int
+
+let rng_op_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Bits;
+        map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int; pure max_int ]);
+        map2 (fun lo w -> Int_in (lo, lo + w)) (int_range (-1000) 1000) (int_range 0 10_000);
+        map (fun b -> Float b) (float_range (-1e6) 1e6);
+        pure Bool;
+        map (fun p -> Bernoulli p) (float_range (-0.1) 1.1);
+        pure Split;
+        map2 (fun seed l -> Split_label (seed, l)) int label_gen;
+        map (fun n -> Shuffle n) (int_range 0 40);
+        map (fun n -> Permutation n) (int_range 0 40);
+      ])
+
+let prop_rng_matches_oracle =
+  QCheck2.Test.make ~name:"rng stream equals the boxed-state oracle" ~count:300
+    QCheck2.Gen.(pair int (list_size (int_range 0 300) rng_op_gen))
+    (fun (seed, ops) ->
+      let s = ref (Rng.create seed) and o = ref (Oracle.Rng.create seed) in
+      let bits f = Int64.bits_of_float f in
+      List.for_all
+        (fun op ->
+          match op with
+          | Bits -> Rng.bits !s = Oracle.Rng.bits !o
+          | Int b -> Rng.int !s b = Oracle.Rng.int !o b
+          | Int_in (lo, hi) -> Rng.int_in !s lo hi = Oracle.Rng.int_in !o lo hi
+          | Float b -> bits (Rng.float !s b) = bits (Oracle.Rng.float !o b)
+          | Bool -> Rng.bool !s = Oracle.Rng.bool !o
+          | Bernoulli p -> Rng.bernoulli !s p = Oracle.Rng.bernoulli !o p
+          | Split ->
+              s := Rng.split !s;
+              o := Oracle.Rng.split !o;
+              true
+          | Split_label (seed, l) ->
+              s := Rng.split_label seed l;
+              o := Oracle.Rng.split_label seed l;
+              true
+          | Shuffle n ->
+              let a = Array.init n (fun i -> i * 3) and b = Array.init n (fun i -> i * 3) in
+              Rng.shuffle !s a;
+              Oracle.Rng.shuffle !o b;
+              a = b
+          | Permutation n -> Rng.permutation !s n = Oracle.Rng.permutation !o n)
+        ops
+      && Rng.bits !s = Oracle.Rng.bits !o)
+
 (* ------------------------------- Series ---------------------------- *)
 
 let test_downsample () =
@@ -333,16 +396,6 @@ let test_growvec_int () =
     (Stats.Growvec.Int.to_array v);
   Stats.Growvec.Int.clear v;
   Alcotest.(check int) "cleared" 0 (Stats.Growvec.Int.length v)
-
-let test_growvec_bool () =
-  let v = Stats.Growvec.Bool.create () in
-  for i = 0 to 63 do
-    Stats.Growvec.Bool.push v (i mod 3 = 0)
-  done;
-  let data = Stats.Growvec.Bool.data v in
-  Alcotest.(check bool) "grew" true (Array.length data >= 64);
-  Alcotest.(check (array bool)) "contents" (Array.init 64 (fun i -> i mod 3 = 0))
-    (Array.sub data 0 64)
 
 (* ----------------------------- Checksum ---------------------------- *)
 
@@ -422,7 +475,8 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "permutation" `Quick test_permutation;
           Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
-        ] );
+        ]
+        @ qcheck [ prop_rng_matches_oracle ] );
       ( "dist",
         [
           Alcotest.test_case "categorical weights" `Quick test_categorical_weights;
@@ -465,7 +519,6 @@ let () =
       ( "growvec",
         [
           Alcotest.test_case "int vector" `Quick test_growvec_int;
-          Alcotest.test_case "bool vector" `Quick test_growvec_bool;
         ] );
       ( "checksum",
         Alcotest.test_case "adler32 vector" `Quick test_adler32
