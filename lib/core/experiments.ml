@@ -5,16 +5,25 @@ type t = {
   run : Analysis.config -> string;
 }
 
-(* The memory tier and the in-flight table key on the workload name and
-   the whole config, compared structurally, so two configs share an entry
-   only if every field is equal — floats by value, as the store's hex-float
-   key compares them.  [jobs] is pinned to one value: the parallel layer
-   guarantees bit-identical results for every jobs value, so analyses are
-   shared across jobs settings. *)
+(* The memory tier keys on the workload name and the whole config,
+   compared structurally, so two configs share an entry only if every
+   field is equal — floats by value, as the store's hex-float key compares
+   them.  [jobs] is pinned to one value: the parallel layer guarantees
+   bit-identical results for every jobs value, so analyses are shared
+   across jobs settings. *)
 let key_of (config : Analysis.config) name = (name, { config with Analysis.jobs = 1 })
 
-let cache : (string * Analysis.config, Analysis.t) Hashtbl.t = Hashtbl.create 32
+(* An entry is [Running] while its first caller computes it.  A concurrent
+   miss on that key waits on [settled] instead of computing (or re-reading
+   the disk) a second time: single-flight.  Waiting is safe even on a pool
+   worker, because the computing thread waits only on its own CV fan-out,
+   and a thread waiting in [Parallel.Pool.map] runs only items of its own
+   batch, so never a duplicate of the key it computes. *)
+type entry = Done of Analysis.t | Running
+
+let cache : (string * Analysis.config, entry) Hashtbl.t = Hashtbl.create 32
 let cache_mutex = Mutex.create ()
+let settled = Condition.create ()
 
 (* ------------------------------------------------------------------ *)
 (* Second cache tier: the persistent content-addressed store.  The store
@@ -29,18 +38,6 @@ type disk_tier = {
 let disk_tier : disk_tier option ref = ref None
 let set_disk_tier t = disk_tier := t
 
-(* Keys being computed right now, with the domain computing each one.  A
-   concurrent miss on the same key waits on the owner's condition instead
-   of computing (or re-reading the disk) a second time: single-flight.
-   Waiters may be pool workers, which is safe because the owner never
-   waits on a condition it could be asked to signal — with one exception:
-   pool threads self-help, so while the owner's own nested CV fan-out
-   waits inside Parallel.Pool.map it can steal a queued task for the very
-   key it is computing.  Blocking there would wait on its own broadcast,
-   hence the owner id — a re-entrant miss computes inline instead. *)
-let inflight : (string * Analysis.config, Condition.t * int) Hashtbl.t =
-  Hashtbl.create 8
-
 let compute_tiers config name =
   match !disk_tier with
   | None -> Analysis.analyze config name
@@ -52,60 +49,53 @@ let compute_tiers config name =
           tier.persist config name a;
           a)
 
-let rec analyze_cached config name =
+let analyze_cached config name =
   let key = key_of config name in
-  let self = (Domain.self () :> int) in
   Mutex.lock cache_mutex;
-  match Hashtbl.find_opt cache key with
+  let rec lookup () =
+    match Hashtbl.find_opt cache key with
+    | Some Running ->
+        Condition.wait settled cache_mutex;
+        lookup ()
+    | Some (Done a) -> Some a
+    | None -> None
+  in
+  match lookup () with
   | Some a ->
       Mutex.unlock cache_mutex;
       a
   | None -> (
-      match Hashtbl.find_opt inflight key with
-      | Some (_, owner) when owner = self ->
-          (* Re-entrant: this domain owns the in-flight computation and
-             stole a duplicate task while self-helping in the pool.
-             Recompute inline — identical by determinism, and the store
-             put is idempotent. *)
-          Mutex.unlock cache_mutex;
-          compute_tiers config name
-      | Some (cond, _) ->
-          (* [wait] releases the mutex; on wake the owner has either
-             published the result or failed — re-run the lookup. *)
-          Condition.wait cond cache_mutex;
-          Mutex.unlock cache_mutex;
-          analyze_cached config name
-      | None ->
-          let cond = Condition.create () in
-          Hashtbl.replace inflight key (cond, self);
-          Mutex.unlock cache_mutex;
-          let release () =
-            Hashtbl.remove inflight key;
-            Condition.broadcast cond
-          in
-          (match compute_tiers config name with
-          | a ->
-              Mutex.lock cache_mutex;
-              if not (Hashtbl.mem cache key) then Hashtbl.add cache key a;
-              release ();
-              Mutex.unlock cache_mutex;
-              a
-          | exception e ->
-              Mutex.lock cache_mutex;
-              release ();
-              Mutex.unlock cache_mutex;
-              raise e))
+      Hashtbl.replace cache key Running;
+      Mutex.unlock cache_mutex;
+      (* A failed computation leaves no entry, so a waiter retries it. *)
+      let settle entry =
+        Mutex.lock cache_mutex;
+        (match entry with
+        | Some a -> Hashtbl.replace cache key (Done a)
+        | None -> Hashtbl.remove cache key);
+        Condition.broadcast settled;
+        Mutex.unlock cache_mutex
+      in
+      match compute_tiers config name with
+      | a ->
+          settle (Some a);
+          a
+      | exception e ->
+          settle None;
+          raise e)
 
 let preload (a : Analysis.t) =
   let key = key_of a.Analysis.config a.Analysis.name in
   Mutex.lock cache_mutex;
-  if not (Hashtbl.mem cache key) then Hashtbl.add cache key a;
+  if not (Hashtbl.mem cache key) then Hashtbl.add cache key (Done a);
   Mutex.unlock cache_mutex
 
 let cached config name =
   let key = key_of config name in
   Mutex.lock cache_mutex;
-  let hit = Hashtbl.mem cache key in
+  let hit =
+    match Hashtbl.find_opt cache key with Some (Done _) -> true | Some Running | None -> false
+  in
   Mutex.unlock cache_mutex;
   hit
 
@@ -115,27 +105,8 @@ let clear_cache () =
   Mutex.unlock cache_mutex
 
 let analyze_many config names =
-  let pool = Analysis.pool config in
-  (* Fan out over *distinct* names only.  Duplicates would queue several
-     tasks for one key; every loser of the single-flight race then parks
-     a pool worker in Condition.wait, starving the owner's own nested CV
-     fan-out.  The shared result is fanned back out to each occurrence,
-     so the output list is unchanged. *)
-  let seen = Hashtbl.create 16 in
-  let unique =
-    List.filter
-      (fun n ->
-        if Hashtbl.mem seen n then false
-        else begin
-          Hashtbl.add seen n ();
-          true
-        end)
-      names
-  in
-  let results = Parallel.Pool.map pool (analyze_cached config) (Array.of_list unique) in
-  let by_name = Hashtbl.create 16 in
-  List.iteri (fun i n -> Hashtbl.replace by_name n results.(i)) unique;
-  List.map (fun n -> Hashtbl.find by_name n) names
+  Array.to_list
+    (Parallel.Pool.map (Analysis.pool config) (analyze_cached config) (Array.of_list names))
 
 let buf_printf = Printf.bprintf
 

@@ -29,7 +29,11 @@ val analyze_cached : Analysis.config -> string -> Analysis.t
     persistent store (if {!set_disk_tier} installed one), then compute —
     and a computed result is pushed back down into the store.  Misses are
     single-flight per key: concurrent callers of the same key wait for
-    the first one instead of computing (or probing the disk) twice. *)
+    the first one instead of computing (or probing the disk) twice, at
+    every [jobs] and whether they come through {!Parallel.Pool.map},
+    {!Parallel.Pool.submit} or plain threads.  A caller whose computation
+    raises leaves no entry: the exception reaches that caller, and the
+    callers waiting on it retry, so one of them computes the key. *)
 
 type disk_tier = {
   probe : Analysis.config -> string -> Analysis.t option;
@@ -55,9 +59,10 @@ val cached : Analysis.config -> string -> bool
     [jobs] is ignored. *)
 
 val analyze_many : Analysis.config -> string list -> Analysis.t list
-(** Analyze several catalog workloads concurrently on the shared pool for
+(** {!analyze_cached} mapped over [names] on the shared pool for
     [config.jobs], returning results in input order.  Each workload draws
     its randomness from [Stats.Rng.split_label config.seed name], so the
-    output list is bit-identical to serially mapping {!analyze_cached}. *)
+    output list is bit-identical to serially mapping {!analyze_cached}.
+    A name listed several times is computed once. *)
 
 val clear_cache : unit -> unit

@@ -177,7 +177,6 @@ let g001_rule =
        determinism-critical root through any chain — is still flagged.  The \
        D-rules remain the fast path; G001 is the backstop that makes their \
        syntactic approximation safe.";
-    severity = Rule.Error;
     check = (fun _ -> []);
   }
 
@@ -240,7 +239,6 @@ let g003_rule =
        state into the failure mode.  G003 runs a raise-set fixpoint with \
        per-call-site handler masks and flags every constructor that can \
        reach a [@lint.root \"handler\"] function uncaught.";
-    severity = Rule.Error;
     check = (fun _ -> []);
   }
 

@@ -11,7 +11,7 @@ type result = {
 }
 
 val errors : result -> int
-val warnings : result -> int
+(** Every unwaived finding is an error. *)
 
 val run_sources : Rule.source list -> result
 (** Pure core, used by the tests with in-memory sources. *)

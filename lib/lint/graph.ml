@@ -1271,7 +1271,6 @@ let g004_rule =
        dead code and widens the interface the determinism argument must \
        cover.  Delete it, or waive with a reason if it is deliberate \
        API.";
-    severity = Rule.Error;
     check = (fun _ -> []);
   }
 

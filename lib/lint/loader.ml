@@ -4,7 +4,6 @@
 let e000 ~path (line, col, msg) =
   {
     Rule.rule = "E000";
-    severity = Rule.Error;
     file = path;
     line;
     col;

@@ -26,7 +26,6 @@ let g002_rule =
        output — and is a data race under OCaml 5's memory model.  G002 \
        inventories module-level mutable bindings and flags every write \
        reachable from pool-task context that no lock lexically dominates.";
-    severity = Rule.Error;
     check = (fun _ -> []);
   }
 

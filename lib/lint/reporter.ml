@@ -7,21 +7,18 @@ let human (res : Engine.result) =
   List.iter
     (fun (f : Rule.finding) ->
       Buffer.add_string b
-        (Printf.sprintf "%s:%d:%d %s %s: %s\n" f.Rule.file f.Rule.line f.Rule.col
-           f.Rule.rule
-           (Rule.severity_to_string f.Rule.severity)
-           f.Rule.message))
+        (Printf.sprintf "%s:%d:%d %s error: %s\n" f.Rule.file f.Rule.line f.Rule.col
+           f.Rule.rule f.Rule.message))
     res.Engine.findings;
-  let e = Engine.errors res and w = Engine.warnings res in
-  if e = 0 && w = 0 then
+  let e = Engine.errors res in
+  if e = 0 then
     Buffer.add_string b
       (Printf.sprintf "lint clean: %d files checked, %d finding(s) waived.\n"
          res.Engine.files
          (List.length res.Engine.waived))
   else
     Buffer.add_string b
-      (Printf.sprintf "%d error(s), %d warning(s) in %d files (%d waived).\n" e w
-         res.Engine.files
+      (Printf.sprintf "%d error(s) in %d files (%d waived).\n" e res.Engine.files
          (List.length res.Engine.waived));
   Buffer.contents b
 
@@ -40,18 +37,18 @@ let escape s =
     s;
   Buffer.contents b
 
+(* Every finding is an error; version 1 of the report keeps its
+   [severity] and [warnings] fields at their only values. *)
 let finding_json (f : Rule.finding) =
   Printf.sprintf
-    "{\"rule\":\"%s\",\"severity\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-    (escape f.Rule.rule)
-    (Rule.severity_to_string f.Rule.severity)
-    (escape f.Rule.file) f.Rule.line f.Rule.col (escape f.Rule.message)
+    "{\"rule\":\"%s\",\"severity\":\"error\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
+    (escape f.Rule.rule) (escape f.Rule.file) f.Rule.line f.Rule.col (escape f.Rule.message)
 
 let json (res : Engine.result) =
   let b = Buffer.create 1024 in
   Buffer.add_string b
-    (Printf.sprintf "{\"version\":1,\"files\":%d,\"errors\":%d,\"warnings\":%d,\"waived\":%d,"
-       res.Engine.files (Engine.errors res) (Engine.warnings res)
+    (Printf.sprintf "{\"version\":1,\"files\":%d,\"errors\":%d,\"warnings\":0,\"waived\":%d,"
+       res.Engine.files (Engine.errors res)
        (List.length res.Engine.waived));
   Buffer.add_string b "\"findings\":[";
   List.iteri

@@ -3,7 +3,7 @@
     compared like the [repro stream] trace. *)
 
 val human : Engine.result -> string
-(** One [file:line:col RULE severity: message] line per finding, then a
+(** One [file:line:col RULE error: message] line per finding, then a
     summary line. *)
 
 val json : Engine.result -> string

@@ -1,10 +1,5 @@
-type severity = Error | Warning
-
-let severity_to_string = function Error -> "error" | Warning -> "warning"
-
 type finding = {
   rule : string;
-  severity : severity;
   file : string;
   line : int;
   col : int;
@@ -25,12 +20,11 @@ type t = {
   id : string;
   title : string;
   doc : string;
-  severity : severity;
   check : source list -> finding list;
 }
 
 let finding (r : t) ~file ~line ~col message =
-  { rule = r.id; severity = r.severity; file; line; col; message }
+  { rule = r.id; file; line; col; message }
 
 (* Total order on findings: report order is a pure function of the finding
    set, never of rule registration or traversal order. *)

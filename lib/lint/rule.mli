@@ -1,12 +1,7 @@
 (** Core vocabulary of the linter: findings, parsed sources and rules. *)
 
-type severity = Error | Warning
-
-val severity_to_string : severity -> string
-
 type finding = {
   rule : string;  (** e.g. ["D003"] *)
-  severity : severity;
   file : string;  (** root-relative, ['/']-separated *)
   line : int;  (** 1-based *)
   col : int;  (** 0-based, as compilers print it *)
@@ -27,7 +22,6 @@ type t = {
   id : string;
   title : string;  (** one-line summary *)
   doc : string;  (** the determinism/hygiene argument the rule protects *)
-  severity : severity;
   check : source list -> finding list;
       (** sees every source at once so repo-level rules (D007) can
           cross-reference files; per-file rules use {!per_file} *)

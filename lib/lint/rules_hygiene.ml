@@ -48,7 +48,6 @@ let d007 =
          open interface invites callers into representation details (mutable \
          state, traversal order) that the determinism argument assumes are \
          private.";
-      severity = Rule.Error;
       check = (fun _ -> []);
     }
   in
@@ -89,7 +88,6 @@ let d008 =
          future bug alike, turning crashes into silently wrong (and possibly \
          run-dependent) results.  Name the exceptions the handler is actually \
          meant for.";
-      severity = Rule.Error;
       check = (fun _ -> []);
     }
   in

@@ -86,7 +86,7 @@ let iter_idents ast f =
       | _ -> ())
 
 let ident_rule ~id ~title ~doc ~scope ~hit =
-  let rule = { Rule.id; title; doc; severity = Rule.Error; check = (fun _ -> []) } in
+  let rule = { Rule.id; title; doc; check = (fun _ -> []) } in
   let check =
     Rule.per_file (fun (s : Rule.source) ->
         if not (scope s.path) then []

@@ -1,3 +1,8 @@
+(* A future's scope holds the map its task opened last, so that [await]
+   can help with it; [changed] signals a new map or the result.  Both are
+   guarded by the pool mutex. *)
+type scope = { mutable open_map : (unit -> bool) option; changed : Condition.t }
+
 type t = {
   mutex : Mutex.t;
   work_available : Condition.t;
@@ -5,6 +10,8 @@ type t = {
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
   jobs : int;
+  running : scope option Domain.DLS.key;
+      (** the scope of this pool's future whose task the domain is running *)
 }
 
 let max_jobs = 64
@@ -19,30 +26,30 @@ let env_jobs () =
       | Some n when n >= 1 -> Some (clamp_jobs n)
       | Some _ | None -> None)
 
-let default_jobs ?(cap = 8) () =
+let default_jobs () =
   match env_jobs () with
   | Some n -> n
-  | None -> clamp_jobs (min cap (Domain.recommended_domain_count ()))
+  | None -> clamp_jobs (min 8 (Domain.recommended_domain_count ()))
 
 (* Workers loop popping tasks; on shutdown they first drain whatever is
-   still queued so no submitted task is silently dropped.  Tasks never
-   raise: [map] wraps user functions so exceptions are captured and
-   re-raised on the submitting thread. *)
+   still queued so no submitted task is silently dropped.  A queued task
+   is entered and left with the mutex held, and releases it around user
+   code.  Tasks never raise: [map] and [submit] capture exceptions and
+   re-raise them on the thread that collects the result. *)
 let worker t =
+  Mutex.lock t.mutex;
   let rec loop () =
-    Mutex.lock t.mutex;
-    while (not t.stopping) && Queue.is_empty t.queue do
-      Condition.wait t.work_available t.mutex
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.mutex
-    else begin
-      let task = Queue.pop t.queue in
-      Mutex.unlock t.mutex;
-      task ();
-      loop ()
-    end
+    match Queue.take_opt t.queue with
+    | Some task ->
+        task ();
+        loop ()
+    | None when t.stopping -> ()
+    | None ->
+        Condition.wait t.work_available t.mutex;
+        loop ()
   in
-  loop ()
+  loop ();
+  Mutex.unlock t.mutex
 
 let create ~jobs =
   let jobs = clamp_jobs jobs in
@@ -54,16 +61,24 @@ let create ~jobs =
       stopping = false;
       workers = [||];
       jobs;
+      running = Domain.DLS.new_key (fun () -> None);
     }
   in
-  (* The submitting thread participates in [map], so [jobs - 1] domains
-     give [jobs]-way parallelism (and jobs = 1 spawns nothing: a plain
-     serial map). *)
+  (* The thread calling [map] runs items of its own batch, so [jobs - 1]
+     domains give [jobs]-way parallelism (and jobs = 1 spawns nothing: a
+     plain serial map). *)
   if jobs > 1 then t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let jobs t = t.jobs
 
+(* A waiting thread helps only its own fan-out: [map] claims the unstarted
+   items of its own batch; [await] runs its own future's task if no worker
+   has started it, and otherwise claims the unstarted items of the map
+   that task opened last.  Neither ever runs another batch's task, so a
+   task that waits inside [map] or [await] never stacks an unrelated task
+   on its own, and what a waiting thread waits for is always already
+   running. *)
 let map (type b) t (f : 'a -> b) (xs : 'a array) : b array =
   if t.stopping then invalid_arg "Parallel.Pool.map: pool is shut down";
   let n = Array.length xs in
@@ -71,44 +86,51 @@ let map (type b) t (f : 'a -> b) (xs : 'a array) : b array =
   else begin
     let results : b option array = Array.make n None in
     (* First error by input index, so the raised exception is
-       deterministic even when several tasks fail. *)
+       deterministic even when several tasks fail.  Every field below is
+       guarded by the pool mutex. *)
     let first_error = ref None in
+    let next = ref 0 in
     let remaining = ref n in
     let batch_done = Condition.create () in
-    let run_one i =
-      let r =
-        match f xs.(i) with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock t.mutex;
-      (match r with
-      | Ok v -> results.(i) <- Some v
-      | Error err -> (
-          match !first_error with
-          | Some (j, _) when j < i -> ()
-          | Some _ | None -> first_error := Some (i, err)));
-      decr remaining;
-      if !remaining = 0 then Condition.broadcast batch_done;
-      Mutex.unlock t.mutex
+    (* Claim and run unstarted items until none is left, and say whether
+       there was one; entered and left with the mutex held. *)
+    let drain () =
+      let claimed = !next < n in
+      while !next < n do
+        let i = !next in
+        incr next;
+        Mutex.unlock t.mutex;
+        let r =
+          match f xs.(i) with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())
+        in
+        Mutex.lock t.mutex;
+        (match r with
+        | Ok v -> results.(i) <- Some v
+        | Error err -> (
+            match !first_error with
+            | Some (j, _) when j < i -> ()
+            | Some _ | None -> first_error := Some (i, err)));
+        decr remaining;
+        if !remaining = 0 then Condition.broadcast batch_done
+      done;
+      claimed
     in
     Mutex.lock t.mutex;
-    for i = 0 to n - 1 do
-      Queue.push (fun () -> run_one i) t.queue
+    (* The caller claims item 0 below, so at most [n - 1] helpers. *)
+    for _ = 1 to min (n - 1) (Array.length t.workers) do
+      Queue.push (fun () -> ignore (drain ())) t.queue
     done;
     Condition.broadcast t.work_available;
-    (* Help execute queued tasks while waiting.  The helper may pick up
-       tasks from other (possibly nested) batches; because it never
-       blocks while the queue is non-empty, nested [map] calls from
-       inside tasks cannot deadlock the pool. *)
+    Option.iter
+      (fun s ->
+        s.open_map <- Some drain;
+        Condition.broadcast s.changed)
+      (Domain.DLS.get t.running);
+    ignore (drain ());
     while !remaining > 0 do
-      if Queue.is_empty t.queue then Condition.wait batch_done t.mutex
-      else begin
-        let task = Queue.pop t.queue in
-        Mutex.unlock t.mutex;
-        task ();
-        Mutex.lock t.mutex
-      end
+      Condition.wait batch_done t.mutex
     done;
     Mutex.unlock t.mutex;
     match !first_error with
@@ -116,12 +138,29 @@ let map (type b) t (f : 'a -> b) (xs : 'a array) : b array =
     | None -> Array.map (function Some v -> v | None -> assert false) results
   end
 
-(* A future's state is guarded by the pool mutex; each future carries its
-   own condition so [await] wakes only when *its* result lands. *)
+(* [task] is taken by whichever thread starts it first, a worker or
+   [await]; the rest of the state is guarded by the pool mutex. *)
 type 'a future = {
+  mutable task : (unit -> ('a, exn * Printexc.raw_backtrace) result) option;
   mutable result : ('a, exn * Printexc.raw_backtrace) result option;
-  completed : Condition.t;
+  scope : scope;
 }
+
+(* Run [fut]'s task unless a thread has already started it; entered and
+   left with the mutex held. *)
+let start t fut =
+  match fut.task with
+  | None -> ()
+  | Some task ->
+      fut.task <- None;
+      Mutex.unlock t.mutex;
+      let outer = Domain.DLS.get t.running in
+      Domain.DLS.set t.running (Some fut.scope);
+      let r = task () in
+      Domain.DLS.set t.running outer;
+      Mutex.lock t.mutex;
+      fut.result <- Some r;
+      Condition.broadcast fut.scope.changed
 
 let submit (type a) t (f : unit -> a) : a future =
   (* The serve loop drains and exits before it shuts the pool down, so this
@@ -129,49 +168,33 @@ let submit (type a) t (f : unit -> a) : a future =
      ordering, hence the point waiver. *)
   if t.stopping then
     (invalid_arg [@lint.allow "G003"]) "Parallel.Pool.submit: pool is shut down";
-  let fut = { result = None; completed = Condition.create () } in
-  let run () =
+  let task () =
     match f () with
     | v -> Ok v
     | exception e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  if Array.length t.workers = 0 then fut.result <- Some (run ())
+  let fut =
+    { task = Some task; result = None; scope = { open_map = None; changed = Condition.create () } }
+  in
+  Mutex.lock t.mutex;
+  if Array.length t.workers = 0 then start t fut
   else begin
-    Mutex.lock t.mutex;
-    Queue.push
-      (fun () ->
-        let r = run () in
-        Mutex.lock t.mutex;
-        fut.result <- Some r;
-        Condition.broadcast fut.completed;
-        Mutex.unlock t.mutex)
-      t.queue;
-    Condition.broadcast t.work_available;
-    Mutex.unlock t.mutex
+    Queue.push (fun () -> start t fut) t.queue;
+    Condition.broadcast t.work_available
   end;
+  Mutex.unlock t.mutex;
   fut
 
 let await t fut =
-  let finish = function
-    | Ok v -> v
-    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  in
-  (* Help execute queued tasks while waiting (possibly the future's own
-     task), exactly like [map]'s wait loop, so nested use cannot wedge the
-     pool. *)
   Mutex.lock t.mutex;
-  while fut.result = None do
-    if Queue.is_empty t.queue then Condition.wait fut.completed t.mutex
-    else begin
-      let task = Queue.pop t.queue in
-      Mutex.unlock t.mutex;
-      task ();
-      Mutex.lock t.mutex
-    end
+  start t fut;
+  while Option.is_none fut.result do
+    let helped = match fut.scope.open_map with Some drain -> drain () | None -> false in
+    if not helped then Condition.wait fut.scope.changed t.mutex
   done;
   let r = match fut.result with Some r -> r | None -> assert false in
   Mutex.unlock t.mutex;
-  finish r
+  match r with Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -19,7 +19,7 @@ val max_jobs : int
 val create : jobs:int -> t
 (** [create ~jobs] spawns [jobs - 1] worker domains ([jobs] is clamped to
     [1 .. max_jobs]); the thread calling {!map} acts as the [jobs]-th
-    worker while it waits. *)
+    worker for its own batch while it waits. *)
 
 val jobs : t -> int
 (** The (clamped) parallelism this pool was created with. *)
@@ -29,9 +29,11 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     parallel, and returns the results in input order.  If one or more
     tasks raise, every task still runs to completion (the pool is never
     wedged) and the exception of the lowest-index failing task is
-    re-raised on the calling thread.  Nested calls — [f] itself calling
-    [map] on the same pool — are safe: waiting threads execute queued
-    tasks instead of blocking.
+    re-raised on the calling thread.  While it waits, the calling thread
+    runs the unstarted items of this batch and nothing else: it never
+    picks up another batch's items or a submitted task.  Nested calls —
+    [f] itself calling [map] on the same pool — are safe, because a
+    nested [map] runs its own items instead of waiting for a worker.
 
     @raise Invalid_argument if the pool has been shut down. *)
 
@@ -50,10 +52,12 @@ val submit : t -> (unit -> 'a) -> 'a future
 
 val await : t -> 'a future -> 'a
 (** Block until the future's task has completed and return its result
-    (re-raising the task's exception, if any).  While waiting, the caller
-    helps execute queued tasks — possibly the awaited task itself — so
-    [await] cannot deadlock with nested {!map} calls.  [await] may be
-    called at most once per future from one thread. *)
+    (re-raising the task's exception, if any).  If no worker has started
+    the task yet, the caller runs it itself.  Otherwise, while it waits,
+    the caller runs unstarted items of the {!map} that the task opened
+    last on this pool, and nothing else: never another batch's items or
+    another submitted task.  [await] may be called at most once per
+    future from one thread. *)
 
 val shutdown : t -> unit
 (** Drain the queue, stop and join all worker domains.  Idempotent;
@@ -64,6 +68,6 @@ val shared : jobs:int -> t
     use this from library code so repeated analyses do not re-spawn
     domains. *)
 
-val default_jobs : ?cap:int -> unit -> int
+val default_jobs : unit -> int
 (** The [JOBS] environment variable if set and positive, otherwise
-    [Domain.recommended_domain_count ()] capped at [cap] (default 8). *)
+    [Domain.recommended_domain_count ()] capped at 8. *)

@@ -49,9 +49,11 @@ let analyze_one config (s : Scenarios.scenario) =
           Ok (row_of_analysis ~family:m.Manifest.family ~machine:m.Manifest.machine a))
 
 let rows config scenarios =
-  (* Same pooled fan-out as Experiments.analyze_many: results come back
-     in input order and each task's randomness is keyed on its scenario
-     name, so the row list is bit-identical for every [config.jobs]. *)
+  (* One [Pool.map], as in Experiments.analyze_many but without its memo:
+     a scenario model is not a catalog workload, so every row is computed
+     here.  Results come back in input order and each task's randomness is
+     keyed on its scenario name, so the row list is bit-identical for
+     every [config.jobs]. *)
   let pool = Fuzzy.Analysis.pool config in
   let results = Parallel.Pool.map pool (analyze_one config) (Array.of_list scenarios) in
   let rec sequence acc i =

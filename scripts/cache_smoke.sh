@@ -2,13 +2,16 @@
 # Warm-restart equivalence gate for the persistent result store, run in
 # `make check` and CI.
 #
-# Round 1: serve with an empty --store, analyze a workload (a compute
-# miss that must be persisted), shut down.  Round 2: restart on the same
-# store and analyze the same workload — the response must come from the
-# warmed cache (stats show exactly one store hit, no store miss and zero
-# analysis-cache misses, i.e. zero recomputes) and be byte-identical to
-# round 1 and to the offline CLI.  Finally `repro cache verify` must pass
-# over the store the two servers produced.
+# Round 1: serve with an empty --store and ask for analyze, quadrant and
+# re-curve of one workload from three concurrent clients.  The three
+# requests share one analysis, so single-flight must compute and persist
+# it once: exactly one store miss and one store write.  Shut down.
+# Round 2: restart on the same store and analyze the same workload — the
+# response must come from the warmed cache (stats show exactly one store
+# hit, no store miss and zero analysis-cache misses, i.e. zero
+# recomputes) and be byte-identical to round 1 and to the offline CLI.
+# Finally `repro cache verify` must pass over the store the two servers
+# produced.
 set -eu
 
 EXE=_build/default/bin/repro.exe
@@ -75,16 +78,30 @@ metric() {
 
 trap 'if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi; rm -f "$SOCK"' EXIT
 
-# ---- round 1: cold store ------------------------------------------------
+# ---- round 1: cold store, three verbs at once ---------------------------
 start_server server1
-bounded "$EXE" client --wait --socket "$SOCK" analyze gcc > "$OUT/analyze1.out" \
-  || fail "round 1 analyze failed or timed out (${STEP_TIMEOUT}s)"
+bounded "$EXE" client --wait --socket "$SOCK" health > /dev/null \
+  || fail "round 1 server not up (${STEP_TIMEOUT}s)"
+bounded "$EXE" client --socket "$SOCK" analyze gcc > "$OUT/analyze1.out" &
+analyze_pid=$!
+bounded "$EXE" client --socket "$SOCK" quadrant gcc > "$OUT/quadrant1.out" &
+quadrant_pid=$!
+bounded "$EXE" client --socket "$SOCK" re-curve gcc > "$OUT/recurve1.out" &
+recurve_pid=$!
+for pid in "$analyze_pid" "$quadrant_pid" "$recurve_pid"; do
+    wait "$pid" || fail "a round 1 client failed or timed out (${STEP_TIMEOUT}s)"
+done
 bounded "$EXE" client --socket "$SOCK" stats > "$OUT/stats1.out" \
   || fail "round 1 stats failed or timed out (${STEP_TIMEOUT}s)"
 stop_server
 
+# One analysis behind three requests: computed, and persisted, once.
+store_misses=$(metric "$OUT/stats1.out" store.misses)
+[ "${store_misses:-0}" -eq 1 ] \
+  || fail "round 1 expected 1 store miss for one analysis (store.misses=$store_misses)"
 writes=$(metric "$OUT/stats1.out" store.writes)
-[ "${writes:-0}" -ge 1 ] || fail "round 1 persisted nothing (store.writes=$writes)"
+[ "${writes:-0}" -eq 1 ] \
+  || fail "round 1 expected 1 store write for one analysis (store.writes=$writes)"
 
 # ---- round 2: warm restart ---------------------------------------------
 start_server server2

@@ -397,10 +397,8 @@ let test_repo_deep_clean () =
   else
     let d = Engine.run_deep ~root in
     let errs = Engine.errors d.Engine.dresult in
-    let warns = Engine.warnings d.Engine.dresult in
-    if errs + warns > 0 then
-      Alcotest.failf "repo deep lint not clean: %d error(s), %d warning(s):\n%s" errs
-        warns
+    if errs > 0 then
+      Alcotest.failf "repo deep lint not clean: %d error(s):\n%s" errs
         (String.concat "\n"
            (List.map
               (fun (f : Rule.finding) ->

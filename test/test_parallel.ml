@@ -86,6 +86,87 @@ let test_nested_map () =
   Alcotest.(check (array int)) "nested maps" expected out;
   Pool.shutdown p
 
+(* A thread waiting in a [map] runs only its own batch: an outer task
+   waiting on its inner [map] never starts another outer task on its
+   domain, so the per-domain count of running outer tasks stays at 1. *)
+let test_wait_runs_own_batch () =
+  let depth = Domain.DLS.new_key (fun () -> ref 0) in
+  List.iter
+    (fun jobs ->
+      let p = Pool.create ~jobs in
+      let nested = Atomic.make false in
+      let out =
+        Pool.map p
+          (fun x ->
+            let d = Domain.DLS.get depth in
+            incr d;
+            if !d > 1 then Atomic.set nested true;
+            let inner = Pool.map p (fun y -> y * x) (Array.init 8 Fun.id) in
+            decr d;
+            Array.fold_left ( + ) 0 inner)
+          (Array.init 16 Fun.id)
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "nested maps at jobs %d" jobs)
+        (Array.init 16 (fun x -> x * 28))
+        out;
+      Alcotest.(check bool)
+        (Printf.sprintf "an outer task started inside another at jobs %d" jobs)
+        false (Atomic.get nested);
+      Pool.shutdown p)
+    [ 2; 4 ]
+
+(* Spin until [ready ()], or give up after a bounded time, so that a
+   broken pool fails the checks that follow instead of hanging. *)
+let spin_until ready =
+  let spins = ref 0 in
+  while (not (ready ())) && !spins < 100_000_000 do
+    Domain.cpu_relax ();
+    incr spins
+  done
+
+(* [await] runs a future that no worker has started on the calling
+   domain, and waits for one that a worker has started instead of
+   running it again.  The one worker is held busy until the first future
+   has been awaited. *)
+let test_await_runs_unstarted () =
+  let p = Pool.create ~jobs:2 in
+  let started = Atomic.make 0 and release = Atomic.make false in
+  let hold =
+    Pool.submit p (fun () ->
+        Atomic.incr started;
+        spin_until (fun () -> Atomic.get release))
+  in
+  spin_until (fun () -> Atomic.get started > 0);
+  let ran_on = Pool.await p (Pool.submit p (fun () -> (Domain.self () :> int))) in
+  Atomic.set release true;
+  Pool.await p hold;
+  Alcotest.(check int) "unstarted future ran on the caller" (Domain.self () :> int) ran_on;
+  Alcotest.(check int) "started future ran once" 1 (Atomic.get started);
+  Pool.shutdown p
+
+(* [await] on a future that a worker has started helps with the map the
+   future's task opened.  The one worker holds item 0 until an item has
+   run on the calling domain. *)
+let test_await_helps_own_map () =
+  let p = Pool.create ~jobs:2 in
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make false and helped = Atomic.make false in
+  let fut =
+    Pool.submit p (fun () ->
+        Atomic.set started true;
+        Pool.map p
+          (fun i ->
+            if i = 0 then spin_until (fun () -> Atomic.get helped)
+            else if (Domain.self () :> int) = caller then Atomic.set helped true;
+            i)
+          (Array.init 4 Fun.id))
+  in
+  spin_until (fun () -> Atomic.get started);
+  Alcotest.(check (array int)) "map in input order" [| 0; 1; 2; 3 |] (Pool.await p fut);
+  Alcotest.(check bool) "the caller ran an item of the future's map" true (Atomic.get helped);
+  Pool.shutdown p
+
 let test_shared_pools_memoised () =
   let a = Pool.shared ~jobs:3 and b = Pool.shared ~jobs:3 in
   Alcotest.(check bool) "same pool per jobs value" true (a == b);
@@ -117,6 +198,11 @@ let () =
         :: Alcotest.test_case "first error by index" `Quick test_first_error_by_index
         :: Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent
         :: Alcotest.test_case "nested map" `Quick test_nested_map
+        :: Alcotest.test_case "waiting map runs its own batch only" `Quick
+             test_wait_runs_own_batch
+        :: Alcotest.test_case "await runs an unstarted future" `Quick
+             test_await_runs_unstarted
+        :: Alcotest.test_case "await helps its future's map" `Quick test_await_helps_own_map
         :: Alcotest.test_case "shared pools memoised" `Quick test_shared_pools_memoised
         :: qcheck [ prop_map_equals_array_map ] );
     ]

@@ -17,15 +17,26 @@ let config =
     jobs = 1;
   }
 
+(* Every store a test opens lives under one per-process root, removed at
+   exit. *)
+let store_root =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "fuzzy-store-test-%d" (Unix.getpid ()))
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let () = at_exit (fun () -> if Sys.file_exists store_root then remove_tree store_root)
+
 let fresh_dir =
   let n = ref 0 in
   fun () ->
     incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fuzzy-store-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    dir
+    Filename.concat store_root (string_of_int !n)
 
 (* Every test must leave the global Experiments state as it found it:
    no disk tier, empty memory cache. *)
@@ -344,9 +355,9 @@ let test_memory_key_exact () =
           ("scale", { config with Analysis.scale = 0.0200001 });
         ])
 
-(* [analyze_many] fans out over distinct names only, so six copies of one
-   name run a single task: one disk probe and one persist.  Concurrent
-   misses on one key are exercised by the self-steal test below. *)
+(* Six copies of one name through [analyze_many] at jobs 4: the copies
+   land on the pool as six tasks, and single-flight makes them one disk
+   probe and one persist. *)
 let test_single_flight_persists_once () =
   isolated (fun () ->
       let probes = ref 0 and persists = ref 0 in
@@ -370,34 +381,56 @@ let test_single_flight_persists_once () =
       Alcotest.(check int) "one disk probe" 1 !probes;
       Alcotest.(check int) "one persist" 1 !persists)
 
-(* Six copies of one key mapped straight onto the pool, past
-   [analyze_many]'s dedup: while the single-flight owner's nested CV
-   fan-out self-helps, it can steal a duplicate of the key it is
-   computing, and must recompute it inline rather than wait on its own
-   broadcast.  It may recompute every duplicate it steals, so misses are
-   not asserted; the store write stays one because puts are
-   put-if-absent. *)
-let test_self_steal_terminates () =
+(* N copies of one key at once, mapped onto the pool and submitted to it
+   with nobody awaiting (the server's pattern): every run makes one store
+   miss and one store write, and every copy reports what a serial analyze
+   does.  A thread waiting on its own CV fan-out runs only that fan-out,
+   so the computing thread never picks up a duplicate of its own key. *)
+let test_duplicates_compute_once () =
   let expected = Fuzzy.Report.analyze_report (Lazy.force analysis_fixture) in
+  let report cfg name = Fuzzy.Report.analyze_report (Experiments.analyze_cached cfg name) in
+  let mapped cfg n = Parallel.Pool.map (Analysis.pool cfg) (report cfg) (Array.make n "gcc") in
+  let submitted cfg n =
+    let pool = Analysis.pool cfg in
+    let reports = Array.make n "" and left = ref n in
+    let mu = Mutex.create () and all_done = Condition.create () in
+    for i = 0 to n - 1 do
+      ignore
+        (Parallel.Pool.submit pool (fun () ->
+             let r = report cfg "gcc" in
+             Mutex.lock mu;
+             reports.(i) <- r;
+             decr left;
+             if !left = 0 then Condition.signal all_done;
+             Mutex.unlock mu))
+    done;
+    Mutex.lock mu;
+    while !left > 0 do
+      Condition.wait all_done mu
+    done;
+    Mutex.unlock mu;
+    reports
+  in
   List.iter
-    (fun jobs ->
-      isolated (fun () ->
-          Store.Result_cache.attach ~dir:(fresh_dir ());
-          let cfg = { config with Analysis.jobs } in
-          let reports =
-            Parallel.Pool.map (Analysis.pool cfg)
-              (fun name -> Fuzzy.Report.analyze_report (Experiments.analyze_cached cfg name))
-              (Array.make 6 "gcc")
-          in
-          Array.iter
-            (Alcotest.(check string)
-               (Printf.sprintf "report = serial analyze at jobs %d" jobs)
-               expected)
-            reports;
-          let c = Option.get (Store.Result_cache.counters ()) in
-          Alcotest.(check int) (Printf.sprintf "one store write at jobs %d" jobs) 1
-            c.Store.Cas.writes))
-    [ 2; 4 ]
+    (fun (how, run) ->
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun n ->
+              isolated (fun () ->
+                  Store.Result_cache.attach ~dir:(fresh_dir ());
+                  let what = Printf.sprintf "%s, %d copies at jobs %d" how n jobs in
+                  Array.iter
+                    (Alcotest.(check string) (what ^ ": report = serial analyze") expected)
+                    (run { config with Analysis.jobs } n);
+                  let c = Option.get (Store.Result_cache.counters ()) in
+                  Alcotest.(check (pair int int))
+                    (what ^ ": store misses, writes")
+                    (1, 1)
+                    (c.Store.Cas.misses, c.Store.Cas.writes)))
+            [ 2; 6 ])
+        [ 1; 2; 4 ])
+    [ ("map", mapped); ("submit", submitted) ]
 
 let () =
   Alcotest.run "store"
@@ -432,7 +465,7 @@ let () =
             test_single_flight_persists_once;
           Alcotest.test_case "memory key separates close floats" `Quick
             test_memory_key_exact;
-          Alcotest.test_case "duplicate keys on the pool: self-steal terminates" `Quick
-            test_self_steal_terminates;
+          Alcotest.test_case "duplicate keys on the pool compute once" `Quick
+            test_duplicates_compute_once;
         ] );
     ]
