@@ -95,20 +95,21 @@ atlas-diff:
 test:
 	dune runtest
 
+# The core-kernel table; `make bench-gate` compares the same kernels.
 bench:
-	dune exec bench/main.exe -- --quick
+	dune exec bench/main.exe
 
 # Benchmark-regression gate (DESIGN.md §12): time the core kernels and
 # compare against the committed BENCH_core.json baseline.  Fails on a
 # >1.5x normalised median slowdown or if tree_build / cv_curve fall
 # under 2x their Reference implementations.
 bench-gate: build
-	dune exec bench/main.exe -- --quick --json > _build/BENCH_core.fresh.json
+	dune exec bench/main.exe -- --json > _build/BENCH_core.fresh.json
 	sh scripts/bench_gate.sh BENCH_core.json _build/BENCH_core.fresh.json
 
 # Refresh the committed baseline (run on an idle machine, then commit).
 bench-baseline: build
-	dune exec bench/main.exe -- --quick --json > BENCH_core.json
+	dune exec bench/main.exe -- --json > BENCH_core.json
 	@echo "wrote BENCH_core.json; review and commit it"
 
 # Workload-zoo characterization gate: regenerate the quick-subset quadrant

@@ -1,93 +1,37 @@
-(* Benchmark harness.
+(* Benchmark harness.  Five entry points, each read by a gate, a script
+   or a CI job:
 
-   Running `dune exec bench/main.exe` does two things:
+     main.exe           the core-kernel table (`make bench`);
+     main.exe --json    the same kernels as JSON (`make bench-gate`,
+                        `make bench-baseline` and CI's bench job);
+     main.exe --serve   serve RPC round trips and sharded health
+                        throughput, written to BENCH_serve.json (CI);
+     main.exe --load --socket PATH [--clients N] [--requests N]
+                        the load generator behind scripts/load_test.sh;
+     main.exe --soak --socket PATH [--clients N] [--rps N]
+                [--duration SECS] [--json]
+                        the paced run behind scripts/soak_test.sh.
 
-   1. regenerates every table and figure of the paper (the experiment
-      reproduction — the rows/series the paper reports), at a scale set
-      by REPRO_INTERVALS (default 256, the full experiment);
-   2. runs one Bechamel micro-benchmark per table/figure kernel plus the
-      ablation benches called out in DESIGN.md, reporting ns/run.
+   Anything else prints one usage line on stderr and exits 2.  The
+   paper's tables and figures are `repro all` and `repro run ID`; the
+   per-layer cost of a whole analysis is perfbench's `--trace 1`. *)
 
-   `dune exec bench/main.exe -- --bench-only` or `--experiments-only`
-   restricts to one half; `--quick` shrinks the experiment scale;
-   `--jobs N` sets the worker-domain count for the CV fold fan-out and
-   multi-workload sweeps (default: JOBS env, else the recommended domain
-   count capped at 8).  Results are bit-identical for every N. *)
+(* Nearest-rank percentile of a sorted, non-empty array.  For an odd
+   count, the 50th is the middle sample. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
+  sorted.(max 0 (min (n - 1) rank))
 
-open Bechamel
-open Toolkit
+(* --------------------- core kernels (bench gate) -------------------- *)
 
-(* ------------------------- experiment harness ---------------------- *)
-
-let experiment_config ~quick ~jobs =
-  let intervals =
-    match Sys.getenv_opt "REPRO_INTERVALS" with
-    | Some s -> int_of_string s
-    | None -> if quick then 64 else 256
-  in
-  { Fuzzy.Analysis.default with Fuzzy.Analysis.intervals; jobs }
-
-let run_experiments config =
-  let wall0 = Unix.gettimeofday () in
-  List.iter
-    (fun e ->
-      Printf.printf "==================== %s ====================\n" e.Fuzzy.Experiments.id;
-      Printf.printf "%s\npaper shape: %s\n\n" e.Fuzzy.Experiments.title
-        e.Fuzzy.Experiments.paper_claim;
-      let t0 = Sys.time () and w0 = Unix.gettimeofday () in
-      print_string (e.Fuzzy.Experiments.run config);
-      Printf.printf "[%s regenerated in %.1fs cpu, %.1fs wall]\n\n%!" e.Fuzzy.Experiments.id
-        (Sys.time () -. t0)
-        (Unix.gettimeofday () -. w0))
-    Fuzzy.Experiments.all;
-  Printf.printf "[experiments phase: %.1fs wall at jobs=%d]\n\n%!"
-    (Unix.gettimeofday () -. wall0)
-    config.Fuzzy.Analysis.jobs
-
-(* --------------------------- ablation: trees ----------------------- *)
-
-(* Naive dense split search, used only to quantify the sparse
-   implementation's advantage (DESIGN.md ablation 1).  Same objective as
-   Rtree.Tree's search, but it materialises every (row, feature) count
-   and scans all features densely. *)
-let naive_best_split rows y n_features =
-  let n = Array.length rows in
-  let dense =
-    Array.map
-      (fun r ->
-        let d = Array.make n_features 0.0 in
-        Stats.Sparse_vec.add_into_dense r d;
-        d)
-      rows
-  in
-  let best = ref None in
-  for f = 0 to n_features - 1 do
-    let order = Array.init n (fun i -> i) in
-    Array.sort (fun a b -> compare dense.(a).(f) dense.(b).(f)) order;
-    let lsum = ref 0.0 and lsq = ref 0.0 in
-    let tsum = ref 0.0 and tsq = ref 0.0 in
-    Array.iter
-      (fun i ->
-        tsum := !tsum +. y.(i);
-        tsq := !tsq +. (y.(i) *. y.(i)))
-      order;
-    for pos = 0 to n - 2 do
-      let i = order.(pos) in
-      lsum := !lsum +. y.(i);
-      lsq := !lsq +. (y.(i) *. y.(i));
-      if dense.(order.(pos + 1)).(f) > dense.(i).(f) then begin
-        let ln = float_of_int (pos + 1) and rn = float_of_int (n - pos - 1) in
-        let lvar = !lsq -. (!lsum *. !lsum /. ln) in
-        let rsum = !tsum -. !lsum and rsq = !tsq -. !lsq in
-        let rvar = rsq -. (rsum *. rsum /. rn) in
-        let sse = lvar +. rvar in
-        match !best with
-        | Some (_, _, b) when b <= sse -> ()
-        | _ -> best := Some (f, dense.(i).(f), sse)
-      end
-    done
-  done;
-  !best
+(* The CI benchmark gate (scripts/bench_gate.sh) compares these kernels'
+   medians against the committed BENCH_core.json baseline.  Medians are
+   wall-clock over an odd number of reps — robust to one slow outlier —
+   and the JSON carries a calibration figure (a fixed pure-OCaml loop)
+   so the gate can normalise away machine-speed differences between the
+   baseline host and the CI runner.  The schema is deterministic: fixed
+   key order, fixed formatting, no timestamps or host names. *)
 
 let synthetic_eipv_dataset ~rows ~features ~nnz =
   let rng = Stats.Rng.create 99 in
@@ -100,30 +44,20 @@ let synthetic_eipv_dataset ~rows ~features ~nnz =
   let y = Array.map (fun r -> Stats.Sparse_vec.sum r +. Stats.Rng.float rng 5.0) rs in
   Rtree.Dataset.make ~rows:rs ~y
 
-(* --------------------- core kernels (bench gate) -------------------- *)
-
-(* The CI benchmark gate (scripts/bench_gate.sh) compares these kernels'
-   medians against the committed BENCH_core.json baseline.  Medians are
-   wall-clock over an odd number of reps — robust to one slow outlier —
-   and the JSON carries a calibration figure (a fixed pure-OCaml loop)
-   so the gate can normalise away machine-speed differences between the
-   baseline host and the CI runner.  The schema is deterministic: fixed
-   key order, fixed formatting, no timestamps or host names. *)
-
-let core_median a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b.(Array.length b / 2)
-
-let time_reps reps f =
+let elapsed_ms f =
+  let t0 = Unix.gettimeofday () in
   ignore (Sys.opaque_identity (f ()));
-  let samples = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    samples.(i) <- (Unix.gettimeofday () -. t0) *. 1e3
-  done;
-  core_median samples
+  (Unix.gettimeofday () -. t0) *. 1e3
+
+(* The median of [reps] runs of [once], which returns its own elapsed
+   ms, after one untimed warm-up run. *)
+let median_ms reps once =
+  ignore (once ());
+  let samples = Array.init reps (fun _ -> once ()) in
+  Array.sort compare samples;
+  percentile samples 50.0
+
+let time_reps reps f = median_ms reps (fun () -> elapsed_ms f)
 
 (* Fixed machine-speed probe: independent of any repro code, so a code
    regression can never hide inside the normaliser. *)
@@ -149,58 +83,54 @@ let ck_speedup k ref_ms = ref_ms /. k.ck_median_ms
    dominates a cold analyze.  Each rep simulates a freshly built model,
    so every rep does identical work; only Driver.run is timed.  It has
    no reference twin. *)
-let driver_run_median_ms ~reps =
+let driver_run_ms () =
   let cfg = Fuzzy.Analysis.quick in
-  let once () =
-    let model =
-      (Workload.Catalog.find "odb_c").Workload.Catalog.build ~seed:cfg.Fuzzy.Analysis.seed
-        ~scale:cfg.Fuzzy.Analysis.scale
-    in
-    let cpu = March.Cpu.create cfg.Fuzzy.Analysis.machine in
-    let rng = Stats.Rng.split_label cfg.Fuzzy.Analysis.seed "odb_c" in
-    let samples = cfg.Fuzzy.Analysis.intervals * cfg.Fuzzy.Analysis.samples_per_interval in
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (Sys.opaque_identity
-         (Sampling.Driver.run ~period:cfg.Fuzzy.Analysis.period model ~cpu ~rng ~samples));
-    (Unix.gettimeofday () -. t0) *. 1e3
+  let model =
+    (Workload.Catalog.find "odb_c").Workload.Catalog.build ~seed:cfg.Fuzzy.Analysis.seed
+      ~scale:cfg.Fuzzy.Analysis.scale
   in
-  ignore (once ());
-  core_median (Array.init reps (fun _ -> once ()))
+  let cpu = March.Cpu.create cfg.Fuzzy.Analysis.machine in
+  let rng = Stats.Rng.split_label cfg.Fuzzy.Analysis.seed "odb_c" in
+  let samples = cfg.Fuzzy.Analysis.intervals * cfg.Fuzzy.Analysis.samples_per_interval in
+  elapsed_ms (fun () ->
+      Sampling.Driver.run ~period:cfg.Fuzzy.Analysis.period model ~cpu ~rng ~samples)
 
 (* The acceptance dataset: 128 intervals x 2000 features, 60 stored
-   entries per row (same shape the ablation benches use). *)
-let run_core_kernels ~quick =
+   entries per row.  Rep counts are odd, so each median is one sample.
+   Each reference side is timed before its optimized side, the order
+   BENCH_core.json was recorded in. *)
+let run_core_kernels () =
   let ds = synthetic_eipv_dataset ~rows:128 ~features:2000 ~nnz:60 in
-  let reps_build = if quick then 9 else 15 in
-  let reps_cv = if quick then 5 else 9 in
-  let reps_sweep = if quick then 9 else 15 in
-  let reps_driver = if quick then 5 else 9 in
   let calib_ms = time_reps 9 calibration_kernel in
   let tree_build =
+    let reps = 9 in
+    let reference = time_reps reps (fun () -> Oracle.Tree.build ~max_leaves:50 ds) in
+    let median = time_reps reps (fun () -> Rtree.Tree.build ~max_leaves:50 ds) in
     {
       ck_name = "tree_build";
-      ck_reps = reps_build;
-      ck_median_ms = time_reps reps_build (fun () -> Rtree.Tree.build ~max_leaves:50 ds);
-      ck_ref_median_ms =
-        Some (time_reps reps_build (fun () -> Oracle.Tree.build ~max_leaves:50 ds));
+      ck_reps = reps;
+      ck_median_ms = median;
+      ck_ref_median_ms = Some reference;
     }
   in
   let cv_curve =
+    let reps = 5 in
     let rng () = Stats.Rng.create 7 in
+    let reference =
+      time_reps reps (fun () -> Oracle.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
+    in
+    let median =
+      time_reps reps (fun () -> Rtree.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
+    in
     {
       ck_name = "cv_curve";
-      ck_reps = reps_cv;
-      ck_median_ms =
-        time_reps reps_cv (fun () ->
-            Rtree.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds);
-      ck_ref_median_ms =
-        Some
-          (time_reps reps_cv (fun () ->
-               Oracle.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds));
+      ck_reps = reps;
+      ck_median_ms = median;
+      ck_ref_median_ms = Some reference;
     }
   in
   let predict_k_sweep =
+    let reps = 9 in
     let t = Rtree.Tree.build ~max_leaves:50 ds in
     let root = Rtree.Tree.root t in
     let kmax = 50 in
@@ -230,18 +160,21 @@ let run_core_kernels ~quick =
       done;
       f ()
     in
+    let reference = time_reps reps (batched predict_all) in
+    let median = time_reps reps (batched sweep_all) in
     {
       ck_name = "predict_k_sweep";
-      ck_reps = reps_sweep;
-      ck_median_ms = time_reps reps_sweep (batched sweep_all);
-      ck_ref_median_ms = Some (time_reps reps_sweep (batched predict_all));
+      ck_reps = reps;
+      ck_median_ms = median;
+      ck_ref_median_ms = Some reference;
     }
   in
   let driver_run =
+    let reps = 5 in
     {
       ck_name = "driver_run";
-      ck_reps = reps_driver;
-      ck_median_ms = driver_run_median_ms ~reps:reps_driver;
+      ck_reps = reps;
+      ck_median_ms = median_ms reps driver_run_ms;
       ck_ref_median_ms = None;
     }
   in
@@ -280,197 +213,7 @@ let print_core_kernels (calib_ms, kernels) =
           Printf.printf "  %-16s %10.2f ms  ref %10.2f ms  speedup %5.2fx  (%d reps)\n" k.ck_name
             k.ck_median_ms ref_ms (ck_speedup k ref_ms) k.ck_reps
       | None -> Printf.printf "  %-16s %10.2f ms  (%d reps)\n" k.ck_name k.ck_median_ms k.ck_reps)
-    kernels;
-  print_newline ()
-
-(* ----------------------------- bechamel ----------------------------- *)
-
-let quick_cfg = Fuzzy.Analysis.quick
-
-(* Online-ingest configuration: serial pool and an unreachable warmup so
-   the measured region is pure ingestion (no refit CV inside the loop —
-   refit cost is measured by its own kernel). *)
-let online_ingest_config =
-  {
-    Online.Pipeline.quick with
-    Online.Pipeline.analysis = { quick_cfg with Fuzzy.Analysis.jobs = 1 };
-    warmup_intervals = 1_000_000;
-  }
-
-(* Pre-computed inputs shared by the micro-benchmarks (excluded from the
-   measured region). *)
-let prepared =
-  lazy
-    (let ds = synthetic_eipv_dataset ~rows:128 ~features:2000 ~nnz:60 in
-     let gzip = Fuzzy.Experiments.analyze_cached quick_cfg "gzip" in
-     let q13 = Fuzzy.Experiments.analyze_cached quick_cfg "odb_h_q13" in
-     (ds, gzip, q13))
-
-let bench_tests () =
-  let ds, gzip, q13 = Lazy.force prepared in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let experiment_kernels =
-    [
-      mk "table1_fig1/example_tree" (fun () -> ignore (Fuzzy.Example.tree ()));
-      mk "fig2_re_curves/cv_curve" (fun () ->
-          ignore
-            (Rtree.Cv.relative_error_curve ~folds:5 ~kmax:10 (Stats.Rng.create 1)
-               (Sampling.Eipv.dataset gzip.Fuzzy.Analysis.eipv)));
-      mk "fig3_spread/render" (fun () ->
-          ignore (Fuzzy.Report.spread gzip.Fuzzy.Analysis.run ~points:40));
-      mk "fig4_fig5_breakdown/series" (fun () ->
-          ignore (Fuzzy.Report.breakdown_series gzip.Fuzzy.Analysis.eipv ~points:16));
-      mk "fig6_fig7_threads/separated_eipvs" (fun () ->
-          ignore
-            (Sampling.Eipv.build_thread_separated gzip.Fuzzy.Analysis.run
-               ~samples_per_interval:25));
-      mk "fig8_fig9_q13/tree_build" (fun () ->
-          ignore
-            (Rtree.Tree.build ~max_leaves:25 (Sampling.Eipv.dataset q13.Fuzzy.Analysis.eipv)));
-      mk "fig10_fig11_fig12_q18/btree_probes" (fun () ->
-          let db = Dbengine.Tpch.create ~scale:0.05 ~seed:1 () in
-          let bt = Dbengine.Tpch.lineitem_index db in
-          let rng = Stats.Rng.create 2 in
-          for _ = 1 to 1_000 do
-            ignore (Dbengine.Btree.find bt (Stats.Rng.int rng 1_000))
-          done);
-      mk "table2_fig13/classify" (fun () ->
-          ignore (Fuzzy.Quadrant.classify ~cpi_variance:0.02 ~re:0.4 ()));
-      mk "sec4_6_kmeans/fit" (fun () ->
-          ignore
-            (Kmeans.fit (Stats.Rng.create 3) ~k:8
-               ~n_features:q13.Fuzzy.Analysis.eipv.Sampling.Eipv.n_features
-               (Sampling.Eipv.points q13.Fuzzy.Analysis.eipv)));
-      mk "sec7_sampling/phase_estimate" (fun () ->
-          ignore
-            (Fuzzy.Techniques.estimate Fuzzy.Techniques.Phase_based (Stats.Rng.create 4)
-               q13.Fuzzy.Analysis.eipv ~budget:6));
-      mk "sec7_1_robustness/quantum_simulation" (fun () ->
-          let w = (Workload.Catalog.find "gzip").Workload.Catalog.build ~seed:9 ~scale:0.1 in
-          let cpu = March.Cpu.create March.Config.itanium2 in
-          ignore (Sampling.Driver.run w ~cpu ~rng:(Stats.Rng.create 9) ~samples:50));
-    ]
-  in
-  let ablations =
-    [
-      mk "ablation_rtree_sparse/sparse_split" (fun () ->
-          ignore (Rtree.Tree.build ~max_leaves:2 ds));
-      mk "ablation_rtree_sparse/naive_dense_split" (fun () ->
-          ignore
-            (naive_best_split ds.Rtree.Dataset.rows ds.Rtree.Dataset.y
-               ds.Rtree.Dataset.n_features));
-      mk "ablation_cv_vs_train/cv" (fun () ->
-          ignore (Rtree.Cv.relative_error_curve ~folds:5 ~kmax:8 (Stats.Rng.create 5) ds));
-      mk "ablation_cv_vs_train/train" (fun () ->
-          ignore (Rtree.Cv.training_error_curve ~kmax:8 ds));
-    ]
-  in
-  let online =
-    let samples = q13.Fuzzy.Analysis.run.Sampling.Driver.samples in
-    let intervals = q13.Fuzzy.Analysis.eipv.Sampling.Eipv.intervals in
-    let pool = Parallel.Pool.shared ~jobs:1 in
-    [
-      mk "online/ingest_1k_samples" (fun () ->
-          let t = Online.Pipeline.create ~name:"bench" online_ingest_config in
-          for i = 0 to 999 do
-            ignore (Online.Pipeline.feed t samples.(i mod Array.length samples))
-          done);
-      mk "online/refit_48_intervals" (fun () ->
-          let r =
-            Online.Refit.create ~seed:1 ~folds:5 ~kmax:12 ~kopt_tol:0.005 ~min_intervals:2
-              ~spacing:1 ~latency:1 ~pool
-          in
-          ignore
-            (Online.Refit.maybe_trigger r
-               ~interval:(Array.length intervals - 1)
-               ~drift:true
-               ~window:(fun () -> intervals));
-          ignore (Online.Refit.drain r));
-    ]
-  in
-  let substrate =
-    [
-      mk "substrate/cache_access_4k" (fun () ->
-          let c = March.Cache.create ~size_bytes:32768 ~ways:4 ~line_bytes:64 in
-          for i = 0 to 4095 do
-            ignore (March.Cache.access c (i * 64))
-          done);
-      mk "substrate/gshare_update_4k" (fun () ->
-          let b = March.Branch.create ~table_bits:14 () in
-          for i = 0 to 4095 do
-            ignore (March.Branch.update b ~pc:(i land 255) ~taken:(i land 3 <> 0))
-          done);
-      mk "substrate/sparse_dot_1k" (fun () ->
-          let v = Stats.Sparse_vec.of_assoc (List.init 100 (fun i -> (i * 7, 1.5))) in
-          let d = Array.make 1024 0.5 in
-          for _ = 1 to 1_000 do
-            ignore (Stats.Sparse_vec.dot_dense v d)
-          done);
-    ]
-  in
-  Test.make_grouped ~name:"repro"
-    [
-      Test.make_grouped ~name:"experiments" experiment_kernels;
-      Test.make_grouped ~name:"ablations" ablations;
-      Test.make_grouped ~name:"online" online;
-      Test.make_grouped ~name:"substrate" substrate;
-    ]
-
-let run_benchmarks () =
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (bench_tests ()) in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> est
-        | Some _ | None -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  print_endline "Bechamel micro-benchmarks (monotonic clock, ns/run):";
-  List.iter (fun (name, ns) -> Printf.printf "  %-50s %14.0f ns/run\n" name ns) rows
-
-(* Wall-clock figures for the streaming subsystem in its natural units:
-   sustained ingest rate and the latency of one drift-triggered refit. *)
-let run_online_report () =
-  let _, _, q13 = Lazy.force prepared in
-  let samples = q13.Fuzzy.Analysis.run.Sampling.Driver.samples in
-  let t = Online.Pipeline.create ~name:"bench" online_ingest_config in
-  let w0 = Unix.gettimeofday () in
-  let fed = ref 0 in
-  while Unix.gettimeofday () -. w0 < 0.5 do
-    Array.iter (fun s -> ignore (Online.Pipeline.feed t s)) samples;
-    fed := !fed + Array.length samples
-  done;
-  let dt = Unix.gettimeofday () -. w0 in
-  Printf.printf "online ingest throughput: %.0f samples/sec (%d samples in %.2fs)\n"
-    (float_of_int !fed /. dt)
-    !fed dt;
-  let intervals = q13.Fuzzy.Analysis.eipv.Sampling.Eipv.intervals in
-  let pool = Parallel.Pool.shared ~jobs:1 in
-  let reps = 5 in
-  let r0 = Unix.gettimeofday () in
-  for i = 0 to reps - 1 do
-    let r =
-      Online.Refit.create ~seed:i ~folds:5 ~kmax:12 ~kopt_tol:0.005 ~min_intervals:2
-        ~spacing:1 ~latency:1 ~pool
-    in
-    ignore
-      (Online.Refit.maybe_trigger r
-         ~interval:(Array.length intervals - 1)
-         ~drift:true
-         ~window:(fun () -> intervals));
-    ignore (Online.Refit.drain r)
-  done;
-  Printf.printf "online refit latency: %.1f ms/refit (%d intervals, folds=5, kmax=12)\n"
-    ((Unix.gettimeofday () -. r0) /. float_of_int reps *. 1000.0)
-    (Array.length intervals)
+    kernels
 
 (* ------------------------------ loadgen ----------------------------- *)
 
@@ -484,9 +227,8 @@ let run_online_report () =
    any other error or a payload that differs from the first answer that
    client got to the same request counts as [mismatched].  A request with
    no answer is lost: [sent - got].  Children report through temp files;
-   one that never reported lost all its requests.  Like the serve
-   phase's server fork, it must run before this process spawns any
-   worker domain. *)
+   one that never reported lost all its requests.  Every mode runs alone
+   in its process and spawns no worker domain, so the forks are safe. *)
 type load = {
   sent : int;
   got : int;
@@ -585,45 +327,13 @@ let health_analyze_quadrant r =
   | 1 -> Serve.Protocol.Analyze "gzip"
   | _ -> Serve.Protocol.Quadrant "gzip"
 
-(* [--name VALUE] flags; errors are prefixed with [mode]. *)
-let flag_value args name =
-  let rec go = function
-    | [] -> None
-    | k :: v :: _ when String.equal k name -> Some v
-    | _ :: rest -> go rest
-  in
-  go args
-
-let positive_flag ~mode args name default =
-  match flag_value args name with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> failwith (Printf.sprintf "%s: %s expects a positive integer" mode name))
-
-let socket_flag ~mode args =
-  match flag_value args "--socket" with
-  | Some s -> Serve.Server.Unix_socket s
-  | None -> failwith (mode ^ ": --socket PATH required")
-
 (* ----------------------------- serve RPC ---------------------------- *)
 
 (* Requests/sec and latency percentiles over a Unix socket, for a tiny
    request (health: pure framing + dispatch) vs a cached analysis
    (analyze on a warm server: framing + cache lookup + report render +
    a multi-KB response).  The server child runs a serial pool so the
-   numbers isolate the RPC path, not analysis parallelism.
-
-   NOTE: the fork below must happen before anything in this process
-   spawns worker domains (fork only duplicates the calling thread, so a
-   child forked after Pool.shared has live domains would inherit a
-   wedged pool) — main therefore runs this phase first. *)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
-  sorted.(max 0 (min (n - 1) rank))
+   numbers isolate the RPC path, not analysis parallelism. *)
 
 let fork_server ?(io_shards = 1) sock =
   match Unix.fork () with
@@ -781,24 +491,68 @@ let run_serve_report () =
                   (if i = List.length sharded - 1 then "" else ","))
               sharded;
             Printf.fprintf oc "  ]\n}\n");
-        Printf.printf "[serve phase: wrote BENCH_serve.json]\n\n%!"
+        Printf.printf "[serve phase: wrote BENCH_serve.json]\n%!"
       with Failure m ->
         (try Unix.kill pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ());
         finish ();
-        Printf.printf "serve RPC bench failed: %s\n\n%!" m)
+        Printf.eprintf "serve RPC bench failed: %s\n%!" m;
+        exit 1)
+
+(* ------------------------------ arguments --------------------------- *)
+
+let usage =
+  "usage: main.exe [--json | --serve | --load --socket PATH [--clients N] [--requests N] | \
+   --soak --socket PATH [--clients N] [--rps N] [--duration SECS] [--json]]"
+
+(* One line on stderr, exit 2: a mistyped flag must not run anything. *)
+let refuse fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("bench: " ^ m ^ "; " ^ usage);
+      exit 2)
+    fmt
+
+(* A mode's flags as an association list: each of [valued] takes one
+   value, each of [switches] none.  Any other word, a flag without its
+   value and a repeated flag are refused. *)
+let parse_flags ~valued ~switches args =
+  let rec go acc = function
+    | [] -> acc
+    | k :: _ when List.mem_assoc k acc -> refuse "%s given twice" k
+    | k :: rest when List.mem k switches -> go ((k, "") :: acc) rest
+    | k :: rest when List.mem k valued -> (
+        match rest with
+        | v :: rest when not (String.starts_with ~prefix:"--" v) -> go ((k, v) :: acc) rest
+        | _ -> refuse "%s needs a value" k)
+    | k :: _ -> refuse "unknown argument %s" k
+  in
+  go [] args
+
+let positive flags name default =
+  match List.assoc_opt name flags with
+  | None -> default
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 1 -> n
+      | Some _ | None -> refuse "%s expects a positive integer, got %S" name v)
+
+let socket flags =
+  match List.assoc_opt "--socket" flags with
+  | Some s -> Serve.Server.Unix_socket s
+  | None -> refuse "--socket PATH required"
 
 (* ------------------------------ load/soak ---------------------------- *)
 
-(* `bench/main.exe -- --load --socket PATH [--clients N] [--requests M]`:
-   the load generator behind scripts/load_test.sh.  Each client cycles
-   health/analyze/quadrant as fast as the server answers.  Prints one
-   summary line and exits non-zero on any lost or mismatched response —
-   refusals are fine (the script runs a phase with rate limiting on and
-   expects some), silent corruption is not. *)
+(* `--load`: each client cycles health/analyze/quadrant as fast as the
+   server answers.  Prints one summary line and exits non-zero on any
+   lost or mismatched response — refusals are fine (the script runs a
+   phase with rate limiting on and expects some), silent corruption is
+   not. *)
 let run_load args =
-  let address = socket_flag ~mode:"load" args in
-  let clients = positive_flag ~mode:"load" args "--clients" 8 in
-  let per_client = positive_flag ~mode:"load" args "--requests" 60 in
+  let flags = parse_flags ~valued:[ "--socket"; "--clients"; "--requests" ] ~switches:[] args in
+  let address = socket flags in
+  let clients = positive flags "--clients" 8 in
+  let per_client = positive flags "--requests" 60 in
   let l = drive ~address ~clients ~per_client ~interval:0.0 ~script:health_analyze_quadrant in
   let lost = l.sent - l.got in
   Printf.printf
@@ -809,22 +563,25 @@ let run_load args =
     exit 1
   end
 
-(* `bench/main.exe -- --soak --socket PATH [--clients N] [--rps R]
-   [--duration SECONDS] [--json]`: the paced run behind
-   scripts/soak_test.sh.  Same mix and checks as --load, but each client
-   is paced so the offered load is a target requests/sec held for a
-   target duration — a soak, not a burst.  Latencies merged across
-   clients give p50/p99, and the run fails on any lost or mismatched
-   response.  The JSON report carries the calibration figure and the
-   core count so scripts/soak_test.sh can hold p99 to a
-   machine-normalized budget from the committed BENCH_soak.json
-   baseline. *)
+(* `--soak`: same mix and checks as --load, but each client is paced so
+   the offered load is a target requests/sec held for a target duration
+   — a soak, not a burst — so the request count follows from --rps and
+   --duration.  Latencies merged across clients give p50/p99, and the
+   run fails on any lost or mismatched response.  The JSON report
+   carries the calibration figure and the core count so
+   scripts/soak_test.sh can hold p99 to a machine-normalized budget from
+   the committed BENCH_soak.json baseline. *)
 let run_soak args =
-  let address = socket_flag ~mode:"soak" args in
-  let clients = positive_flag ~mode:"soak" args "--clients" 4 in
-  let rps = positive_flag ~mode:"soak" args "--rps" 200 in
-  let duration = positive_flag ~mode:"soak" args "--duration" 5 in
-  let json = List.mem "--json" args in
+  let flags =
+    parse_flags
+      ~valued:[ "--socket"; "--clients"; "--rps"; "--duration" ]
+      ~switches:[ "--json" ] args
+  in
+  let address = socket flags in
+  let clients = positive flags "--clients" 4 in
+  let rps = positive flags "--rps" 200 in
+  let duration = positive flags "--duration" 5 in
+  let json = List.mem_assoc "--json" flags in
   let per_client = max 1 (rps * duration / clients) in
   let interval = float_of_int duration /. float_of_int per_client in
   (* Machine-speed probe before the forks, outside the paced window. *)
@@ -877,122 +634,14 @@ let run_soak args =
 
 (* -------------------------------- main ------------------------------ *)
 
-let jobs_of_args args =
-  positive_flag ~mode:"bench" args "--jobs" (Parallel.Pool.default_jobs ())
-
-(* Atlas throughput: wall-clock for the zoo characterization sweep at
-   reduced fidelity, serial vs pooled.  Deliberately not part of the
-   gated core-kernel JSON (scripts/bench_gate.sh matches kernels by
-   name against the committed baseline); run it explicitly with
-   `bench/main.exe -- --zoo`. *)
-let run_zoo_report () =
-  let scenarios = Zoo.Scenarios.quick () in
-  let config jobs =
-    {
-      Fuzzy.Analysis.quick with
-      Fuzzy.Analysis.intervals = 16;
-      samples_per_interval = 20;
-      kmax = 8;
-      scale = 0.1;
-      jobs;
-    }
-  in
-  List.iter
-    (fun jobs ->
-      let w0 = Unix.gettimeofday () in
-      match Zoo.Atlas.rows (config jobs) scenarios with
-      | Ok rows ->
-          let dt = Unix.gettimeofday () -. w0 in
-          Printf.printf
-            "zoo atlas throughput (%d scenarios, jobs=%d): %.2fs wall, %.1f scenarios/sec\n%!"
-            (List.length rows) jobs dt
-            (float_of_int (List.length rows) /. dt)
-      | Error e ->
-          Printf.eprintf "zoo atlas benchmark failed: %s\n" e;
-          exit 1)
-    [ 1; 4 ]
-
-(* Persistent-store cost in its natural units: one cold analysis (compute
-   + encode + put) vs a warm disk hit (read + decode + rebuild), medians
-   over several reps for the hit side.  Like --zoo, deliberately outside
-   the gated core-kernel JSON; run explicitly with
-   `bench/main.exe -- --store`.  Writes BENCH_store.json (gitignored). *)
-let run_store_report () =
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  let dir = Filename.temp_file "repro_bench_store" "" in
-  Sys.remove dir;
-  let config = { Fuzzy.Analysis.quick with Fuzzy.Analysis.jobs = 1 } in
-  let time_ms f =
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    (Unix.gettimeofday () -. t0) *. 1e3
-  in
-  Fuzzy.Experiments.clear_cache ();
-  Store.Result_cache.attach ~dir;
-  let cold_ms = time_ms (fun () -> Fuzzy.Experiments.analyze_cached config "gzip") in
-  let reps = 9 in
-  let hit_samples =
-    Array.init reps (fun _ ->
-        Fuzzy.Experiments.clear_cache ();
-        time_ms (fun () -> Fuzzy.Experiments.analyze_cached config "gzip"))
-  in
-  Store.Result_cache.detach ();
-  Fuzzy.Experiments.clear_cache ();
-  Array.sort compare hit_samples;
-  let hit_ms = hit_samples.(reps / 2) in
-  rm_rf dir;
-  Printf.printf "store round-trip (quick gzip, serial):\n";
-  Printf.printf "  store_cold  %10.2f ms  (compute + encode + put)\n" cold_ms;
-  Printf.printf "  store_hit   %10.2f ms  median of %d  (read + decode + rebuild)\n" hit_ms reps;
-  Printf.printf "  hit speedup %9.1fx\n" (cold_ms /. hit_ms);
-  let oc = open_out "BENCH_store.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"store_round_trip\",\n\
-        \  \"workload\": \"gzip\",\n\
-        \  \"kernels\": [\n\
-        \    {\"name\": \"store_cold\", \"reps\": 1, \"median_ms\": %.4f},\n\
-        \    {\"name\": \"store_hit\", \"reps\": %d, \"median_ms\": %.4f}\n\
-        \  ]\n\
-         }\n"
-        cold_ms reps hit_ms);
-  Printf.printf "[store phase: wrote BENCH_store.json]\n%!"
-
 let () =
-  let args = Array.to_list Sys.argv in
-  let bench_only = List.mem "--bench-only" args in
-  let experiments_only = List.mem "--experiments-only" args in
-  let quick = List.mem "--quick" args in
-  let json = List.mem "--json" args in
-  if List.mem "--load" args then run_load args
-  else if List.mem "--soak" args then run_soak args
-  else if List.mem "--serve" args then run_serve_report ()
-  else if List.mem "--zoo" args then run_zoo_report ()
-  else if List.mem "--store" args then run_store_report ()
-  else if json then
-    (* Gate mode: only the core kernels, JSON on stdout and nothing else
-       (`bench/main.exe -- --quick --json > BENCH_core.fresh.json`). *)
-    print_string (core_json (run_core_kernels ~quick))
-  else begin
-    let jobs = jobs_of_args args in
-    (* Serve first: it forks a server child, which is only safe while no
-       worker domains have been spawned in this process. *)
-    if not experiments_only then run_serve_report ();
-    if not bench_only then run_experiments (experiment_config ~quick ~jobs);
-    if not experiments_only then begin
-      let w0 = Unix.gettimeofday () in
-      print_core_kernels (run_core_kernels ~quick);
-      run_benchmarks ();
-      run_online_report ();
-      Printf.printf "[benchmark phase: %.1fs wall]\n%!" (Unix.gettimeofday () -. w0)
-    end
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> print_core_kernels (run_core_kernels ())
+  | [ "--json" ] ->
+      (* Gate mode: JSON on stdout and nothing else
+         (`bench/main.exe --json > BENCH_core.fresh.json`). *)
+      print_string (core_json (run_core_kernels ()))
+  | [ "--serve" ] -> run_serve_report ()
+  | "--load" :: args -> run_load args
+  | "--soak" :: args -> run_soak args
+  | ("--json" | "--serve") :: arg :: _ | arg :: _ -> refuse "unknown argument %s" arg

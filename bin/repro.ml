@@ -32,6 +32,17 @@ let int_within ~min ~max ~what =
 let bounded_int = int_within ~max:max_int
 let port_int = int_within ~min:0 ~max:65535
 
+(* A float argument that must be >= 0; NaN fails the comparison, so it
+   is refused too. *)
+let non_negative_float ~what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when v >= 0.0 -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be a number >= 0 (got %s)" what s))
+    | None -> Error (`Msg (Printf.sprintf "%s must be a number (got %S)" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* Returns (config, quick): most commands only want the config, but
    `zoo atlas' reuses the --quick flag to also select the quick scenario
    subset, and cmdliner forbids registering the flag twice. *)
@@ -349,22 +360,25 @@ let address_term =
 let serve_cmd =
   let queue =
     Arg.(
-      value & opt int 64
+      value
+      & opt (bounded_int ~min:0 ~what:"QUEUE") 64
       & info [ "queue" ] ~docv:"N"
           ~doc:
             "Bounded heavy-request queue: beyond $(docv) waiting requests the server answers \
-             `overloaded' instead of queueing without bound.")
+             `overloaded' instead of queueing without bound (0 answers every heavy request \
+             `overloaded').")
   in
   let max_conns =
     Arg.(
-      value & opt int 32
+      value
+      & opt (bounded_int ~min:1 ~what:"MAX-CONNS") 32
       & info [ "max-conns" ] ~docv:"N"
           ~doc:"Connection cap; excess connections are refused with `busy'.")
   in
   let timeout =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (non_negative_float ~what:"TIMEOUT")) None
       & info [ "timeout" ] ~docv:"SECS"
           ~doc:
             "Per-request deadline: a request queued longer than $(docv) seconds answers \
@@ -471,10 +485,8 @@ let serve_cmd =
     let scfg =
       {
         scfg with
-        (* 0 is meaningful: every heavy request answers `overloaded',
-           which is how the backpressure path is tested. *)
-        Serve.Server.queue_capacity = max 0 queue;
-        max_connections = max 1 max_conns;
+        Serve.Server.queue_capacity = queue;
+        max_connections = max_conns;
         request_timeout = timeout;
         io_shards;
         admission;

@@ -1,9 +1,8 @@
 (** One entry per table/figure/section-result of the paper.
 
     Each experiment is a pure function from an {!Analysis.config} to a
-    printable report; the CLI (`bin/repro`) and the benchmark harness
-    (`bench/main`) both dispatch here, so DESIGN.md's per-experiment index
-    maps one-to-one onto {!all}. *)
+    printable report; the CLI (`bin/repro`) dispatches here, so
+    DESIGN.md's per-experiment index maps one-to-one onto {!all}. *)
 
 type t = {
   id : string;  (** e.g. "fig2", "table2" *)

@@ -1337,22 +1337,6 @@ let module_graph t =
     t.nodes;
   List.map fst (sorted_bindings edges)
 
-(* Local JSON string escaper (Reporter's sits above Engine, which sits
-   above this module). *)
-let escape_json s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(effects = fun _ -> []) t =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"version\":1,\"nodes\":[";
@@ -1364,10 +1348,10 @@ let to_json ?(effects = fun _ -> []) t =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"id\":\"%s\",\"module\":\"%s\",\"file\":\"%s\",\"line\":%d,\"effects\":[%s],\"roots\":[%s]}"
-           (escape_json n.id) (escape_json n.nmodule) (escape_json n.nfile) n.nline
-           (String.concat "," (List.map (fun e -> "\"" ^ escape_json e ^ "\"") eff))
+           (Rule.json_escape n.id) (Rule.json_escape n.nmodule) (Rule.json_escape n.nfile) n.nline
+           (String.concat "," (List.map (fun e -> "\"" ^ Rule.json_escape e ^ "\"") eff))
            (String.concat ","
-              (List.map (fun r -> "\"" ^ escape_json r ^ "\"") n.nroots))))
+              (List.map (fun r -> "\"" ^ Rule.json_escape r ^ "\"") n.nroots))))
     t.nodes;
   Buffer.add_string buf "],\n\"edges\":[";
   let first = ref true in
@@ -1382,25 +1366,25 @@ let to_json ?(effects = fun _ -> []) t =
           if not !first then Buffer.add_string buf ",";
           first := false;
           Buffer.add_string buf
-            (Printf.sprintf "\n[\"%s\",\"%s\"]" (escape_json n.id) (escape_json dst)))
+            (Printf.sprintf "\n[\"%s\",\"%s\"]" (Rule.json_escape n.id) (Rule.json_escape dst)))
         dsts)
     t.nodes;
   Buffer.add_string buf "],\n";
   Buffer.add_string buf
     (Printf.sprintf "\"globals\":[%s],\n"
        (String.concat ","
-          (List.map (fun g -> "\"" ^ escape_json g.gid ^ "\"") t.globals)));
+          (List.map (fun g -> "\"" ^ Rule.json_escape g.gid ^ "\"") t.globals)));
   Buffer.add_string buf
     (Printf.sprintf "\"task_entries\":[%s],\n"
        (String.concat ","
-          (List.map (fun s -> "\"" ^ escape_json s ^ "\"") t.task_entries)));
+          (List.map (fun s -> "\"" ^ Rule.json_escape s ^ "\"") t.task_entries)));
   Buffer.add_string buf
     (Printf.sprintf "\"roots\":[%s]}\n"
        (String.concat ","
           (List.map
              (fun (k, id) ->
-               Printf.sprintf "{\"kind\":\"%s\",\"id\":\"%s\"}" (escape_json k)
-                 (escape_json id))
+               Printf.sprintf "{\"kind\":\"%s\",\"id\":\"%s\"}" (Rule.json_escape k)
+                 (Rule.json_escape id))
              t.roots)));
   Buffer.contents buf
 

@@ -22,27 +22,13 @@ let human (res : Engine.result) =
          (List.length res.Engine.waived));
   Buffer.contents b
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Every finding is an error; version 1 of the report keeps its
    [severity] and [warnings] fields at their only values. *)
 let finding_json (f : Rule.finding) =
   Printf.sprintf
     "{\"rule\":\"%s\",\"severity\":\"error\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-    (escape f.Rule.rule) (escape f.Rule.file) f.Rule.line f.Rule.col (escape f.Rule.message)
+    (Rule.json_escape f.Rule.rule) (Rule.json_escape f.Rule.file) f.Rule.line f.Rule.col
+    (Rule.json_escape f.Rule.message)
 
 let json (res : Engine.result) =
   let b = Buffer.create 1024 in

@@ -38,3 +38,8 @@ val under : string -> string -> bool
 
 val in_lib : string -> bool
 val per_file : (source -> finding list) -> source list -> finding list
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]: quote, backslash and
+    control characters escaped.  Shared by the lint report and the
+    call-graph export. *)

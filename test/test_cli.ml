@@ -4,12 +4,13 @@
    default without a word; cmdliner now rejects it at parse time.) *)
 
 let exe = Filename.concat (Filename.concat ".." "bin") "repro.exe"
+let bench_exe = Filename.concat (Filename.concat ".." "bench") "main.exe"
 
-(* Run the binary, returning (exit code, combined stdout+stderr).  With
+(* Run a binary, returning (exit code, combined stdout+stderr).  With
    [timeout], a binary that accepts what it should refuse (a server that
    starts serving) is killed after that many seconds instead of hanging
    the suite. *)
-let run_repro ?timeout args =
+let run ?timeout exe args =
   let out = Filename.temp_file "repro-cli" ".out" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
@@ -29,6 +30,8 @@ let run_repro ?timeout args =
           (fun () -> really_input_string ic (in_channel_length ic))
       in
       (code, text))
+
+let run_repro ?timeout args = run ?timeout exe args
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -75,7 +78,37 @@ let test_bad_option_values_rejected () =
   check_rejected ~ctx:"serve --metrics-port 65536" ~expect:"METRICS-PORT"
     (serve [ "--port"; "0"; "--metrics-port=65536" ]);
   check_rejected ~ctx:"client --port 65537" ~expect:"PORT"
-    (run_repro [ "client"; "--port"; "65537"; "health" ])
+    (run_repro [ "client"; "--port"; "65537"; "health" ]);
+  (* Refused, not clamped: --queue 0 and --timeout 0 stay valid (the
+     backpressure tests use them), and a NaN deadline would never
+     expire. *)
+  check_rejected ~ctx:"serve --queue -5" ~expect:"QUEUE" (serve [ "--queue=-5" ]);
+  check_rejected ~ctx:"serve --max-conns 0" ~expect:"MAX-CONNS" (serve [ "--max-conns"; "0" ]);
+  check_rejected ~ctx:"serve --timeout -2" ~expect:"TIMEOUT" (serve [ "--timeout=-2" ]);
+  check_rejected ~ctx:"serve --timeout nan" ~expect:"TIMEOUT" (serve [ "--timeout"; "nan" ])
+
+(* The bench harness has no cmdliner: it must still refuse what it does
+   not know with one usage line and exit 2, rather than run its default
+   mode on a typo or fall back to a default for a flag without a value.
+   The timeout stops a binary that runs anyway. *)
+let test_bench_refuses () =
+  let sock = Filename.temp_file "repro-cli" ".sock" in
+  Sys.remove sock;
+  List.iter
+    (fun (args, expect) ->
+      let ctx = "bench " ^ String.concat " " args in
+      let code, text = run ~timeout:10 bench_exe args in
+      Alcotest.(check int) (ctx ^ ": exit 2") 2 code;
+      Alcotest.(check bool) (Printf.sprintf "%s: mentions %S in %S" ctx expect text) true
+        (contains text expect);
+      Alcotest.(check bool) (ctx ^ ": usage") true (contains text "usage:");
+      Alcotest.(check int) (ctx ^ ": one line") 1
+        (List.length (String.split_on_char '\n' (String.trim text))))
+    [
+      ([ "--sotre" ], "--sotre");
+      ([ "--load"; "--socket"; sock; "--clients" ], "--clients needs a value");
+      ([ "--load"; "--clients"; "2" ], "--socket PATH required");
+    ]
 
 let test_valid_invocations_still_work () =
   let code, text = run_repro [ "workloads" ] in
@@ -126,6 +159,7 @@ let () =
             test_bad_option_values_rejected;
           Alcotest.test_case "valid invocations unaffected" `Quick
             test_valid_invocations_still_work;
+          Alcotest.test_case "bench refuses unknown arguments" `Quick test_bench_refuses;
         ] );
       ( "root",
         [
