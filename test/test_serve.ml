@@ -1263,6 +1263,120 @@ let test_metrics_exposition_golden () =
       let golden = read_file (exposition_golden ()) in
       Alcotest.(check string) "normalized exposition matches golden" golden n1
 
+(* The three surfaces that print metrics, pinned byte for byte: the
+   framed stats response and the [client stats] text of one snapshot
+   whose 23 fields all differ and whose three lists hold two entries
+   each, and the un-normalised exposition of a fixed [Metrics.t] with
+   every counter non-zero.  The store and admission counters, which the
+   server's stores own, go in through the snapshot record. *)
+let pinned_snapshot =
+  {
+    Serve.Metrics.connections_accepted = 101;
+    connections_active = 7;
+    connections_refused = 3;
+    requests_total = 2041;
+    requests_by_kind = [ ("analyze", 1500); ("health", 541) ];
+    responses_ok = 1990;
+    responses_error = [ ("overloaded", 29); ("timeout", 22) ];
+    batch_joined = 40;
+    cache_hits = 1230;
+    cache_misses = 270;
+    store_hits = 212;
+    store_misses = 58;
+    store_writes = 57;
+    store_corrupt = 1;
+    queue_high_water = 64;
+    inflight_high_water = 4;
+    io_shards = 2;
+    accepted_by_shard = [ ("00", 49); ("01", 52) ];
+    admission_admitted = 1471;
+    admission_rate_limited = 18;
+    admission_too_large = 5;
+    admission_breaker_rejected = 6;
+    admission_breaker_trips = 2;
+  }
+
+let pinned_golden () =
+  List.find Sys.file_exists
+    [ "golden/metrics-pinned.out"; "test/golden/metrics-pinned.out" ]
+
+let test_stats_bytes_pinned () =
+  let framed = W.encode (P.encode_response (P.Stats_snapshot pinned_snapshot)) in
+  Alcotest.(check string)
+    "framed stats response md5" "e49006c436900d7a5b52cbd1f6e264b6"
+    (Digest.to_hex (Digest.string framed));
+  Alcotest.(check string) "client stats text" {|serve metrics
+  connections.accepted         101
+  connections.active           7
+  connections.refused          3
+  requests.total               2041
+  requests.analyze             1500
+  requests.health              541
+  responses.ok                 1990
+  responses.error.overloaded   29
+  responses.error.timeout      22
+  batch.joined                 40
+  cache.hits                   1230
+  cache.misses                 270
+  store.hits                   212
+  store.misses                 58
+  store.writes                 57
+  store.corrupt                1
+  queue.high_water             64
+  inflight.high_water          4
+  io.shards                    2
+  connections.shard.00         49
+  connections.shard.01         52
+  admission.admitted           1471
+  admission.rate_limited       18
+  admission.too_large          5
+  admission.breaker_rejected   6
+  admission.breaker_trips      2
+|}
+    (Serve.Metrics.render pinned_snapshot);
+  let module M = Serve.Metrics in
+  let t = M.create () in
+  M.incr_accepted t;
+  M.incr_accepted t;
+  M.incr_refused t;
+  M.set_active t 1;
+  M.incr_request t ~kind:"analyze";
+  M.incr_request t ~kind:"analyze";
+  M.incr_request t ~kind:"health";
+  M.incr_ok t;
+  M.incr_ok t;
+  M.incr_error t ~code:"timeout";
+  M.incr_error t ~code:"rate_limited";
+  M.incr_batch_joined t;
+  M.incr_cache_hit t;
+  M.incr_cache_miss t;
+  M.set_io_shards t 2;
+  M.incr_shard_accept t ~shard:0;
+  M.incr_shard_accept t ~shard:1;
+  M.observe_queue_depth t 5;
+  M.observe_inflight t 2;
+  M.observe_latency t ~kind:"analyze" ~seconds:0.25;
+  M.observe_latency t ~kind:"health" ~seconds:3e-6;
+  let snapshot =
+    {
+      (M.snapshot t) with
+      store_hits = 9;
+      store_misses = 8;
+      store_writes = 7;
+      store_corrupt = 6;
+      admission_admitted = 5;
+      admission_rate_limited = 4;
+      admission_too_large = 3;
+      admission_breaker_rejected = 2;
+      admission_breaker_trips = 1;
+    }
+  in
+  let text =
+    Serve.Exposition.render ~snapshot ~latency:(M.latency t) ~queue_depth:3
+      ~inflight:1 ~draining:true
+  in
+  Alcotest.(check string) "exposition" (read_file (pinned_golden ())) text
+
 (* /health readiness flips to 503 between the shutdown request and the
    end of the drain: a forked client holds a cold analysis in flight so
    the drain window is wide enough to probe. *)
@@ -1469,6 +1583,7 @@ let () =
         [
           Alcotest.test_case "malformed payloads" `Quick test_protocol_malformed;
           Alcotest.test_case "hostile lengths" `Quick test_hostile_lengths;
+          Alcotest.test_case "stats bytes pinned" `Quick test_stats_bytes_pinned;
         ]
         @ qcheck
             [
