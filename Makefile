@@ -1,6 +1,6 @@
 # Convenience targets mirroring CI.
 
-.PHONY: build check test bench bench-gate bench-baseline lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-smoke soak-baseline atlas-diff zoo-atlas zoo-baseline clean
+.PHONY: build check test bench bench-gate bench-baseline lint lint-smoke serve-smoke load-smoke cache-smoke soak-smoke soak-baseline atlas-diff zoo-atlas zoo-baseline clean
 
 # @all also builds the examples and benches, so they cannot bitrot.
 build:
@@ -14,7 +14,7 @@ build:
 # fixture tree (which must also make lint exit non-zero), and two end-to-end
 # CLI transcripts are golden-compared so the optimized tree/CV hot path can
 # never drift from the byte output it had before the rewrite.
-check: build lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-smoke
+check: build lint lint-smoke serve-smoke load-smoke cache-smoke soak-smoke
 	QCHECK_SEED=1 JOBS=1 dune runtest --force
 	QCHECK_SEED=1 JOBS=4 dune runtest --force
 	dune exec bin/repro.exe -- stream odb_h_q13 mcf --quick --jobs 1 > _build/stream-j1.out
@@ -25,10 +25,7 @@ check: build lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-s
 	cmp _build/analyze-gzip.out test/golden/analyze-gzip-quick.out
 	if dune exec bin/repro.exe -- lint --json --root test/lint_fixtures > _build/lint-fixtures.json 2>/dev/null; \
 	  then echo "lint fixtures unexpectedly clean" >&2; exit 1; fi
-	cmp _build/lint-fixtures.json test/lint_fixtures/golden.json
-	if dune exec bin/repro.exe -- lint --deep --json --root test/lint_fixtures > _build/lint-fixtures-deep.json 2>/dev/null; \
-	  then echo "deep lint fixtures unexpectedly clean" >&2; exit 1; fi
-	cmp _build/lint-fixtures-deep.json test/lint_fixtures/golden-deep.json
+	cmp _build/lint-fixtures.json test/lint_fixtures/golden-deep.json
 	dune exec bin/repro.exe -- zoo atlas --quick --jobs 1 > _build/zoo-atlas-j1.out
 	dune exec bin/repro.exe -- zoo atlas --quick --jobs 4 > _build/zoo-atlas-j4.out
 	cmp _build/zoo-atlas-j1.out _build/zoo-atlas-j4.out
@@ -36,16 +33,13 @@ check: build lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-s
 	dune exec bin/repro.exe -- cache warm --quick --jobs 2 --dir _build/check-store gzip mcf
 	dune exec bin/repro.exe -- cache verify --dir _build/check-store
 
-# Static determinism & hygiene gate (rules D001-D008, DESIGN.md §10).
+# Static determinism & hygiene gate: the syntactic rules D001-D008
+# (DESIGN.md §10) and the interprocedural rules G001-G004 (§15: alias-aware
+# call graph, effect/raise fixpoints, race + dead-export audits) in one
+# pass.  The 30s budget is a hard bound; the pass runs in well under a
+# second today, so hitting it means the analysis has regressed badly.
 lint: build
-	dune exec bin/repro.exe -- lint
-
-# Interprocedural gate (rules G001-G004, DESIGN.md §15): alias-aware call
-# graph, effect/raise fixpoints, race + dead-export audits.  The 30s
-# budget is a hard bound; the pass runs in well under a second today, so
-# hitting it means the analysis has regressed badly.
-lint-deep: build
-	timeout 30 dune exec bin/repro.exe -- lint --deep
+	timeout 30 dune exec bin/repro.exe -- lint
 
 # Injects five canned defects (aliased Random, pool-task ref mutation,
 # handler failwith, dead export, aliased clock behind a helper) into a

@@ -49,13 +49,15 @@ let elapsed_ms f =
   ignore (Sys.opaque_identity (f ()));
   (Unix.gettimeofday () -. t0) *. 1e3
 
+let median samples =
+  Array.sort compare samples;
+  percentile samples 50.0
+
 (* The median of [reps] runs of [once], which returns its own elapsed
    ms, after one untimed warm-up run. *)
 let median_ms reps once =
   ignore (once ());
-  let samples = Array.init reps (fun _ -> once ()) in
-  Array.sort compare samples;
-  percentile samples 50.0
+  median (Array.init reps (fun _ -> once ()))
 
 let time_reps reps f = median_ms reps (fun () -> elapsed_ms f)
 
@@ -78,6 +80,25 @@ type core_kernel = {
 
 let ck_speedup k ref_ms = ref_ms /. k.ck_median_ms
 
+(* A reference/optimized kernel pair: one untimed warm-up of each side,
+   then [reps] alternated pairs, reference first in each.  Load that
+   starts or stops during the run lands on both sides of the speedup
+   ratio instead of on one. *)
+let paired name reps ~reference ~optimized =
+  ignore (Sys.opaque_identity (reference ()));
+  ignore (Sys.opaque_identity (optimized ()));
+  let ref_ms = Array.make reps 0.0 and opt_ms = Array.make reps 0.0 in
+  for i = 0 to reps - 1 do
+    ref_ms.(i) <- elapsed_ms reference;
+    opt_ms.(i) <- elapsed_ms optimized
+  done;
+  {
+    ck_name = name;
+    ck_reps = reps;
+    ck_median_ms = median opt_ms;
+    ck_ref_median_ms = Some (median ref_ms);
+  }
+
 (* One cold Driver.run of odb_c on itanium2 at the quick geometry: the
    simulator hot path (workload fill, sink hand-off, lib/march) that
    dominates a cold analyze.  Each rep simulates a freshly built model,
@@ -96,41 +117,22 @@ let driver_run_ms () =
       Sampling.Driver.run ~period:cfg.Fuzzy.Analysis.period model ~cpu ~rng ~samples)
 
 (* The acceptance dataset: 128 intervals x 2000 features, 60 stored
-   entries per row.  Rep counts are odd, so each median is one sample.
-   Each reference side is timed before its optimized side, the order
-   BENCH_core.json was recorded in. *)
+   entries per row.  Rep counts are odd, so each median is one sample. *)
 let run_core_kernels () =
   let ds = synthetic_eipv_dataset ~rows:128 ~features:2000 ~nnz:60 in
   let calib_ms = time_reps 9 calibration_kernel in
   let tree_build =
-    let reps = 9 in
-    let reference = time_reps reps (fun () -> Oracle.Tree.build ~max_leaves:50 ds) in
-    let median = time_reps reps (fun () -> Rtree.Tree.build ~max_leaves:50 ds) in
-    {
-      ck_name = "tree_build";
-      ck_reps = reps;
-      ck_median_ms = median;
-      ck_ref_median_ms = Some reference;
-    }
+    paired "tree_build" 9
+      ~reference:(fun () -> Oracle.Tree.build ~max_leaves:50 ds)
+      ~optimized:(fun () -> Rtree.Tree.build ~max_leaves:50 ds)
   in
   let cv_curve =
-    let reps = 5 in
     let rng () = Stats.Rng.create 7 in
-    let reference =
-      time_reps reps (fun () -> Oracle.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
-    in
-    let median =
-      time_reps reps (fun () -> Rtree.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
-    in
-    {
-      ck_name = "cv_curve";
-      ck_reps = reps;
-      ck_median_ms = median;
-      ck_ref_median_ms = Some reference;
-    }
+    paired "cv_curve" 5
+      ~reference:(fun () -> Oracle.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
+      ~optimized:(fun () -> Rtree.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
   in
   let predict_k_sweep =
-    let reps = 9 in
     let t = Rtree.Tree.build ~max_leaves:50 ds in
     let root = Rtree.Tree.root t in
     let kmax = 50 in
@@ -160,14 +162,8 @@ let run_core_kernels () =
       done;
       f ()
     in
-    let reference = time_reps reps (batched predict_all) in
-    let median = time_reps reps (batched sweep_all) in
-    {
-      ck_name = "predict_k_sweep";
-      ck_reps = reps;
-      ck_median_ms = median;
-      ck_ref_median_ms = Some reference;
-    }
+    paired "predict_k_sweep" 9 ~reference:(batched predict_all)
+      ~optimized:(batched sweep_all)
   in
   let driver_run =
     let reps = 5 in

@@ -267,21 +267,9 @@ let lint_cmd =
       & info [ "root" ] ~docv:"DIR"
           ~doc:"Directory to lint (default: the current repo checkout).")
   in
-  let deep =
-    Arg.(
-      value & flag
-      & info [ "deep" ]
-          ~doc:
-            "Also run the whole-repo graph rules G001-G004: alias-aware \
-             nondeterminism reachability, task-context race detection, handler \
-             exception escape and the dead-export audit.")
-  in
-  let run json root deep =
+  let run json root =
     require_dir root;
-    let res =
-      if deep then (Lint.Engine.run_deep ~root).Lint.Engine.dresult
-      else Lint.Engine.run ~root
-    in
+    let res = (Lint.Engine.run_deep ~root).Lint.Engine.dresult in
     print_string (if json then Lint.Reporter.json res else Lint.Reporter.human res);
     if Lint.Engine.errors res > 0 then exit 1
   in
@@ -291,10 +279,11 @@ let lint_cmd =
          "Statically check the determinism & hygiene rules (D001-D008) over the source \
           tree: randomness outside Stats.Rng, wall-clock outside bench/, unsorted \
           Hashtbl traversals, stray Domain.spawn, physical equality, stdout printing in \
-          lib/, missing .mli files and wildcard exception handlers.  With $(b,--deep), \
-          also build the alias-aware whole-repo reference graph and run G001-G004.  \
-          Exits non-zero on any unwaived error.")
-    Term.(const run $ json $ root $ deep)
+          lib/, missing .mli files and wildcard exception handlers.  Then build the \
+          alias-aware whole-repo reference graph and run G001-G004 on it: \
+          nondeterminism reachability, task-context races, handler exception escape \
+          and the dead-export audit.  Exits non-zero on any unwaived error.")
+    Term.(const run $ json $ root)
 
 let graph_cmd =
   let root =

@@ -27,11 +27,11 @@ let finish sources raw =
 
 let check_all sources = List.concat_map (fun r -> r.Rule.check sources) rules
 let run_sources sources = finish sources (check_all sources)
-let run ~root = run_sources (Loader.load ~root ~dirs ~exclude)
 
 (* ------------------------------------------------------------------ *)
-(* The deep pass: shallow rules plus the graph-based G-rules, over a wider
-   source set (examples/ joins, so the usage audit sees every caller). *)
+(* The one pass [repro lint] runs: the D-rules plus the graph-based
+   G-rules, over a wider source set (examples/ joins, so the usage audit
+   sees every caller). *)
 
 type deep = { dresult : result; graph : Graph.t; effects : int array }
 

@@ -4,7 +4,6 @@ type config = {
   analysis : Fuzzy.Analysis.config;
   window : int;
   reservoir : int;
-  warmup_intervals : int;
 }
 
 let default =
@@ -12,13 +11,14 @@ let default =
     analysis = Fuzzy.Analysis.default;
     window = 16;
     reservoir = 256;
-    warmup_intervals = 8;
   }
 
 let quick = { default with analysis = Fuzzy.Analysis.quick; window = 8 }
 
-(* Refit policy: at least 8 sealed intervals between triggers, each
-   published one interval after it fired. *)
+(* Refit policy: the first fit after 8 sealed intervals, at least 8
+   sealed intervals between triggers, each published one interval after
+   it fired. *)
+let warmup_intervals = 8
 let refit_spacing = 8
 let refit_latency = 1
 
@@ -75,7 +75,7 @@ let create ?(name = "stream") config =
     refit =
       Refit.create ~seed:a.Fuzzy.Analysis.seed ~folds:a.Fuzzy.Analysis.folds
         ~kmax:a.Fuzzy.Analysis.kmax ~kopt_tol:a.Fuzzy.Analysis.kopt_tol
-        ~min_intervals:config.warmup_intervals ~spacing:refit_spacing ~latency:refit_latency
+        ~min_intervals:warmup_intervals ~spacing:refit_spacing ~latency:refit_latency
         ~pool;
     pool;
     samples_fed = 0;

@@ -37,15 +37,14 @@ type config = {
       (** training-window capacity, in intervals.  While the run is
           shorter than this, refits (and the final verdict) train on the
           full history; longer runs train on a uniform sample of it. *)
-  warmup_intervals : int;  (** sealed intervals before the first fit *)
 }
-(** The drift detectors run at {!Drift.create}'s constants, and refits
-    fire at least 8 intervals apart and publish one interval later. *)
+(** The drift detectors run at {!Drift.create}'s constants.  The first
+    fit waits for 8 sealed intervals; refits fire at least 8 intervals
+    apart and publish one interval later. *)
 
 val default : config
 (** [Fuzzy.Analysis.default] geometry; window 16, reservoir 256 (= the
-    default interval count, so full runs finalize exactly), warmup 8,
-    spacing 8, latency 1. *)
+    default interval count, so full runs finalize exactly). *)
 
 val quick : config
 (** [Fuzzy.Analysis.quick] geometry (48 intervals), smaller window. *)

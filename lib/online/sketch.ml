@@ -1,13 +1,7 @@
-(* The Welford recurrence here is written out rather than delegated to
-   Stats.Describe.Acc so the test-suite cross-check against Describe is a
-   real two-implementation comparison, not a tautology.  The update order
-   matches Describe.Acc's exactly, which makes the agreement bit-level
-   for identical input order. *)
+module Acc = Stats.Describe.Acc
 
 type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
+  acc : Acc.t;  (* the whole stream, in arrival order *)
   ring : float array;
   mutable filled : int;  (* values currently in the ring, <= window *)
   mutable head : int;  (* next write position *)
@@ -15,21 +9,18 @@ type t = {
 
 let create ?(window = 16) () =
   if window < 2 then invalid_arg "Sketch.create: window must be at least 2";
-  { n = 0; mean = 0.0; m2 = 0.0; ring = Array.make window 0.0; filled = 0; head = 0 }
+  { acc = Acc.create (); ring = Array.make window 0.0; filled = 0; head = 0 }
 
 let add t x =
-  t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+  Acc.add t.acc x;
   let w = Array.length t.ring in
   t.ring.(t.head) <- x;
   t.head <- (t.head + 1) mod w;
   if t.filled < w then t.filled <- t.filled + 1
 
-let n t = t.n
-let mean t = t.mean
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
+let n t = Acc.n t.acc
+let mean t = Acc.mean t.acc
+let variance t = Acc.variance t.acc
 
 let window_fill t = t.filled
 

@@ -1,14 +1,14 @@
 (** Bounded-memory online CPI statistics.
 
-    A Welford accumulator over the whole stream (single pass, numerically
-    stable, O(1) state) plus a ring buffer of the last [window] values for
-    a windowed variance that tracks the {e current} regime rather than the
-    whole history.  The Welford half accumulates in arrival order, so
-    after n values [mean]/[variance] are bit-identical to
-    [Stats.Describe.mean]/[Stats.Describe.variance] of those n values in
-    the same order (asserted by a QCheck property in [test/test_online.ml]
-    at 1e-9) — which is what lets the streaming quadrant classifier's
-    final variance coincide exactly with the offline analysis. *)
+    A {!Stats.Describe.Acc} Welford accumulator over the whole stream
+    (single pass, numerically stable, O(1) state) plus a ring buffer of
+    the last [window] values for a windowed variance that tracks the
+    {e current} regime rather than the whole history.  The accumulator
+    takes values in arrival order, so after n values [mean]/[variance]
+    are bit-identical to [Stats.Describe.variance] of those n values in
+    the same order — which is what lets the streaming quadrant
+    classifier's final variance coincide exactly with the offline
+    analysis. *)
 
 type t
 

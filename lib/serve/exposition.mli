@@ -1,10 +1,8 @@
 (** The server's Prometheus exposition: every family [GET /metrics]
-    serves, in fixed order.
+    serves, one per row of {!Metrics.table} and in its order.
 
-    A thin mapping from {!Metrics.snapshot} (plus the live gauges the
-    snapshot doesn't carry) into the {!Metrics_http.Expo} model.  Pure —
-    the HTTP layer calls it under the server's core lock and writes the
-    string out. *)
+    Pure — the HTTP layer calls it under the server's core lock and
+    writes the string out. *)
 
 val render :
   snapshot:Metrics.snapshot ->
@@ -13,6 +11,7 @@ val render :
   inflight:int ->
   draining:bool ->
   string
-(** [queue_depth] and [inflight] are the instantaneous gauges (the
-    snapshot only records their high-water marks); [draining] is true
-    between a shutdown request and the last queued response. *)
+(** [queue_depth], [inflight] and [draining] are the table's
+    {!Metrics.Live} gauges, read at the scrape: the snapshot only
+    records the high-water marks of the first two, and [draining] is
+    true between a shutdown request and the last queued response. *)

@@ -1,6 +1,13 @@
 (** Serving metrics: deterministic counters and gauges, plus per-verb
     latency histograms for the HTTP [/metrics] exposition.
 
+    {!table} declares every metric once: its [repro client stats] key,
+    its exposition family, help text and kind, and how to read it.  The
+    stats frame ({!Protocol}), {!render} and the exposition
+    ({!Exposition}) are each one fold over it, so all three print the
+    metrics in its order.  Adding a metric is one row, plus a
+    {!snapshot} field if the stats frame carries it.
+
     The counters are a pure function of the request history the server
     has processed — no timestamps, no durations, no load averages — so a
     scripted client session produces a byte-identical [stats] response on
@@ -35,38 +42,72 @@ type hist_snapshot = {
   hist_count : int;
 }
 
+(** What each field counts is the help text of its row in {!table}.
+    The three lists are sorted by key.  The store fields are
+    [Store.Result_cache.counters] (zero when no store is attached) and
+    the admission fields [Admission.counters] (zero when {!create} got
+    no admission), both read when the snapshot is taken. *)
 type snapshot = {
   connections_accepted : int;
-  connections_active : int;  (** gauge: currently open sessions *)
+  connections_active : int;
   connections_refused : int;
       (** turned away [Busy]: at the max-connections cap, while draining,
           or on a descriptor the event loop cannot watch *)
   requests_total : int;
-  requests_by_kind : (string * int) list;  (** sorted by kind *)
+  requests_by_kind : (string * int) list;
   responses_ok : int;
-  responses_error : (string * int) list;  (** error code -> count, sorted *)
+  responses_error : (string * int) list;
   batch_joined : int;
-      (** requests answered by subscribing to an identical in-flight
-          computation instead of queueing their own *)
-  cache_hits : int;  (** analysis cache already held the workload *)
+  cache_hits : int;
   cache_misses : int;
-  store_hits : int;  (** persistent store served a validated entry *)
+  store_hits : int;
   store_misses : int;
-  store_writes : int;  (** new entries persisted *)
-  store_corrupt : int;  (** entries quarantined as invalid *)
-  queue_high_water : int;  (** deepest the bounded request queue has been *)
-  inflight_high_water : int;  (** most pool tasks outstanding at once *)
-  io_shards : int;  (** accept/IO domains this server runs *)
+  store_writes : int;
+  store_corrupt : int;
+  queue_high_water : int;
+  inflight_high_water : int;
+  io_shards : int;
   accepted_by_shard : (string * int) list;
-      (** two-digit shard id -> connections assigned, sorted *)
-  admission_admitted : int;  (** heavy requests past every admission gate *)
-  admission_rate_limited : int;  (** refused: peer token bucket empty *)
-  admission_too_large : int;  (** refused: request over the size budget *)
-  admission_breaker_rejected : int;  (** refused: peer circuit breaker open *)
-  admission_breaker_trips : int;  (** times any peer breaker opened *)
+  admission_admitted : int;
+  admission_rate_limited : int;
+  admission_too_large : int;
+  admission_breaker_rejected : int;
+  admission_breaker_trips : int;
 }
 
-val create : unit -> t
+val zero : snapshot
+(** Every count zero and every list empty: the record the stats-frame
+    decoder folds the rows' setters over. *)
+
+type live = { queue_depth : int; inflight : int; draining : bool }
+(** The gauges a scrape reads at that moment; the snapshot does not
+    carry them. *)
+
+type field =
+  | Scalar of { key : string; get : snapshot -> int; set : snapshot -> int -> snapshot }
+      (** one snapshot field, printed as [key] by {!render} *)
+  | Labelled of {
+      key : string;
+      label : string;
+      get : snapshot -> (string * int) list;
+      set : snapshot -> (string * int) list -> snapshot;
+    }
+      (** one snapshot list: a [key ^ k] line per entry in {!render}, a
+          sample labelled [label = k] per entry in the exposition *)
+  | Live of (live -> int)  (** exposition only *)
+  | Latency of { label : string }
+      (** the per-verb histograms of {!latency}, labelled by verb;
+          exposition only *)
+
+type row = { family : string; help : string; kind : Metrics_http.Expo.kind; field : field }
+(** One metric; [family] is its exposition name. *)
+
+val table : row list
+(** Every metric, in the order of the stats frame, {!render} and the
+    exposition. *)
+
+val create : ?admission:Admission.t -> unit -> t
+(** [admission] is the layer whose counters {!snapshot} reports. *)
 
 val incr_accepted : t -> unit
 val incr_refused : t -> unit
@@ -77,27 +118,8 @@ val incr_error : t -> code:string -> unit
 val incr_batch_joined : t -> unit
 val incr_cache_hit : t -> unit
 val incr_cache_miss : t -> unit
-
-val set_store : t -> hits:int -> misses:int -> writes:int -> corrupt:int -> unit
-(** Copy the persistent store's counters into the metrics (all zero when
-    no store is attached).  Called before each snapshot; the store owns
-    the running totals. *)
-
 val set_io_shards : t -> int -> unit
 val incr_shard_accept : t -> shard:int -> unit
-
-val set_admission :
-  t ->
-  admitted:int ->
-  rate_limited:int ->
-  too_large:int ->
-  breaker_rejected:int ->
-  breaker_trips:int ->
-  unit
-(** Copy the admission layer's counters in (all zero when admission is
-    off).  Called before each snapshot; [lib/admission] owns the running
-    totals. *)
-
 val observe_queue_depth : t -> int -> unit
 val observe_inflight : t -> int -> unit
 
@@ -115,5 +137,5 @@ val latency : t -> hist_snapshot list
 val snapshot : t -> snapshot
 
 val render : snapshot -> string
-(** Fixed-format table, one metric per line, keys sorted — the output of
-    [repro client stats] and of [repro serve] when it exits. *)
+(** Fixed-format table, one metric per line in {!table} order — the
+    output of [repro client stats] and of [repro serve] when it exits. *)

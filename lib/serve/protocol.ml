@@ -180,34 +180,20 @@ let decode_request payload =
 
 (* ----------------------------- responses ---------------------------- *)
 
-let enc_snapshot e (s : Metrics.snapshot) =
+(* The stats frame is one fold over [Metrics.table]: its scalars and
+   lists in table order, the rows the snapshot does not carry skipped. *)
+let enc_snapshot e s =
   let pair e (k, v) =
     Wire.Enc.string e k;
     Wire.Enc.int e v
   in
-  Wire.Enc.int e s.Metrics.connections_accepted;
-  Wire.Enc.int e s.Metrics.connections_active;
-  Wire.Enc.int e s.Metrics.connections_refused;
-  Wire.Enc.int e s.Metrics.requests_total;
-  Wire.Enc.list e pair s.Metrics.requests_by_kind;
-  Wire.Enc.int e s.Metrics.responses_ok;
-  Wire.Enc.list e pair s.Metrics.responses_error;
-  Wire.Enc.int e s.Metrics.batch_joined;
-  Wire.Enc.int e s.Metrics.cache_hits;
-  Wire.Enc.int e s.Metrics.cache_misses;
-  Wire.Enc.int e s.Metrics.store_hits;
-  Wire.Enc.int e s.Metrics.store_misses;
-  Wire.Enc.int e s.Metrics.store_writes;
-  Wire.Enc.int e s.Metrics.store_corrupt;
-  Wire.Enc.int e s.Metrics.queue_high_water;
-  Wire.Enc.int e s.Metrics.inflight_high_water;
-  Wire.Enc.int e s.Metrics.io_shards;
-  Wire.Enc.list e pair s.Metrics.accepted_by_shard;
-  Wire.Enc.int e s.Metrics.admission_admitted;
-  Wire.Enc.int e s.Metrics.admission_rate_limited;
-  Wire.Enc.int e s.Metrics.admission_too_large;
-  Wire.Enc.int e s.Metrics.admission_breaker_rejected;
-  Wire.Enc.int e s.Metrics.admission_breaker_trips
+  List.iter
+    (fun (r : Metrics.row) ->
+      match r.field with
+      | Scalar { get; _ } -> Wire.Enc.int e (get s)
+      | Labelled { get; _ } -> Wire.Enc.list e pair (get s)
+      | Live _ | Latency _ -> ())
+    Metrics.table
 
 let dec_snapshot d =
   let pair d =
@@ -215,54 +201,13 @@ let dec_snapshot d =
     let v = Wire.Dec.int d in
     (k, v)
   in
-  let connections_accepted = Wire.Dec.int d in
-  let connections_active = Wire.Dec.int d in
-  let connections_refused = Wire.Dec.int d in
-  let requests_total = Wire.Dec.int d in
-  let requests_by_kind = Wire.Dec.list d pair in
-  let responses_ok = Wire.Dec.int d in
-  let responses_error = Wire.Dec.list d pair in
-  let batch_joined = Wire.Dec.int d in
-  let cache_hits = Wire.Dec.int d in
-  let cache_misses = Wire.Dec.int d in
-  let store_hits = Wire.Dec.int d in
-  let store_misses = Wire.Dec.int d in
-  let store_writes = Wire.Dec.int d in
-  let store_corrupt = Wire.Dec.int d in
-  let queue_high_water = Wire.Dec.int d in
-  let inflight_high_water = Wire.Dec.int d in
-  let io_shards = Wire.Dec.int d in
-  let accepted_by_shard = Wire.Dec.list d pair in
-  let admission_admitted = Wire.Dec.int d in
-  let admission_rate_limited = Wire.Dec.int d in
-  let admission_too_large = Wire.Dec.int d in
-  let admission_breaker_rejected = Wire.Dec.int d in
-  let admission_breaker_trips = Wire.Dec.int d in
-  {
-    Metrics.connections_accepted;
-    connections_active;
-    connections_refused;
-    requests_total;
-    requests_by_kind;
-    responses_ok;
-    responses_error;
-    batch_joined;
-    cache_hits;
-    cache_misses;
-    store_hits;
-    store_misses;
-    store_writes;
-    store_corrupt;
-    queue_high_water;
-    inflight_high_water;
-    io_shards;
-    accepted_by_shard;
-    admission_admitted;
-    admission_rate_limited;
-    admission_too_large;
-    admission_breaker_rejected;
-    admission_breaker_trips;
-  }
+  List.fold_left
+    (fun s (r : Metrics.row) ->
+      match r.field with
+      | Scalar { set; _ } -> set s (Wire.Dec.int d)
+      | Labelled { set; _ } -> set s (Wire.Dec.list d pair)
+      | Live _ | Latency _ -> s)
+    Metrics.zero Metrics.table
 
 let enc_curve e (c : Rtree.Cv.curve) =
   Wire.Enc.list e Wire.Enc.int (Array.to_list c.Rtree.Cv.k_values);

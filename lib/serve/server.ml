@@ -97,25 +97,11 @@ let listen_socket address ~backlog =
   fd
 
 let run ?(on_event = fun _ -> ()) cfg address =
-  let metrics = Metrics.create () in
+  let admission = Admission.create cfg.admission in
+  let metrics = Metrics.create ~admission () in
   let nshards = max 1 cfg.io_shards in
   Metrics.set_io_shards metrics nshards;
   let pipeline = { Online.Pipeline.default with analysis = cfg.analysis } in
-  let admission = Admission.create cfg.admission in
-  let sync_store_counters () =
-    match Store.Result_cache.counters () with
-    | Some c ->
-        Metrics.set_store metrics ~hits:c.Store.Cas.hits ~misses:c.Store.Cas.misses
-          ~writes:c.Store.Cas.writes ~corrupt:c.Store.Cas.corrupt
-    | None -> ()
-  in
-  let sync_admission_counters () =
-    let c = Admission.counters admission in
-    Metrics.set_admission metrics ~admitted:c.Admission.admitted
-      ~rate_limited:c.Admission.rate_limited ~too_large:c.Admission.too_large
-      ~breaker_rejected:c.Admission.breaker_rejected
-      ~breaker_trips:c.Admission.breaker_trips
-  in
   let pool = Fuzzy.Analysis.pool cfg.analysis in
   let max_inflight = Parallel.Pool.jobs pool in
 
@@ -196,12 +182,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
   let exposition () =
     let snapshot, latency, queue_depth, inflight_now =
       locked (fun () ->
-          sync_store_counters ();
-          sync_admission_counters ();
-          ( Metrics.snapshot metrics,
-            Metrics.latency metrics,
-            !waiting_count,
-            !inflight ))
+          (Metrics.snapshot metrics, Metrics.latency metrics, !waiting_count, !inflight))
     in
     Exposition.render ~snapshot ~latency ~queue_depth ~inflight:inflight_now
       ~draining:(Atomic.get draining)
@@ -453,12 +434,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
                workloads = Array.length Workload.Catalog.all;
              })
     | Protocol.Stats ->
-        let snap =
-          locked (fun () ->
-              sync_store_counters ();
-              sync_admission_counters ();
-              Metrics.snapshot metrics)
-        in
+        let snap = locked (fun () -> Metrics.snapshot metrics) in
         respond sess seq (Protocol.Stats_snapshot snap)
     | Protocol.Shutdown ->
         Atomic.set draining true;
@@ -893,6 +869,4 @@ let run ?(on_event = fun _ -> ()) cfg address =
   Sys.set_signal Sys.sigpipe old_pipe;
   Sys.set_signal Sys.sigint old_int;
   Sys.set_signal Sys.sigterm old_term;
-  sync_store_counters ();
-  sync_admission_counters ();
   Metrics.snapshot metrics

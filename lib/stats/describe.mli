@@ -10,6 +10,7 @@ module Acc : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+  val n : t -> int
   val mean : t -> float
   (** Mean of the observations; 0 when empty. *)
 

@@ -4,7 +4,7 @@
 # The graph-based rules (G001-G004) exist to catch what the syntactic
 # D-rules cannot; this script proves they actually do.  It copies the
 # source tree to a scratch directory (the linter only parses, nothing is
-# compiled there), asserts the copy deep-lints clean, injects five canned
+# compiled there), asserts the copy lints clean, injects five canned
 # defects of the exact shapes the rules were built for, and asserts each
 # one is reported with the right rule id in the right file:
 #
@@ -15,8 +15,8 @@
 #   5. wall-clock via helper  (aliased Unix behind a root chain)-> G001
 #
 # Every defect uses an alias or an indirection, so none of them is
-# visible to the shallow D-rules -- exactly the blind spot the deep pass
-# closes.
+# visible to the syntactic D-rules -- exactly the blind spot the graph
+# rules close.
 set -eu
 
 EXE=_build/default/bin/repro.exe
@@ -31,10 +31,10 @@ rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
 cp -r lib bin bench test examples dune-project "$SCRATCH/"
 
-# Baseline: the pristine copy must deep-lint clean, or the assertions
+# Baseline: the pristine copy must lint clean, or the assertions
 # below would prove nothing.
-"$EXE" lint --deep --root "$SCRATCH" > /dev/null \
-  || fail "pristine scratch copy is not deep-lint clean"
+"$EXE" lint --root "$SCRATCH" > /dev/null \
+  || fail "pristine scratch copy is not lint clean"
 
 # --- defect 1: aliased Random in an analysis module ------------------
 cat >> "$SCRATCH/lib/core/quadrant.ml" <<'EOF'
@@ -68,7 +68,7 @@ let[@lint.root "determinism"] _defect_entry () = _defect_clock_helper ()
 EOF
 
 # The defective tree must now fail, with a JSON report to assert on.
-if "$EXE" lint --deep --json --root "$SCRATCH" > "$JSON"; then
+if "$EXE" lint --json --root "$SCRATCH" > "$JSON"; then
   fail "defective scratch copy unexpectedly lints clean"
 fi
 

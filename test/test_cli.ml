@@ -164,8 +164,6 @@ let () =
       ( "root",
         [
           Alcotest.test_case "lint refuses a non-directory" `Quick (test_root_refused [ "lint" ]);
-          Alcotest.test_case "lint --deep refuses a non-directory" `Quick
-            (test_root_refused [ "lint"; "--deep" ]);
           Alcotest.test_case "graph refuses a non-directory" `Quick
             (test_root_refused [ "graph" ]);
         ] );

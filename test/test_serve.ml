@@ -178,42 +178,19 @@ let gen_curve =
          (list_size (int_range 0 12) gen_float)
          gen_float))
 
+(* Every field is an independent draw, folded over the same table the
+   codec uses ("pinned stats frame decodes" checks the setters
+   themselves). *)
 let gen_snapshot =
   QCheck2.Gen.(
     let pairs = list_size (int_range 0 4) (pair gen_name (int_range 0 9999)) in
-    map
-      (fun ((a, b, c, d), by_kind, by_error, (e, f, g, h)) ->
-        {
-          Serve.Metrics.connections_accepted = a;
-          connections_active = b;
-          connections_refused = c;
-          requests_total = d;
-          requests_by_kind = by_kind;
-          responses_ok = e;
-          responses_error = by_error;
-          batch_joined = f;
-          cache_hits = g;
-          cache_misses = h;
-          store_hits = h lxor 21;
-          store_misses = g lxor 9;
-          store_writes = e lxor 3;
-          store_corrupt = f land 7;
-          queue_high_water = 0;
-          inflight_high_water = 0;
-          io_shards = 1 + (a land 7);
-          accepted_by_shard = by_kind;
-          admission_admitted = d lxor 5;
-          admission_rate_limited = c land 63;
-          admission_too_large = b land 15;
-          admission_breaker_rejected = a land 31;
-          admission_breaker_trips = a land 3;
-        })
-      (quad
-         (quad (int_range 0 9999) (int_range 0 9999) (int_range 0 9999)
-            (int_range 0 9999))
-         pairs pairs
-         (quad (int_range 0 9999) (int_range 0 9999) (int_range 0 9999)
-            (int_range 0 9999))))
+    List.fold_left
+      (fun gen (r : Serve.Metrics.row) ->
+        match r.field with
+        | Scalar { set; _ } -> map2 set gen (int_range 0 9999)
+        | Labelled { set; _ } -> map2 set gen pairs
+        | Live _ | Latency _ -> gen)
+      (return Serve.Metrics.zero) Serve.Metrics.table)
 
 let gen_error_code =
   QCheck2.Gen.oneofl
@@ -1377,6 +1354,15 @@ let test_stats_bytes_pinned () =
   in
   Alcotest.(check string) "exposition" (read_file (pinned_golden ())) text
 
+(* The codec and [gen_snapshot] both go through the table's setters, so
+   the round-trip property cannot see a setter that writes the wrong
+   field or none; [pinned_snapshot] spells every field itself. *)
+let test_stats_decode_pinned () =
+  let payload = P.encode_response (P.Stats_snapshot pinned_snapshot) in
+  Alcotest.(check bool)
+    "stats frame decodes to the literal snapshot" true
+    (P.decode_response payload = Ok (P.Stats_snapshot pinned_snapshot))
+
 (* /health readiness flips to 503 between the shutdown request and the
    end of the drain: a forked client holds a cold analysis in flight so
    the drain window is wide enough to probe. *)
@@ -1584,6 +1570,8 @@ let () =
           Alcotest.test_case "malformed payloads" `Quick test_protocol_malformed;
           Alcotest.test_case "hostile lengths" `Quick test_hostile_lengths;
           Alcotest.test_case "stats bytes pinned" `Quick test_stats_bytes_pinned;
+          Alcotest.test_case "pinned stats frame decodes" `Quick
+            test_stats_decode_pinned;
         ]
         @ qcheck
             [
