@@ -96,7 +96,7 @@ bench:
 # Benchmark-regression gate (DESIGN.md §12): time the core kernels and
 # compare against the committed BENCH_core.json baseline.  Fails on a
 # >1.5x normalised median slowdown or if tree_build / cv_curve fall
-# under 2x their Reference implementations.
+# under 3x their Reference implementations.
 bench-gate: build
 	dune exec bench/main.exe -- --json > _build/BENCH_core.fresh.json
 	sh scripts/bench_gate.sh BENCH_core.json _build/BENCH_core.fresh.json

@@ -16,13 +16,6 @@
    paper's tables and figures are `repro all` and `repro run ID`; the
    per-layer cost of a whole analysis is perfbench's `--trace 1`. *)
 
-(* Nearest-rank percentile of a sorted, non-empty array.  For an odd
-   count, the 50th is the middle sample. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
-  sorted.(max 0 (min (n - 1) rank))
-
 (* --------------------- core kernels (bench gate) -------------------- *)
 
 (* The CI benchmark gate (scripts/bench_gate.sh) compares these kernels'
@@ -49,9 +42,8 @@ let elapsed_ms f =
   ignore (Sys.opaque_identity (f ()));
   (Unix.gettimeofday () -. t0) *. 1e3
 
-let median samples =
-  Array.sort compare samples;
-  percentile samples 50.0
+(* For an odd count, the 50th percentile is the middle sample. *)
+let median samples = Stats.Describe.percentile samples 50.0
 
 (* The median of [reps] runs of [once], which returns its own elapsed
    ms, after one untimed warm-up run. *)
@@ -231,7 +223,7 @@ type load = {
   ok : int;
   refused : int;
   mismatched : int;
-  latencies : float array;  (* us per answered request, sorted *)
+  latencies : float array;  (* us per answered request *)
   wall : float;  (* seconds from the first fork to the last exit *)
 }
 
@@ -313,7 +305,6 @@ let drive ~address ~clients ~per_client ~interval ~script =
       (0, 0, 0, 0) files
   in
   let latencies = Array.of_list !latencies in
-  Array.sort compare latencies;
   { sent = clients * per_client; got; ok; refused; mismatched; latencies; wall }
 
 (* The --load and --soak request mix. *)
@@ -423,8 +414,11 @@ let run_serve_report () =
             lat.(i) <- (Unix.gettimeofday () -. s) *. 1e6
           done;
           let dt = Unix.gettimeofday () -. w0 in
-          Array.sort compare lat;
-          (name, n, float_of_int n /. dt, percentile lat 50.0, percentile lat 99.0)
+          ( name,
+            n,
+            float_of_int n /. dt,
+            Stats.Describe.percentile lat 50.0,
+            Stats.Describe.percentile lat 99.0 )
         in
         let rows =
           [
@@ -585,7 +579,7 @@ let run_soak args =
   let l = drive ~address ~clients ~per_client ~interval ~script:health_analyze_quadrant in
   let p50, p99 =
     if Array.length l.latencies = 0 then (0.0, 0.0)
-    else (percentile l.latencies 50.0, percentile l.latencies 99.0)
+    else (Stats.Describe.percentile l.latencies 50.0, Stats.Describe.percentile l.latencies 99.0)
   in
   let lost = l.sent - l.got in
   let achieved = float_of_int l.got /. l.wall in

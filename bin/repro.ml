@@ -43,6 +43,17 @@ let non_negative_float ~what =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* A float argument that must be finite and > 0; NaN fails both
+   comparisons, so it is refused too. *)
+let positive_float ~what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when v > 0.0 && v < infinity -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be a finite number > 0 (got %s)" what s))
+    | None -> Error (`Msg (Printf.sprintf "%s must be a number (got %S)" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* Returns (config, quick): most commands only want the config, but
    `zoo atlas' reuses the --quick flag to also select the quick scenario
    subset, and cmdliner forbids registering the flag twice. *)
@@ -54,13 +65,17 @@ let config_quick_term =
     Arg.(value & opt int Fuzzy.Analysis.default.Fuzzy.Analysis.seed & info [ "seed" ] ~doc:"PRNG seed.")
   in
   let scale =
-    Arg.(value & opt (some float) None & info [ "scale" ] ~doc:"Workload data-size multiplier.")
+    Arg.(
+      value
+      & opt (some (positive_float ~what:"SCALE")) None
+      & info [ "scale" ] ~doc:"Workload data-size multiplier (finite, > 0).")
   in
   let intervals =
     Arg.(
       value
-      & opt (some (bounded_int ~min:1 ~what:"INTERVALS")) None
-      & info [ "intervals" ] ~doc:"Number of EIPV intervals.")
+      & opt (some (bounded_int ~min:2 ~what:"INTERVALS")) None
+      & info [ "intervals" ]
+          ~doc:"Number of EIPV intervals (at least 2: cross-validation needs two folds).")
   in
   let spi =
     Arg.(

@@ -16,11 +16,13 @@ type t = { root : node; n_splits : int }
 
 let root t = t.root
 
-let sse n sum sumsq =
+(* [Float.max 0.0 v] written out, so the grower's calls stay unboxed:
+   v when v > 0 or v is NaN, else +0.0 (also for v = -0.0). *)
+let[@inline] sse n sum sumsq =
   if n = 0 then 0.0
   else
     let v = sumsq -. (sum *. sum /. float_of_int n) in
-    Float.max 0.0 v
+    if v > 0.0 || v <> v then v else 0.0
 
 (* The smallest admissible side of a split, and the squared-error
    reduction a split must exceed. *)
@@ -52,41 +54,37 @@ and msplit = {
   sright : mnode;
 }
 
-let y_totals (data : Dataset.t) rows =
+let make_mnode (data : Dataset.t) rows =
+  let y = data.Dataset.y in
   let sum = ref 0.0 and sumsq = ref 0.0 in
-  Array.iter
-    (fun r ->
-      let y = data.Dataset.y.(r) in
-      sum := !sum +. y;
-      sumsq := !sumsq +. (y *. y))
-    rows;
-  (!sum, !sumsq)
-
-let make_mnode data rows =
-  let sum, sumsq = y_totals data rows in
-  { rows; mn = Array.length rows; msum = sum; msumsq = sumsq; split = None }
+  for i = 0 to Array.length rows - 1 do
+    let v = y.(rows.(i)) in
+    sum := !sum +. v;
+    sumsq := !sumsq +. (v *. v)
+  done;
+  { rows; mn = Array.length rows; msum = !sum; msumsq = !sumsq; split = None }
 
 (* Route a node's rows to the two sides of a split.  Count-then-fill, no
    intermediate lists; both sides keep ascending row order (the order the
    old list-based version produced). *)
 let partition (data : Dataset.t) rows feature threshold =
   let nl = ref 0 in
-  Array.iter
-    (fun r -> if Sv.get data.Dataset.rows.(r) feature <= threshold then incr nl)
-    rows;
+  for i = 0 to Array.length rows - 1 do
+    if Sv.get data.Dataset.rows.(rows.(i)) feature <= threshold then incr nl
+  done;
   let left = Array.make !nl 0 and right = Array.make (Array.length rows - !nl) 0 in
   let li = ref 0 and ri = ref 0 in
-  Array.iter
-    (fun r ->
-      if Sv.get data.Dataset.rows.(r) feature <= threshold then begin
-        left.(!li) <- r;
-        incr li
-      end
-      else begin
-        right.(!ri) <- r;
-        incr ri
-      end)
-    rows;
+  for i = 0 to Array.length rows - 1 do
+    let r = rows.(i) in
+    if Sv.get data.Dataset.rows.(r) feature <= threshold then begin
+      left.(!li) <- r;
+      incr li
+    end
+    else begin
+      right.(!ri) <- r;
+      incr ri
+    end
+  done;
   (left, right)
 
 (* ------------------------------ grower ------------------------------ *)
@@ -97,24 +95,29 @@ let partition (data : Dataset.t) rows feature threshold =
    the node totals by subtraction.  Zero hashtables and zero boxing on
    the hot path.
 
-   A build-local arena holds flat (x, y) column scratch sized to the
-   dataset's total nnz plus per-feature count/start/cursor tables; each
-   node's per-feature entry segments are rebuilt by count-then-fill in
-   O(node nnz), then a position array is sorted per segment.
+   A build-local arena holds a flat copy of the rows (CSR: row r's
+   (feature, count) pairs are [cidx]/[cval] from [rptr.(r)] to
+   [rptr.(r + 1) - 1], in [Sparse_vec.iter] order), flat (x, y) column
+   scratch sized to the dataset's total nnz, and per-feature
+   count/cursor tables; each node's per-feature entry segments are
+   rebuilt by count-then-fill in O(node nnz + features), then a position
+   array is sorted per segment.
 
    The specification it must match bit for bit is the test oracle
    (test/oracle: a per-node hashtable of (x, y) lists, converted to an
-   array and sorted at every node).  Bit-identity is by construction, not
-   by luck:
+   array and sorted with Stdlib 5.1's Array.sort at every node).
+   Bit-identity is by construction, not by luck:
 
+   - the node's features are listed by scanning the counts in id order,
+     which is the ascending order the oracle's sorted bindings give;
    - the fill iterates the node's rows in REVERSE, reproducing exactly
      the entry order the oracle's cons-list building leaves in its array
      (prepend over ascending rows = descending rows);
-   - the position sort feeds Array.sort the same element count and the
-     same comparator sign sequence (x-only keys over that same input
-     order), and stdlib heapsort's permutation is a pure function of
-     both — so even the UNSTABLE tie permutation, which is observable
-     through equal-gain split selection, is replayed bit-for-bit;
+   - each segment is sorted by [heapsort_positions], a copy of that
+     Array.sort specialised to positions keyed by x: same element count,
+     same input order, and the same comparisons in the same order, so
+     even the UNSTABLE tie permutation, which is observable through
+     equal-gain split selection, is replayed bit-for-bit;
    - every floating-point accumulation mirrors the oracle
      operation-for-operation in the same order.
 
@@ -122,168 +125,203 @@ let partition (data : Dataset.t) rows feature threshold =
    resulting trees are node-for-node bit-identical. *)
 
 type arena = {
+  rptr : int array;  (* row r's entries: rptr.(r) .. rptr.(r + 1) - 1 *)
+  cidx : int array;  (* every row's feature ids, row after row *)
+  cval : float array;  (* the counts, parallel to cidx *)
   axs : float array;  (* entry x values, segmented per feature *)
   ays : float array;  (* entry y values, parallel to axs *)
   acount : int array;  (* per-feature entry count for the current node *)
-  astart : int array;  (* per-feature segment start *)
-  acursor : int array;  (* per-feature fill cursor *)
+  acursor : int array;  (* per-feature fill cursor, then segment end *)
+  afeats : int array;  (* the current node's features, ascending *)
   aperm : int array;  (* scratch positions for one segment (≤ n rows) *)
-  atouched : Stats.Growvec.Int.t;  (* features present in the current node *)
 }
 
 let make_arena (data : Dataset.t) =
   let nnz = Dataset.total_nnz data in
   let nf = data.Dataset.n_features in
+  let n = Dataset.n data in
+  let rptr = Array.make (n + 1) 0 and cidx = Array.make nnz 0 and cval = Array.make nnz 0.0 in
+  let p = ref 0 in
+  let add f x =
+    cidx.(!p) <- f;
+    cval.(!p) <- x;
+    incr p
+  in
+  for r = 0 to n - 1 do
+    rptr.(r) <- !p;
+    Sv.iter add data.Dataset.rows.(r)
+  done;
+  rptr.(n) <- !p;
   {
+    rptr;
+    cidx;
+    cval;
     axs = Array.make nnz 0.0;
     ays = Array.make nnz 0.0;
     acount = Array.make nf 0;
-    astart = Array.make nf 0;
     acursor = Array.make nf 0;
-    aperm = Array.make (Dataset.n data) 0;
-    atouched = Stats.Growvec.Int.create ();
+    afeats = Array.make nf 0;
+    aperm = Array.make n 0;
   }
+
+(* Stdlib 5.1's [Array.sort], a ternary heapsort, specialised to the
+   positions [a.(0) .. a.(l - 1)] under the order of their x values
+   [xs.(a.(i))].  Each function makes the comparisons of its Stdlib
+   namesake in the same order, on the same elements, and moves the same
+   elements, so the sort leaves the permutation [Array.sort] would leave,
+   ties included.  A position comparator [cmp] is negative exactly when
+   [xs.(p) < xs.(q)] and positive exactly when [xs.(p) > xs.(q)], so
+   those two float tests stand in for [cmp p q < 0] and [cmp p q > 0].
+   Where Stdlib raises [Bottom i], [maxson] returns -1 and its caller
+   does what the handler did with that [i]; Stdlib's [assert] in
+   [trickleup] cannot fail (i >= 1 there) and is left out.  Indices stay
+   below [l]: a segment holds at most one entry per row, and [aperm] has
+   one slot per row. *)
+let[@inline] key (xs : float array) (a : int array) i = Array.unsafe_get xs (Array.unsafe_get a i)
+
+let maxson xs a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if key xs a i31 < key xs a (i31 + 1) then i31 + 1 else i31 in
+    if key xs a x < key xs a (i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && key xs a i31 < key xs a (i31 + 1) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickledown xs a l i e =
+  let j = maxson xs a l i in
+  if j >= 0 && key xs a j > Array.unsafe_get xs e then begin
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    trickledown xs a l j e
+  end
+  else Array.unsafe_set a i e
+
+let rec bubbledown xs a l i =
+  let j = maxson xs a l i in
+  if j < 0 then i
+  else begin
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    bubbledown xs a l j
+  end
+
+let rec trickleup xs a i e =
+  let father = (i - 1) / 3 in
+  if key xs a father < Array.unsafe_get xs e then begin
+    Array.unsafe_set a i (Array.unsafe_get a father);
+    if father > 0 then trickleup xs a father e else Array.unsafe_set a 0 e
+  end
+  else Array.unsafe_set a i e
+
+let heapsort_positions xs a l =
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickledown xs a l i (Array.unsafe_get a i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a 0);
+    trickleup xs a (bubbledown xs a i 0) e
+  done;
+  if l > 1 then begin
+    let e = Array.unsafe_get a 1 in
+    Array.unsafe_set a 1 (Array.unsafe_get a 0);
+    Array.unsafe_set a 0 e
+  end
+
+(* The split of [f] at [t] that leaves [ln] rows with y-sums [lsum] and
+   [lsumsq] on the left becomes the best so far ([bfeature], and [bscore]
+   = [|threshold; gain|]) unless an earlier candidate's gain is at least
+   as large, as in the oracle.  A float array holds the two floats
+   unboxed, so a new best allocates nothing. *)
+let[@inline] consider_split ~bfeature ~bscore ~n ~sum ~sumsq ~node_sse f t ln lsum lsumsq =
+  let rn = n - ln in
+  if ln >= min_leaf && rn >= min_leaf then begin
+    let split_sse = sse ln lsum lsumsq +. sse rn (sum -. lsum) (sumsq -. lsumsq) in
+    let gain = node_sse -. split_sse in
+    if !bfeature < 0 || not (Array.unsafe_get bscore 1 >= gain) then begin
+      bfeature := f;
+      Array.unsafe_set bscore 0 t;
+      Array.unsafe_set bscore 1 gain
+    end
+  end
 
 let best_split_arena (data : Dataset.t) arena ~rows ~n ~sum ~sumsq =
   let node_sse = sse n sum sumsq in
   if node_sse <= 0.0 || n < 2 * min_leaf then None
   else begin
-    let xs = arena.axs and ys = arena.ays in
-    let count = arena.acount and start = arena.astart and cursor = arena.acursor in
-    let touched = arena.atouched in
-    (* Count entries per feature; record each feature on first touch. *)
-    Array.iter
-      (fun r ->
-        Sv.iter
-          (fun f _ ->
-            if count.(f) = 0 then Stats.Growvec.Int.push touched f;
-            count.(f) <- count.(f) + 1)
-          data.Dataset.rows.(r))
-      rows;
-    let feats = Stats.Growvec.Int.to_array touched in
-    Array.sort (fun (a : int) b -> compare a b) feats;
-    let off = ref 0 in
-    Array.iter
-      (fun f ->
-        start.(f) <- !off;
+    let { rptr; cidx; cval; axs = xs; ays = ys; acount = count; acursor = cursor; _ } = arena in
+    let feats = arena.afeats and perm = arena.aperm in
+    for i = 0 to Array.length rows - 1 do
+      let r = rows.(i) in
+      for p = rptr.(r) to rptr.(r + 1) - 1 do
+        let f = cidx.(p) in
+        count.(f) <- count.(f) + 1
+      done
+    done;
+    (* The node's features in ascending id order, and where their
+       segments start. *)
+    let nfeats = ref 0 and off = ref 0 in
+    for f = 0 to Array.length count - 1 do
+      let c = count.(f) in
+      if c > 0 then begin
+        feats.(!nfeats) <- f;
+        incr nfeats;
         cursor.(f) <- !off;
-        off := !off + count.(f))
-      feats;
+        off := !off + c
+      end
+    done;
     (* Fill in reverse row order: per feature this reproduces exactly the
        array the oracle builds by prepending over ascending rows. *)
-    for ri = Array.length rows - 1 downto 0 do
-      let r = rows.(ri) in
-      let y = data.Dataset.y.(r) in
-      Sv.iter
-        (fun f x ->
-          let p = cursor.(f) in
-          xs.(p) <- x;
-          ys.(p) <- y;
-          cursor.(f) <- p + 1)
-        data.Dataset.rows.(r)
+    for i = Array.length rows - 1 downto 0 do
+      let r = rows.(i) in
+      let yr = data.Dataset.y.(r) in
+      for p = rptr.(r) to rptr.(r + 1) - 1 do
+        let f = cidx.(p) in
+        let q = cursor.(f) in
+        xs.(q) <- cval.(p);
+        ys.(q) <- yr;
+        cursor.(f) <- q + 1
+      done
     done;
-    let best = ref None in
-    let consider feature threshold gain =
-      match !best with
-      | Some b when b.cgain >= gain -> ()
-      | _ -> best := Some { cfeature = feature; cthreshold = threshold; cgain = gain }
-    in
-    (* Position comparator on x only: inline float compares (no C call),
-       same sign sequence as the oracle's tuple sort — x values are finite
-       counts, so this matches polymorphic compare exactly. *)
-    let cmp_pos a b =
-      let xa = Array.unsafe_get xs a and xb = Array.unsafe_get xs b in
-      if xa < xb then -1 else if xa > xb then 1 else 0
-    in
-    let scratch = arena.aperm in
-    Array.iter
-      (fun f ->
-        let lo = start.(f) in
-        let nnz = count.(f) in
-        (* Sort positions by x only, same input order and comparator sign
-           sequence as the oracle's tuple sort.  stdlib heapsort's tie
-           permutation is observable through equal-gain split selection,
-           but it only matters when the segment HAS ties: with pairwise
-           distinct keys the sorted pair sequence is unique, so a cheap
-           insertion sort gives the identical result.  Small segments are
-           insertion-sorted into scratch and checked for adjacent
-           duplicates; only tied (or large) segments replay Array.sort,
-           whose permutation is a pure function of the element count and
-           comparator sign sequence — both reproduced here exactly. *)
-        let perm =
-          if nnz <= 24 then begin
-            for i = 0 to nnz - 1 do
-              Array.unsafe_set scratch i (lo + i)
-            done;
-            for i = 1 to nnz - 1 do
-              let p = Array.unsafe_get scratch i in
-              let key = Array.unsafe_get xs p in
-              let j = ref (i - 1) in
-              while
-                !j >= 0
-                && Array.unsafe_get xs (Array.unsafe_get scratch !j) > key
-              do
-                Array.unsafe_set scratch (!j + 1) (Array.unsafe_get scratch !j);
-                decr j
-              done;
-              Array.unsafe_set scratch (!j + 1) p
-            done;
-            let distinct = ref true in
-            for i = 0 to nnz - 2 do
-              if
-                Array.unsafe_get xs (Array.unsafe_get scratch i)
-                = Array.unsafe_get xs (Array.unsafe_get scratch (i + 1))
-              then distinct := false
-            done;
-            if !distinct then scratch
-            else begin
-              let perm = Array.init nnz (fun i -> lo + i) in
-              Array.sort cmp_pos perm;
-              perm
-            end
-          end
-          else begin
-            let perm = Array.init nnz (fun i -> lo + i) in
-            Array.sort cmp_pos perm;
-            perm
-          end
-        in
-        let n_zero = n - nnz in
-        let nz_sum = ref 0.0 and nz_sumsq = ref 0.0 in
-        (* One pass, two independent accumulators: each accumulator's
-           addition order matches the oracle's separate folds. *)
-        for i = 0 to nnz - 1 do
-          let y = Array.unsafe_get ys (Array.unsafe_get perm i) in
-          nz_sum := !nz_sum +. y;
-          nz_sumsq := !nz_sumsq +. (y *. y)
-        done;
-        (* Running left-side statistics, seeded with the zeros bucket. *)
-        let ln = ref n_zero
-        and lsum = ref (sum -. !nz_sum)
-        and lsumsq = ref (sumsq -. !nz_sumsq) in
-        let try_threshold t =
-          let rn = n - !ln in
-          if !ln >= min_leaf && rn >= min_leaf then begin
-            let split_sse = sse !ln !lsum !lsumsq +. sse rn (sum -. !lsum) (sumsq -. !lsumsq) in
-            consider f t (node_sse -. split_sse)
-          end
-        in
-        if n_zero > 0 && nnz > 0 then try_threshold 0.0;
-        for i = 0 to nnz - 1 do
-          let p = Array.unsafe_get perm i in
-          let x = Array.unsafe_get xs p in
-          let y = Array.unsafe_get ys p in
-          incr ln;
-          lsum := !lsum +. y;
-          lsumsq := !lsumsq +. (y *. y);
-          if i < nnz - 1 && Array.unsafe_get xs (Array.unsafe_get perm (i + 1)) > x then
-            try_threshold x
-        done)
-      feats;
+    let bfeature = ref (-1) and bscore = [| 0.0; 0.0 |] in
+    for fi = 0 to !nfeats - 1 do
+      let f = feats.(fi) in
+      let nnz = count.(f) in
+      let lo = cursor.(f) - nnz in
+      for i = 0 to nnz - 1 do
+        Array.unsafe_set perm i (lo + i)
+      done;
+      heapsort_positions xs perm nnz;
+      let n_zero = n - nnz in
+      let nz_sum = ref 0.0 and nz_sumsq = ref 0.0 in
+      (* One pass, two independent accumulators: each accumulator's
+         addition order matches the oracle's separate folds. *)
+      for i = 0 to nnz - 1 do
+        let y = Array.unsafe_get ys (Array.unsafe_get perm i) in
+        nz_sum := !nz_sum +. y;
+        nz_sumsq := !nz_sumsq +. (y *. y)
+      done;
+      (* Running left-side statistics, seeded with the zeros bucket. *)
+      let ln = ref n_zero and lsum = ref (sum -. !nz_sum) and lsumsq = ref (sumsq -. !nz_sumsq) in
+      if n_zero > 0 && nnz > 0 then
+        consider_split ~bfeature ~bscore ~n ~sum ~sumsq ~node_sse f 0.0 !ln !lsum !lsumsq;
+      for i = 0 to nnz - 1 do
+        let p = Array.unsafe_get perm i in
+        let x = Array.unsafe_get xs p in
+        let y = Array.unsafe_get ys p in
+        incr ln;
+        lsum := !lsum +. y;
+        lsumsq := !lsumsq +. (y *. y);
+        if i < nnz - 1 && Array.unsafe_get xs (Array.unsafe_get perm (i + 1)) > x then
+          consider_split ~bfeature ~bscore ~n ~sum ~sumsq ~node_sse f x !ln !lsum !lsumsq
+      done
+    done;
     (* Reset the touched slice of the arena for the next node. *)
-    Array.iter (fun f -> count.(f) <- 0) feats;
-    Stats.Growvec.Int.clear touched;
-    !best
+    for fi = 0 to !nfeats - 1 do
+      count.(feats.(fi)) <- 0
+    done;
+    if !bfeature < 0 then None
+    else Some { cfeature = !bfeature; cthreshold = bscore.(0); cgain = bscore.(1) }
   end
 
 (* The best-first growth loop.  The frontier discipline (a list pushed

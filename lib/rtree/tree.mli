@@ -31,13 +31,14 @@ val build : max_leaves:int -> Dataset.t -> t
     than 1e-12 of squared error.  Growth stops at [max_leaves] leaves or
     when no admissible split remains.
 
-    This is the fast grower: a build-local arena rebuilds each node's
-    per-feature (x, y) entry segments flat by count-then-fill and sorts a
-    small position array per segment — no hashtable and no boxed tuples
-    on the hot path.  The fill order and comparator sign sequence replay
-    the specification implementation exactly, so even stdlib heapsort's
-    unstable tie permutation (observable through equal-gain split
-    selection) is reproduced and the output is bit-identical to the
+    This is the fast grower: a build-local arena holds a flat copy of the
+    rows, rebuilds each node's per-feature (x, y) entry segments by
+    count-then-fill and sorts each segment's positions with an in-module
+    copy of Stdlib 5.1's heapsort — no hashtable, no boxed tuples and no
+    closure on the hot path.  The fill order and the sort's comparisons
+    replay the specification implementation exactly, so even the
+    heapsort's unstable tie permutation (observable through equal-gain
+    split selection) is reproduced and the output is bit-identical to the
     oracle in [test/oracle] — same nodes, same float bits — which QCheck
     asserts on random sparse datasets (DESIGN.md §12). *)
 

@@ -12,11 +12,12 @@
 #
 # The gate fails only when a kernel's normalised median slows down by
 # more than 1.5x — wide enough to ride out CI-runner noise, tight enough
-# to catch a real hot-path regression.  It also enforces the floor that
-# motivated the fast path in the first place: tree_build and cv_curve
-# must stay >= 2x faster than their Reference implementations (that
-# ratio is intra-run, so it needs no normalisation).  Kernels without a
-# reference (driver_run) carry no speedup_vs_ref and show "-".
+# to catch a real hot-path regression.  It also enforces a floor on the
+# fast path: tree_build and cv_curve must stay >= 3x faster than their
+# Reference implementations (that ratio is intra-run, from alternated
+# reps, so it needs no normalisation; both read about 10x, and at
+# least 9.8x next to a periodic busy loop on the same CPU).  Kernels
+# without a reference (driver_run) carry no speedup_vs_ref and show "-".
 #
 # POSIX sh + awk only; no jq.
 set -eu
@@ -33,7 +34,7 @@ fresh=$2
 # One pass prints the verdict table and, when the CI workflow provides
 # $GITHUB_STEP_SUMMARY, appends the same rows there as markdown, on a
 # failing run too.
-awk -v tol=1.5 -v minspeed=2.0 -v summary="${GITHUB_STEP_SUMMARY:-}" '
+awk -v tol=1.5 -v minspeed=3.0 -v summary="${GITHUB_STEP_SUMMARY:-}" '
   FNR == 1 { nfile++ }
   /"calibration_ms"/ {
     v = $0

@@ -64,6 +64,15 @@ let test_bad_option_values_rejected () =
     (run_repro [ "analyze"; "--quick"; "--jobs"; "two"; "gzip" ]);
   check_rejected ~ctx:"--intervals 0" ~expect:"INTERVALS"
     (run_repro [ "analyze"; "--quick"; "--intervals"; "0"; "gzip" ]);
+  (* Cross-validation needs two folds, so at least two intervals. *)
+  check_rejected ~ctx:"--intervals 1" ~expect:"INTERVALS"
+    (run_repro [ "analyze"; "--quick"; "--intervals"; "1"; "gzip" ]);
+  (* A workload size must be finite and > 0. *)
+  List.iter
+    (fun v ->
+      check_rejected ~ctx:("--scale " ^ v) ~expect:"SCALE"
+        (run_repro [ "analyze"; "--quick"; "--scale=" ^ v; "gzip" ]))
+    [ "nan"; "-1"; "inf"; "-inf"; "0"; "big" ];
   check_rejected ~ctx:"--reservoir 0" ~expect:"RESERVOIR"
     (run_repro [ "stream"; "--quick"; "--reservoir"; "0"; "gzip" ]);
   check_rejected ~ctx:"--window 1" ~expect:"WINDOW"

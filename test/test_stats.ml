@@ -384,19 +384,6 @@ let test_table_rejects_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.render: row arity mismatch")
     (fun () -> ignore (Stats.Table.render ~header:[| "a" |] ~rows:[ [| "x"; "y" |] ] ()))
 
-(* ------------------------------ Growvec ---------------------------- *)
-
-let test_growvec_int () =
-  let v = Stats.Growvec.Int.create ~capacity:2 () in
-  for i = 0 to 99 do
-    Stats.Growvec.Int.push v i
-  done;
-  Alcotest.(check int) "length" 100 (Stats.Growvec.Int.length v);
-  Alcotest.(check (array int)) "to_array" (Array.init 100 (fun i -> i))
-    (Stats.Growvec.Int.to_array v);
-  Stats.Growvec.Int.clear v;
-  Alcotest.(check int) "cleared" 0 (Stats.Growvec.Int.length v)
-
 (* ----------------------------- Checksum ---------------------------- *)
 
 let test_adler32 () =
@@ -515,10 +502,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "rejects arity mismatch" `Quick test_table_rejects_arity;
-        ] );
-      ( "growvec",
-        [
-          Alcotest.test_case "int vector" `Quick test_growvec_int;
         ] );
       ( "checksum",
         Alcotest.test_case "adler32 vector" `Quick test_adler32
