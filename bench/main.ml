@@ -18,13 +18,15 @@
 
 (* --------------------- core kernels (bench gate) -------------------- *)
 
-(* The CI benchmark gate (scripts/bench_gate.sh) compares these kernels'
-   medians against the committed BENCH_core.json baseline.  Medians are
-   wall-clock over an odd number of reps — robust to one slow outlier —
-   and the JSON carries a calibration figure (a fixed pure-OCaml loop)
-   so the gate can normalise away machine-speed differences between the
-   baseline host and the CI runner.  The schema is deterministic: fixed
-   key order, fixed formatting, no timestamps or host names. *)
+(* The CI benchmark gate (scripts/bench_gate.sh) compares these kernels
+   against the committed BENCH_core.json baseline.  Each rep of a kernel
+   is timed next to one rep of a calibration loop (a fixed pure-OCaml
+   loop), and the gate compares the median of the per-rep ratios, so
+   machine-speed differences between the baseline host and the CI
+   runner, and load that comes and goes during a run, land on both sides
+   of each ratio.  Medians are over an odd number of reps — robust to one
+   slow outlier.  The schema is deterministic: fixed key order, fixed
+   formatting, no timestamps or host names. *)
 
 let synthetic_eipv_dataset ~rows ~features ~nnz =
   let rng = Stats.Rng.create 99 in
@@ -45,13 +47,11 @@ let elapsed_ms f =
 (* For an odd count, the 50th percentile is the middle sample. *)
 let median samples = Stats.Describe.percentile samples 50.0
 
-(* The median of [reps] runs of [once], which returns its own elapsed
-   ms, after one untimed warm-up run. *)
-let median_ms reps once =
-  ignore (once ());
-  median (Array.init reps (fun _ -> once ()))
-
-let time_reps reps f = median_ms reps (fun () -> elapsed_ms f)
+(* The median of [reps] timed runs of [f], after one untimed warm-up
+   run. *)
+let time_reps reps f =
+  ignore (Sys.opaque_identity (f ()));
+  median (Array.init reps (fun _ -> elapsed_ms f))
 
 (* Fixed machine-speed probe: independent of any repro code, so a code
    regression can never hide inside the normaliser. *)
@@ -68,27 +68,36 @@ type core_kernel = {
   ck_reps : int;
   ck_median_ms : float;  (* optimized implementation *)
   ck_ref_median_ms : float option;  (* the test/oracle side, if any *)
+  ck_calib_ratio : float;  (* median of rep / the calibration rep timed next to it *)
 }
 
 let ck_speedup k ref_ms = ref_ms /. k.ck_median_ms
 
-(* A reference/optimized kernel pair: one untimed warm-up of each side,
-   then [reps] alternated pairs, reference first in each.  Load that
-   starts or stops during the run lands on both sides of the speedup
-   ratio instead of on one. *)
-let paired name reps ~reference ~optimized =
-  ignore (Sys.opaque_identity (reference ()));
-  ignore (Sys.opaque_identity (optimized ()));
-  let ref_ms = Array.make reps 0.0 and opt_ms = Array.make reps 0.0 in
+(* One untimed warm-up of each side, then [reps] rounds of the reference
+   rep (when the kernel has one), a calibration rep and the kernel rep,
+   in that order: load that starts or stops during the run lands on both
+   sides of each rep's ratio to its calibration, and of the speedup over
+   the reference, instead of on one.  [prepare] builds a rep's input,
+   untimed, and returns the rep to time. *)
+let kernel name reps ?reference prepare =
+  Option.iter (fun r -> ignore (Sys.opaque_identity (r ()))) reference;
+  ignore (Sys.opaque_identity (calibration_kernel ()));
+  ignore (Sys.opaque_identity (prepare () ()));
+  let ref_ms = Array.make reps 0.0 and ms = Array.make reps 0.0 in
+  let ratios = Array.make reps 0.0 in
   for i = 0 to reps - 1 do
-    ref_ms.(i) <- elapsed_ms reference;
-    opt_ms.(i) <- elapsed_ms optimized
+    let rep = prepare () in
+    Option.iter (fun r -> ref_ms.(i) <- elapsed_ms r) reference;
+    let calib = elapsed_ms calibration_kernel in
+    ms.(i) <- elapsed_ms rep;
+    ratios.(i) <- ms.(i) /. calib
   done;
   {
     ck_name = name;
     ck_reps = reps;
-    ck_median_ms = median opt_ms;
-    ck_ref_median_ms = Some (median ref_ms);
+    ck_median_ms = median ms;
+    ck_ref_median_ms = Option.map (fun _ -> median ref_ms) reference;
+    ck_calib_ratio = median ratios;
   }
 
 (* One cold Driver.run of odb_c on itanium2 at the quick geometry: the
@@ -96,7 +105,7 @@ let paired name reps ~reference ~optimized =
    dominates a cold analyze.  Each rep simulates a freshly built model,
    so every rep does identical work; only Driver.run is timed.  It has
    no reference twin. *)
-let driver_run_ms () =
+let driver_run () =
   let cfg = Fuzzy.Analysis.quick in
   let model =
     (Workload.Catalog.find "odb_c").Workload.Catalog.build ~seed:cfg.Fuzzy.Analysis.seed
@@ -105,24 +114,23 @@ let driver_run_ms () =
   let cpu = March.Cpu.create cfg.Fuzzy.Analysis.machine in
   let rng = Stats.Rng.split_label cfg.Fuzzy.Analysis.seed "odb_c" in
   let samples = cfg.Fuzzy.Analysis.intervals * cfg.Fuzzy.Analysis.samples_per_interval in
-  elapsed_ms (fun () ->
-      Sampling.Driver.run ~period:cfg.Fuzzy.Analysis.period model ~cpu ~rng ~samples)
+  fun () -> Sampling.Driver.run ~period:cfg.Fuzzy.Analysis.period model ~cpu ~rng ~samples
 
 (* The acceptance dataset: 128 intervals x 2000 features, 60 stored
    entries per row.  Rep counts are odd, so each median is one sample. *)
 let run_core_kernels () =
   let ds = synthetic_eipv_dataset ~rows:128 ~features:2000 ~nnz:60 in
-  let calib_ms = time_reps 9 calibration_kernel in
+  let ready f () = f in
   let tree_build =
-    paired "tree_build" 9
+    kernel "tree_build" 9
       ~reference:(fun () -> Oracle.Tree.build ~max_leaves:50 ds)
-      ~optimized:(fun () -> Rtree.Tree.build ~max_leaves:50 ds)
+      (ready (fun () -> Rtree.Tree.build ~max_leaves:50 ds))
   in
   let cv_curve =
     let rng () = Stats.Rng.create 7 in
-    paired "cv_curve" 5
+    kernel "cv_curve" 5
       ~reference:(fun () -> Oracle.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
-      ~optimized:(fun () -> Rtree.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds)
+      (ready (fun () -> Rtree.Cv.relative_error_curve ~folds:10 ~kmax:50 (rng ()) ds))
   in
   let predict_k_sweep =
     let t = Rtree.Tree.build ~max_leaves:50 ds in
@@ -154,28 +162,17 @@ let run_core_kernels () =
       done;
       f ()
     in
-    paired "predict_k_sweep" 9 ~reference:(batched predict_all)
-      ~optimized:(batched sweep_all)
+    kernel "predict_k_sweep" 9 ~reference:(batched predict_all) (ready (batched sweep_all))
   in
-  let driver_run =
-    let reps = 5 in
-    {
-      ck_name = "driver_run";
-      ck_reps = reps;
-      ck_median_ms = median_ms reps driver_run_ms;
-      ck_ref_median_ms = None;
-    }
-  in
-  (calib_ms, [ tree_build; cv_curve; predict_k_sweep; driver_run ])
+  [ tree_build; cv_curve; predict_k_sweep; kernel "driver_run" 7 driver_run ]
 
-let core_json (calib_ms, kernels) =
+let core_json kernels =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"bench\": \"core_kernels\",\n";
-  Buffer.add_string b "  \"schema_version\": 2,\n";
+  Buffer.add_string b "  \"schema_version\": 3,\n";
   Buffer.add_string b
     "  \"dataset\": {\"rows\": 128, \"features\": 2000, \"nnz_per_row\": 60, \"seed\": 99},\n";
-  Printf.bprintf b "  \"calibration_ms\": %.4f,\n" calib_ms;
   Buffer.add_string b "  \"kernels\": [\n";
   List.iteri
     (fun i k ->
@@ -186,21 +183,22 @@ let core_json (calib_ms, kernels) =
           Printf.bprintf b ", \"ref_median_ms\": %.4f, \"speedup_vs_ref\": %.3f" ref_ms
             (ck_speedup k ref_ms))
         k.ck_ref_median_ms;
-      Printf.bprintf b "}%s\n" (if i = List.length kernels - 1 then "" else ","))
+      Printf.bprintf b ", \"calibration_ratio\": %.4f}%s\n" k.ck_calib_ratio
+        (if i = List.length kernels - 1 then "" else ","))
     kernels;
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
-let print_core_kernels (calib_ms, kernels) =
-  print_endline "core kernels (median wall-clock, optimized vs reference):";
-  Printf.printf "  calibration: %.2f ms\n" calib_ms;
+let print_core_kernels kernels =
+  print_endline "core kernels (median wall-clock, optimized vs reference and vs calibration):";
   List.iter
     (fun k ->
-      match k.ck_ref_median_ms with
-      | Some ref_ms ->
-          Printf.printf "  %-16s %10.2f ms  ref %10.2f ms  speedup %5.2fx  (%d reps)\n" k.ck_name
-            k.ck_median_ms ref_ms (ck_speedup k ref_ms) k.ck_reps
-      | None -> Printf.printf "  %-16s %10.2f ms  (%d reps)\n" k.ck_name k.ck_median_ms k.ck_reps)
+      Printf.printf "  %-16s %10.2f ms" k.ck_name k.ck_median_ms;
+      Option.iter
+        (fun ref_ms ->
+          Printf.printf "  ref %10.2f ms  speedup %5.2fx" ref_ms (ck_speedup k ref_ms))
+        k.ck_ref_median_ms;
+      Printf.printf "  %6.3fx calibration  (%d reps)\n" k.ck_calib_ratio k.ck_reps)
     kernels
 
 (* ------------------------------ loadgen ----------------------------- *)

@@ -25,12 +25,13 @@ let create ?(fanout = 32) ~node_bytes ~base_addr () =
   { fanout; node_bytes; base_addr; off = [| 0 |]; data = [| 0 |]; root = 0; height = 1;
     n_nodes = 1; n_keys = 0 }
 
-let bulk_load t pairs =
+let bulk_load t ~keys ~values =
   if t.n_keys <> 0 then invalid_arg "Btree.bulk_load: tree not empty";
-  let n = Array.length pairs in
+  let n = Array.length keys in
+  if Array.length values <> n then invalid_arg "Btree.bulk_load: keys and values differ in length";
   if n > 0 then begin
     for i = 1 to n - 1 do
-      if fst pairs.(i) <= fst pairs.(i - 1) then
+      if keys.(i) <= keys.(i - 1) then
         invalid_arg "Btree.bulk_load: keys must be strictly increasing"
     done;
     let per_node = max 2 (t.fanout * 3 / 4) in
@@ -62,12 +63,12 @@ let bulk_load t pairs =
       let first = l * per_node in
       let last = min n (first + per_node) - 1 in
       !level.(l) <- new_node (last - first + 1);
-      !mins.(l) <- fst pairs.(first);
+      !mins.(l) <- keys.(first);
       for j = first to last do
-        push (fst pairs.(j))
+        push keys.(j)
       done;
       for j = first to last do
-        push (snd pairs.(j))
+        push values.(j)
       done
     done;
     (* Internal levels until a single root remains.  Separator i of an
@@ -113,31 +114,39 @@ let bulk_load t pairs =
 
 (* The one root-to-leaf descent: calls [visit] on each node's address,
    root first, and returns the position of [key]'s value in [data], or
-   -1.  Inside a node it counts keys instead of bisecting them: the
-   separators [<= key] give the child to descend into, the leaf keys
-   [< key] the slot, and on strictly increasing keys both counts are the
-   indices a binary search finds. *)
+   -1.  Inside a node it scans the keys in order and stops at the first
+   one past [key]: the separators [<= key] give the child to descend
+   into, the leaf keys [< key] the slot, and on strictly increasing keys
+   both counts are the indices a binary search finds.  One check per
+   node that its block lies inside [data] covers every read the scan
+   makes: an internal node's block ends with its last child id at
+   [o + 2 len + 1], a leaf's with its last value at [o + 2 len].  Each
+   node's key count is read before [visit] is called, so the wait for a
+   node the host has not cached overlaps the caller's work. *)
 let descend t key ~visit =
   let data = t.data in
   let id = ref t.root in
   for _ = 2 to t.height do
-    visit (t.base_addr + (!id * t.node_bytes));
     let o = t.off.(!id) in
     let len = data.(o) in
-    let c = ref 0 in
-    for j = o + 1 to o + len do
-      c := !c + Bool.to_int (data.(j) <= key)
+    visit (t.base_addr + (!id * t.node_bytes));
+    if o + (2 * len) + 1 >= Array.length data then
+      raise (Invalid_argument "Btree: node out of range");
+    let j = ref (o + 1) and stop = o + len in
+    while !j <= stop && Array.unsafe_get data !j <= key do
+      incr j
     done;
-    id := data.(o + 1 + len + !c)
+    id := Array.unsafe_get data (!j + len)
   done;
-  visit (t.base_addr + (!id * t.node_bytes));
   let o = t.off.(!id) in
   let len = data.(o) in
-  let i = ref 0 in
-  for j = o + 1 to o + len do
-    i := !i + Bool.to_int (data.(j) < key)
+  visit (t.base_addr + (!id * t.node_bytes));
+  if o + (2 * len) >= Array.length data then raise (Invalid_argument "Btree: node out of range");
+  let j = ref (o + 1) and stop = o + len in
+  while !j <= stop && Array.unsafe_get data !j < key do
+    incr j
   done;
-  if !i < len && data.(o + 1 + !i) = key then o + 1 + len + !i else -1
+  if !j <= stop && Array.unsafe_get data !j = key then !j + len else -1
 
 let lookup t key ~visit =
   let p = descend t key ~visit in

@@ -12,9 +12,10 @@ type t
 val create : ?fanout:int -> node_bytes:int -> base_addr:int -> unit -> t
 (** [fanout] (default 32) is the maximum number of keys per node. *)
 
-val bulk_load : t -> (int * int) array -> unit
-(** Load sorted (key, value) pairs into an empty tree; keys must be
-    strictly increasing.  Builds a balanced tree bottom-up. *)
+val bulk_load : t -> keys:int array -> values:int array -> unit
+(** Load [keys.(i)] with [values.(i)] into an empty tree; keys must be
+    strictly increasing and the two arrays equally long.  Builds a
+    balanced tree bottom-up. *)
 
 val find : t -> int -> int option
 

@@ -29,7 +29,8 @@ let build_index space ~rows ~node_bytes =
       ~base_addr:(Addr_space.alloc space ~bytes:(rows * node_bytes / 16))
       ()
   in
-  Btree.bulk_load bt (Array.init rows (fun k -> (k, scatter_value ~rows k)));
+  Btree.bulk_load bt ~keys:(Array.init rows Fun.id)
+    ~values:(Array.init rows (fun k -> scatter_value ~rows k));
   bt
 
 let create ?(scale = 1.0) ?(buf_pages = 4096) ?addr_base ~seed () =

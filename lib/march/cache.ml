@@ -32,37 +32,56 @@ let create ~size_bytes ~ways ~line_bytes =
     tags = Array.make (sets * ways) (-1);
   }
 
-let access t addr =
+(* [base] is never negative, since [sets - 1] is not, so one check that
+   the set's last way is inside [tags] covers every way the loop reads.
+   It raises in place: a call to [invalid_arg] here would make the
+   compiler spill the walk's live values around it on every reference. *)
+let[@inline] access t addr =
   let line = addr asr t.line_bits in
   let tags = t.tags in
   let base = (line land (t.sets - 1)) * t.ways in
-  let front = tags.(base) in
+  let last = base + t.ways - 1 in
+  if last >= Array.length tags then raise (Invalid_argument "Cache.access: set out of range");
+  let front = Array.unsafe_get tags base in
   if front = line then true
   else begin
     (* One pass: move each way back by one until the line turns up (a
-       hit) or the last way falls off the end (a miss). *)
-    let last = base + t.ways - 1 in
-    let carry = ref front and w = ref (base + 1) and found = ref false in
-    while (not !found) && !w <= last do
-      let cur = tags.(!w) in
-      tags.(!w) <- !carry;
-      if cur = line then found := true
-      else begin
-        carry := cur;
-        incr w
-      end
+       hit: its way takes the tag carried from the way before it) or the
+       last way falls off the end (a miss). *)
+    let carry = ref front and w = ref (base + 1) in
+    while !w <= last && Array.unsafe_get tags !w <> line do
+      let cur = Array.unsafe_get tags !w in
+      Array.unsafe_set tags !w !carry;
+      carry := cur;
+      incr w
     done;
-    tags.(base) <- line;
-    !found
+    let hit = !w <= last in
+    if hit then Array.unsafe_set tags !w !carry;
+    Array.unsafe_set tags base line;
+    hit
   end
 
-(* The levels are walked here, next to [access], so a reference costs one
-   call into this module however deep it goes (DESIGN.md §12a). *)
-let walk path addr =
+(* The levels are walked here, next to [access], and a quantum's
+   references are walked in one call, so a reference costs no call across
+   modules however deep it goes (DESIGN.md §12a). *)
+let[@inline] walk path addr =
   let n = Array.length path in
   let i = ref 0 in
-  while !i < n && not (access path.(!i) addr) do
+  while !i < n && not (access (Array.unsafe_get path !i) addr) do
     incr i
+  done;
+  !i
+
+let walk_batch path addrs ~from ~upto levels ~stop_at_memory =
+  if from < 0 || upto > Array.length addrs || upto > Bytes.length levels then
+    raise (Invalid_argument "Cache.walk_batch: range out of bounds");
+  let mem = Array.length path in
+  let i = ref from and stop = ref upto in
+  while !i < !stop do
+    let lvl = walk path (Array.unsafe_get addrs !i) in
+    Bytes.unsafe_set levels !i (Char.unsafe_chr lvl);
+    incr i;
+    if stop_at_memory && lvl = mem then stop := !i
   done;
   !i
 

@@ -1,6 +1,7 @@
 type t = {
   instrs : int;
   inst_lines : int array;
+  n_inst_lines : int;
   inst_weight : float;
   ref_addrs : int array;
   n_refs : int;
@@ -12,10 +13,13 @@ type t = {
   extra_other_cycles : float;
 }
 
-let make ~instrs ?(inst_lines = [||]) ?(inst_weight = 1.0) ?(ref_addrs = [||]) ?n_refs
-    ?(ref_weight = 1.0) ?(branch_pcs = [||]) ?(branch_taken = [||]) ?n_branches
+let make ~instrs ?(inst_lines = [||]) ?n_inst_lines ?(inst_weight = 1.0) ?(ref_addrs = [||])
+    ?n_refs ?(ref_weight = 1.0) ?(branch_pcs = [||]) ?(branch_taken = [||]) ?n_branches
     ?(branch_weight = 1.0) ?(extra_other_cycles = 0.0) () =
   if instrs <= 0 then invalid_arg "Quantum.make: instrs must be positive";
+  let n_inst_lines = Option.value n_inst_lines ~default:(Array.length inst_lines) in
+  if n_inst_lines < 0 || n_inst_lines > Array.length inst_lines then
+    invalid_arg "Quantum.make: n_inst_lines out of range";
   let n_refs = Option.value n_refs ~default:(Array.length ref_addrs) in
   if n_refs < 0 || n_refs > Array.length ref_addrs then
     invalid_arg "Quantum.make: n_refs out of range";
@@ -29,6 +33,7 @@ let make ~instrs ?(inst_lines = [||]) ?(inst_weight = 1.0) ?(ref_addrs = [||]) ?
   {
     instrs;
     inst_lines;
+    n_inst_lines;
     inst_weight;
     ref_addrs;
     n_refs;

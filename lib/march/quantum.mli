@@ -11,14 +11,15 @@
     state.
 
     The event arrays may be longer than the events they carry: only the
-    first [n_refs] data references and [n_branches] branches are part of
-    the quantum.  That lets a quantum view a sink's reusable buffers
-    without copying them; such a view is valid until the buffers are
-    next written. *)
+    first [n_inst_lines] fetch lines, [n_refs] data references and
+    [n_branches] branches are part of the quantum.  That lets a quantum
+    view a sink's or a driver's reusable buffers without copying them;
+    such a view is valid until the buffers are next written. *)
 
 type t = {
   instrs : int;
   inst_lines : int array;  (** code line addresses fetched *)
+  n_inst_lines : int;  (** fetches are [inst_lines.(0)] .. [inst_lines.(n_inst_lines - 1)] *)
   inst_weight : float;
   ref_addrs : int array;  (** data reference byte addresses *)
   n_refs : int;  (** events are [ref_addrs.(0)] .. [ref_addrs.(n_refs - 1)] *)
@@ -35,6 +36,7 @@ type t = {
 val make :
   instrs:int ->
   ?inst_lines:int array ->
+  ?n_inst_lines:int ->
   ?inst_weight:float ->
   ?ref_addrs:int array ->
   ?n_refs:int ->
@@ -46,7 +48,7 @@ val make :
   ?extra_other_cycles:float ->
   unit ->
   t
-(** Omitted event arrays default to empty; weights default to 1.  [n_refs]
-    and [n_branches] default to the lengths of [ref_addrs] and
-    [branch_pcs] and must not exceed them; [branch_taken] must cover the
-    first [n_branches] entries. *)
+(** Omitted event arrays default to empty; weights default to 1.
+    [n_inst_lines], [n_refs] and [n_branches] default to the lengths of
+    [inst_lines], [ref_addrs] and [branch_pcs] and must not exceed them;
+    [branch_taken] must cover the first [n_branches] entries. *)

@@ -7,4 +7,4 @@ let create ~entries ~page_bytes =
   let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v lsr 1) in
   { page_bits = log2 0 page_bytes; pages = Stats.Lru.create ~capacity:entries }
 
-let access t addr = Stats.Lru.access t.pages (addr asr t.page_bits)
+let misses t addrs n = Stats.Lru.misses t.pages ~shift:t.page_bits addrs n

@@ -47,6 +47,7 @@ let stream ?(period = 20_000) (w : Model.t) ~cpu ~rng ~samples
   if samples <= 0 then invalid_arg "Driver.run: samples must be positive";
   if period <= 0 then invalid_arg "Driver.run: period must be positive";
   let sink = Sink.create () in
+  let lines = Array.make code_lines_per_quantum 0 in
   let n_threads = Array.length w.Model.threads in
   let cur = ref 0 in
   let since_switch = ref 0 in
@@ -71,20 +72,28 @@ let stream ?(period = 20_000) (w : Model.t) ~cpu ~rng ~samples
     | `Ok ->
         since_switch := !since_switch + period;
         if !since_switch >= w.Model.switch_period then switch_thread ());
-    (* [d]'s event arrays view the sink's buffers; [Cpu.run] consumes them
-       below, before the next [fill] overwrites them. *)
+    (* [d]'s event arrays view the sink's buffers, and the quantum's fetch
+       lines view [lines]; [Cpu.run] consumes them below, before the next
+       [fill] and [code_lines] overwrite them. *)
     let d = Sink.drain sink in
-    let inst_lines, inst_weight =
-      Code_map.code_lines w.Model.code rng ~region_instrs:d.Sink.region_instrs
-        ~max_lines:code_lines_per_quantum
-    in
+    let region_instrs = d.Sink.region_instrs in
+    let n_regions = Array.length region_instrs in
+    let total = ref 0 and os_instrs = ref 0 in
+    for k = 0 to n_regions - 1 do
+      let region, n = region_instrs.(k) in
+      total := !total + n;
+      if region = w.Model.os_region then os_instrs := !os_instrs + n
+    done;
+    let total = !total and os_instrs = !os_instrs in
+    let n_inst_lines = Code_map.code_lines w.Model.code rng ~region_instrs ~lines in
     let weight_of emitted extra =
       if emitted = 0 then 1.0 else float_of_int (emitted + extra) /. float_of_int emitted
     in
     let instrs = max 1 d.Sink.instrs in
     let quantum =
-      March.Quantum.make ~instrs ~inst_lines ~inst_weight ~ref_addrs:d.Sink.addrs
-        ~n_refs:d.Sink.n_refs
+      March.Quantum.make ~instrs ~inst_lines:lines ~n_inst_lines
+        ~inst_weight:(Code_map.line_weight ~instrs:total ~lines:n_inst_lines)
+        ~ref_addrs:d.Sink.addrs ~n_refs:d.Sink.n_refs
         ~ref_weight:(weight_of d.Sink.n_refs d.Sink.extra_refs)
         ~branch_pcs:d.Sink.branch_pcs ~branch_taken:d.Sink.branch_taken
         ~n_branches:d.Sink.n_branches
@@ -96,28 +105,19 @@ let stream ?(period = 20_000) (w : Model.t) ~cpu ~rng ~samples
     (* The sampler records the EIP live at the interrupt: draw one from the
        quantum's per-region instruction mix. *)
     let eip =
-      if Array.length d.Sink.region_instrs = 0 then 0
+      if n_regions = 0 then 0
       else begin
-        let total = Array.fold_left (fun a (_, n) -> a + n) 0 d.Sink.region_instrs in
         let target = Rng.int rng (max 1 total) in
-        let acc = ref 0 and chosen = ref (fst d.Sink.region_instrs.(0)) in
-        (try
-           Array.iter
-             (fun (region, n) ->
-               acc := !acc + n;
-               if !acc > target then begin
-                 chosen := region;
-                 raise Exit
-               end)
-             d.Sink.region_instrs
-         with Exit -> ());
-        Code_map.draw_eip w.Model.code rng ~region:!chosen
+        (* The first region whose running count passes [target]; the
+           first region when none does (an all-zero mix). *)
+        let k = ref 0 and acc = ref (snd region_instrs.(0)) in
+        while !acc <= target && !k < n_regions - 1 do
+          incr k;
+          acc := !acc + snd region_instrs.(!k)
+        done;
+        let chosen = if !acc > target then fst region_instrs.(!k) else fst region_instrs.(0) in
+        Code_map.draw_eip w.Model.code rng ~region:chosen
       end
-    in
-    let os_instrs =
-      Array.fold_left
-        (fun a (region, n) -> if region = w.Model.os_region then a + n else a)
-        0 d.Sink.region_instrs
     in
     os_total := !os_total + os_instrs;
     total_cycles := !total_cycles +. r.March.Cpu.cycles;
@@ -130,7 +130,7 @@ let stream ?(period = 20_000) (w : Model.t) ~cpu ~rng ~samples
         cycles = r.March.Cpu.cycles;
         breakdown = r.March.Cpu.breakdown;
         os_instrs;
-        region_instrs = d.Sink.region_instrs;
+        region_instrs;
       }
   done;
   {
@@ -145,17 +145,17 @@ let stream ?(period = 20_000) (w : Model.t) ~cpu ~rng ~samples
     stream_samples = samples;
   }
 
+(* [stream] checks [samples]; the first sample sizes the array. *)
 let run ?period (w : Model.t) ~cpu ~rng ~samples =
-  if samples <= 0 then invalid_arg "Driver.run: samples must be positive";
-  let out = Array.make samples None in
+  let out = ref [||] in
   let m =
     stream ?period w ~cpu ~rng ~samples ~f:(fun i s ->
-        out.(i) <- Some s)
+        if i = 0 then out := Array.make samples s else !out.(i) <- s)
   in
   {
     workload = m.stream_workload;
     machine = m.stream_machine;
-    samples = Array.map (function Some s -> s | None -> assert false) out;
+    samples = !out;
     period = m.stream_period;
     context_switches = m.stream_context_switches;
     io_blocks = m.stream_io_blocks;

@@ -35,9 +35,9 @@ let create ~capacity =
 
 (* Fibonacci hashing: the top bits of the key times an odd constant near
    2^63 divided by the golden ratio. *)
-let bucket t key = (key * 0x1E3779B97F4A7C15) lsr (Sys.int_size - t.bucket_bits)
+let[@inline] bucket t key = (key * 0x1E3779B97F4A7C15) lsr (Sys.int_size - t.bucket_bits)
 
-let unchain t s =
+let[@inline] unchain t s =
   let b = bucket t t.keys.(s) in
   if t.buckets.(b) = s then t.buckets.(b) <- t.chain.(s)
   else begin
@@ -48,19 +48,19 @@ let unchain t s =
     t.chain.(!p) <- t.chain.(s)
   end
 
-let unlink t s =
+let[@inline] unlink t s =
   let p = t.prev.(s) and n = t.next.(s) in
   if p >= 0 then t.next.(p) <- n else t.head <- n;
   if n >= 0 then t.prev.(n) <- p else t.tail <- p
 
-let push_front t s =
+let[@inline] push_front t s =
   t.prev.(s) <- -1;
   t.next.(s) <- t.head;
   if t.head >= 0 then t.prev.(t.head) <- s;
   t.head <- s;
   if t.tail < 0 then t.tail <- s
 
-let access t key =
+let[@inline] access t key =
   let b = bucket t key in
   let s = ref t.buckets.(b) in
   while !s >= 0 && t.keys.(!s) <> key do
@@ -93,3 +93,17 @@ let access t key =
     push_front t s;
     false
   end
+
+(* A key already at the head is a hit that changes nothing, so it is
+   answered before hashing; every other key is [access]'s, inlined with
+   everything it calls, so the loop makes no call that would make the
+   compiler spill its live values (nor does the check before it). *)
+let misses t ~shift addrs n =
+  if n < 0 || n > Array.length addrs then raise (Invalid_argument "Lru.misses: count out of range");
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let key = addrs.(i) asr shift in
+    let h = t.head in
+    if not (h >= 0 && t.keys.(h) = key) && not (access t key) then incr m
+  done;
+  !m

@@ -67,25 +67,38 @@ let draw_eip t rng ~region =
 
 let eip_region eip = (eip - code_base) lsr region_shift
 
-let code_lines t rng ~region_instrs ~max_lines =
-  let total = Array.fold_left (fun acc (_, w) -> acc + w) 0 region_instrs in
-  if total = 0 then ([||], 0.0)
-  else begin
-    let lines = ref [] and count = ref 0 in
-    Array.iter
-      (fun (region, w) ->
-        let e = entry t region in
-        (* This region's share of the line budget, at least 1 sample. *)
-        let share = Int.max 1 (max_lines * w / total) in
-        for _ = 1 to share do
-          if !count < max_lines then begin
-            let eip = e.base + (Dist.categorical_draw e.sampler rng * eip_stride) in
-            lines := eip land lnot 63 :: !lines;
-            incr count
-          end
-        done)
-      region_instrs;
-    let fetch_events = float_of_int total /. instrs_per_line_fetch in
-    let weight = if !count = 0 then 0.0 else fetch_events /. float_of_int !count in
-    (Array.of_list !lines, weight)
-  end
+(* The lines are drawn region by region into [lines] and then reversed
+   in place: the quantum replays them newest first, the order the list
+   this replaced was consed in. *)
+let code_lines t rng ~region_instrs ~lines =
+  let max_lines = Array.length lines in
+  let total = ref 0 in
+  for k = 0 to Array.length region_instrs - 1 do
+    total := !total + snd region_instrs.(k)
+  done;
+  let total = !total and count = ref 0 in
+  if total > 0 then
+    for k = 0 to Array.length region_instrs - 1 do
+      let region, w = region_instrs.(k) in
+      let e = entry t region in
+      (* This region's share of the line budget, at least 1 sample. *)
+      let share = Int.max 1 (max_lines * w / total) in
+      for _ = 1 to share do
+        if !count < max_lines then begin
+          let eip = e.base + (Dist.categorical_draw e.sampler rng * eip_stride) in
+          lines.(!count) <- eip land lnot 63;
+          incr count
+        end
+      done
+    done;
+  let n = !count in
+  for k = 0 to (n / 2) - 1 do
+    let x = lines.(k) in
+    lines.(k) <- lines.(n - 1 - k);
+    lines.(n - 1 - k) <- x
+  done;
+  n
+
+let line_weight ~instrs ~lines =
+  if lines = 0 then 0.0
+  else float_of_int instrs /. instrs_per_line_fetch /. float_of_int lines

@@ -33,13 +33,18 @@ val eip_region : int -> int
     layout). *)
 
 val code_lines :
-  t -> Stats.Rng.t -> region_instrs:(int * int) array -> max_lines:int ->
-  int array * float
-(** Build the quantum's instruction-fetch line sample: up to [max_lines]
-    line addresses drawn across the active regions in proportion to their
-    instruction counts, plus the weight each sampled line-fetch stands
-    for.  The weight is calibrated so the total fetch-event count is
-    [total instrs / instrs_per_line_fetch]. *)
+  t -> Stats.Rng.t -> region_instrs:(int * int) array -> lines:int array -> int
+(** Build the quantum's instruction-fetch line sample into [lines]: up to
+    [Array.length lines] line addresses drawn across the active regions
+    in proportion to their instruction counts.  Returns how many it
+    wrote, from index 0, last drawn first.  A caller reuses one [lines]
+    buffer across quanta. *)
+
+val line_weight : instrs:int -> lines:int -> float
+(** The weight each of [lines] sampled line fetches stands for in a
+    quantum of [instrs] instructions (the sum of its [region_instrs]),
+    calibrated so the total fetch-event count is
+    [instrs / instrs_per_line_fetch]; 0 when [lines] is 0. *)
 
 val instrs_per_line_fetch : float
 (** Model constant: average retired instructions per fresh I-cache line

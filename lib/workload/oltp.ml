@@ -70,7 +70,8 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
         ~base_addr:(Dbengine.Addr_space.alloc space ~bytes:(n * 40))
         ()
     in
-    Btree.bulk_load bt (Array.init n (fun k -> (k, k * 2654435761 mod n)));
+    Btree.bulk_load bt ~keys:(Array.init n Fun.id)
+      ~values:(Array.init n (fun k -> k * 2654435761 mod n));
     bt
   in
   let log = Heap.create space ~name:"redo_log" ~rows:(rows 200_000) ~row_bytes:64 in

@@ -4,20 +4,26 @@
 #   sh scripts/bench_gate.sh BENCH_core.json BENCH_core.fresh.json
 #
 # Compares a fresh core-kernel run (bench/main.exe --json)
-# against the committed baseline.  Both files carry a calibration figure
-# (a fixed pure-OCaml loop timed in the same process), so medians are
-# compared after normalising by machine speed:
+# against the committed baseline.  Each rep of a kernel is timed next to
+# one rep of a calibration loop (a fixed pure-OCaml loop), and each
+# kernel carries calibration_ratio, the median of those per-rep ratios,
+# so a kernel is compared after normalising by machine speed:
 #
-#   norm = (fresh_median / fresh_calibration) / (base_median / base_calibration)
+#   norm = fresh_calibration_ratio / base_calibration_ratio
+#
+# Load that comes and goes on the host lands on both sides of each
+# rep's ratio; a calibration timed once, before all kernels, let it land
+# on one side only, and unchanged code failed this gate next to a busy
+# loop.
 #
 # The gate fails only when a kernel's normalised median slows down by
 # more than 1.5x — wide enough to ride out CI-runner noise, tight enough
 # to catch a real hot-path regression.  It also enforces a floor on the
 # fast path: tree_build and cv_curve must stay >= 3x faster than their
 # Reference implementations (that ratio is intra-run, from alternated
-# reps, so it needs no normalisation; both read about 10x, and at
-# least 9.8x next to a periodic busy loop on the same CPU).  Kernels
+# reps, so it needs no normalisation; both read about 11x).  Kernels
 # without a reference (driver_run) carry no speedup_vs_ref and show "-".
+# Both files must have the same schema_version.
 #
 # POSIX sh + awk only; no jq.
 set -eu
@@ -36,10 +42,10 @@ fresh=$2
 # failing run too.
 awk -v tol=1.5 -v minspeed=3.0 -v summary="${GITHUB_STEP_SUMMARY:-}" '
   FNR == 1 { nfile++ }
-  /"calibration_ms"/ {
+  /"schema_version"/ {
     v = $0
-    sub(/.*"calibration_ms": */, "", v); sub(/,.*/, "", v)
-    calib[nfile] = v + 0
+    sub(/.*"schema_version": */, "", v); sub(/,.*/, "", v)
+    schema[nfile] = v + 0
   }
   /"name": / {
     line = $0
@@ -47,17 +53,22 @@ awk -v tol=1.5 -v minspeed=3.0 -v summary="${GITHUB_STEP_SUMMARY:-}" '
     med = line; sub(/.*"median_ms": */, "", med); sub(/,.*/, "", med)
     spd = line; sub(/.*"speedup_vs_ref": */, "", spd); sub(/[},].*/, "", spd)
     if (line !~ /"speedup_vs_ref"/) spd = -1
-    if (nfile == 1) { bmed[name] = med + 0; border[++bn] = name }
-    else { fmed[name] = med + 0; fspd[name] = spd + 0 }
+    cr = line; sub(/.*"calibration_ratio": */, "", cr); sub(/[},].*/, "", cr)
+    if (line !~ /"calibration_ratio"/) cr = 0
+    if (nfile == 1) { bmed[name] = med + 0; bcr[name] = cr + 0; border[++bn] = name }
+    else { fmed[name] = med + 0; fspd[name] = spd + 0; fcr[name] = cr + 0 }
   }
   function md(row) { if (summary != "") print row >> summary }
   END {
     if (nfile != 2) { print "bench_gate: expected two input files"; exit 2 }
     if (bn == 0) { print "bench_gate: no kernels in baseline"; exit 2 }
-    if (calib[1] <= 0 || calib[2] <= 0) { print "bench_gate: missing calibration_ms"; exit 2 }
+    if (schema[1] != schema[2]) {
+      printf "bench_gate: schema_version %d (baseline) against %d (fresh): refresh the baseline\n", schema[1], schema[2]
+      exit 2
+    }
     fail = 0
     printf "%-16s %12s %12s %10s %10s\n", "kernel", "base ms", "fresh ms", "norm", "vs ref"
-    md("### Bench gate (calibration-normalised medians)")
+    md("### Bench gate (medians normalised by adjacent calibration reps)")
     md("")
     md("| kernel | baseline ms | fresh ms | normalised | verdict |")
     md("|---|---|---|---|---|")
@@ -69,7 +80,13 @@ awk -v tol=1.5 -v minspeed=3.0 -v summary="${GITHUB_STEP_SUMMARY:-}" '
         fail = 1
         continue
       }
-      ratio = (fmed[n] / calib[2]) / (bmed[n] / calib[1])
+      if (bcr[n] <= 0 || fcr[n] <= 0) {
+        printf "%-16s missing calibration_ratio: FAIL\n", n
+        md(sprintf("| %s | %.3f | %.3f | - | missing calibration_ratio |", n, bmed[n], fmed[n]))
+        fail = 1
+        continue
+      }
+      ratio = fcr[n] / bcr[n]
       verdict = (ratio > tol) ? "SLOWDOWN" : "ok"
       if (ratio > tol) fail = 1
       vsref = (fspd[n] < 0) ? "-" : sprintf("%.2fx", fspd[n])

@@ -16,8 +16,8 @@
 #      requests_total == responses_ok + sum(responses_error) — the
 #      endpoint and the wire protocol must tell the same story;
 #   4. holds soak p99 latency to a machine-normalised budget from the
-#      committed BENCH_soak.json baseline (same calibration scheme as
-#      scripts/bench_gate.sh);
+#      committed BENCH_soak.json baseline (the calibration loop that
+#      scripts/bench_gate.sh uses, timed once per soak run);
 #   5. checks /health readiness: 200 while serving, 503 during the
 #      graceful drain that follows a shutdown with queued work.
 #

@@ -24,7 +24,7 @@ let test_addr_space_disjoint () =
 let test_btree_bulk_load_find () =
   let t = Btree.create ~node_bytes:256 ~base_addr:0 () in
   let n = 10_000 in
-  Btree.bulk_load t (Array.init n (fun i -> (i * 2, i)));
+  Btree.bulk_load t ~keys:(Array.init n (fun i -> i * 2)) ~values:(Array.init n Fun.id);
   Btree.check_invariants t;
   Alcotest.(check int) "key count" n (Btree.n_keys t);
   for i = 0 to 99 do
@@ -34,7 +34,7 @@ let test_btree_bulk_load_find () =
 
 let test_btree_trace_path () =
   let t = Btree.create ~fanout:8 ~node_bytes:512 ~base_addr:0x1000 () in
-  Btree.bulk_load t (Array.init 5000 (fun i -> (i, i)));
+  Btree.bulk_load t ~keys:(Array.init 5000 Fun.id) ~values:(Array.init 5000 Fun.id);
   let path = ref [] in
   let v = Btree.lookup t 1234 ~visit:(fun a -> path := a :: !path) in
   Alcotest.(check int) "found" 1234 v;
@@ -51,7 +51,7 @@ let test_btree_trace_path () =
 
 let test_btree_height_logarithmic () =
   let t = Btree.create ~fanout:32 ~node_bytes:512 ~base_addr:0 () in
-  Btree.bulk_load t (Array.init 100_000 (fun i -> (i, i)));
+  Btree.bulk_load t ~keys:(Array.init 100_000 Fun.id) ~values:(Array.init 100_000 Fun.id);
   Alcotest.(check bool)
     (Printf.sprintf "height %d in [3,5]" (Btree.height t))
     true
@@ -61,7 +61,13 @@ let test_btree_bulk_rejects_unsorted () =
   let t = Btree.create ~node_bytes:256 ~base_addr:0 () in
   Alcotest.check_raises "unsorted"
     (Invalid_argument "Btree.bulk_load: keys must be strictly increasing") (fun () ->
-      Btree.bulk_load t [| (2, 0); (1, 0) |])
+      Btree.bulk_load t ~keys:[| 2; 1 |] ~values:[| 0; 0 |])
+
+let test_btree_bulk_rejects_unequal_lengths () =
+  let t = Btree.create ~node_bytes:256 ~base_addr:0 () in
+  Alcotest.check_raises "one value short"
+    (Invalid_argument "Btree.bulk_load: keys and values differ in length") (fun () ->
+      Btree.bulk_load t ~keys:[| 1; 2 |] ~values:[| 0 |])
 
 let prop_btree_matches_hashtbl =
   QCheck2.Test.make ~name:"btree agrees with Hashtbl reference" ~count:30
@@ -71,7 +77,8 @@ let prop_btree_matches_hashtbl =
       let h = Hashtbl.create 64 in
       List.iter (fun (k, v) -> Hashtbl.replace h k v) pairs;
       let t = Btree.create ~fanout ~node_bytes:128 ~base_addr:0 () in
-      Btree.bulk_load t (Array.of_list (Stats.Det.hashtbl_bindings h));
+      let pairs = Array.of_list (Stats.Det.hashtbl_bindings h) in
+      Btree.bulk_load t ~keys:(Array.map fst pairs) ~values:(Array.map snd pairs);
       Btree.check_invariants t;
       Btree.n_keys t = Hashtbl.length h
       && Hashtbl.fold
@@ -97,7 +104,7 @@ let prop_btree_matches_oracle =
       let pairs = Array.map (fun k -> (k, (k * 31 mod 17) - 1)) keys in
       let t = Btree.create ~fanout ~node_bytes:256 ~base_addr:0x10000 () in
       let o = Oracle.Btree.create ~fanout ~node_bytes:256 ~base_addr:0x10000 () in
-      Btree.bulk_load t pairs;
+      Btree.bulk_load t ~keys:(Array.map fst pairs) ~values:(Array.map snd pairs);
       Oracle.Btree.bulk_load o pairs;
       Btree.check_invariants t;
       Oracle.Btree.check_invariants o;
@@ -208,7 +215,7 @@ let test_index_scan_touches_btree () =
   let s = Addr_space.create () in
   let h = Heap.create s ~name:"t" ~rows:1000 ~row_bytes:64 in
   let bt = Btree.create ~node_bytes:256 ~base_addr:(Addr_space.alloc s ~bytes:(1 lsl 20)) () in
-  Btree.bulk_load bt (Array.init 1000 (fun i -> (i, i)));
+  Btree.bulk_load bt ~keys:(Array.init 1000 Fun.id) ~values:(Array.init 1000 Fun.id);
   let op =
     Ops.index_scan (ctx ()) ~region:2 ~btree:bt ~heap:h
       ~key_gen:(fun rng -> Rng.int rng 1000)
@@ -355,7 +362,11 @@ let () =
         :: Alcotest.test_case "trace path" `Quick test_btree_trace_path
         :: Alcotest.test_case "height logarithmic" `Quick test_btree_height_logarithmic
         :: Alcotest.test_case "rejects unsorted bulk" `Quick test_btree_bulk_rejects_unsorted
-        :: qcheck [ prop_btree_matches_hashtbl; prop_btree_matches_oracle ] );
+        :: qcheck [ prop_btree_matches_hashtbl; prop_btree_matches_oracle ]
+        @ [
+            Alcotest.test_case "rejects unequal key and value arrays" `Quick
+              test_btree_bulk_rejects_unequal_lengths;
+          ] );
       ( "cache_lru",
         [
           Alcotest.test_case "exact capacity" `Quick test_cache_lru_exact_capacity;

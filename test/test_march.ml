@@ -102,20 +102,21 @@ let test_branch_alternating_learned () =
 
 (* -------------------------------- Tlb ------------------------------ *)
 
+(* [tlb_hit t addr] looks one address up through the batched call. *)
+let tlb_hit t addr = Tlb.misses t [| addr |] 1 = 0
+
 let test_tlb_hit_miss () =
   let t = Tlb.create ~entries:4 ~page_bytes:4096 in
-  Alcotest.(check bool) "cold miss" false (Tlb.access t 0x1000);
-  Alcotest.(check bool) "same page hits" true (Tlb.access t 0x1FFF)
+  Alcotest.(check bool) "cold miss" false (tlb_hit t 0x1000);
+  Alcotest.(check bool) "same page hits" true (tlb_hit t 0x1FFF)
 
 let test_tlb_lru () =
   let t = Tlb.create ~entries:2 ~page_bytes:4096 in
-  ignore (Tlb.access t 0x0000);
-  ignore (Tlb.access t 0x1000);
-  ignore (Tlb.access t 0x0000);
-  ignore (Tlb.access t 0x2000);
-  (* evicts page 1 *)
-  Alcotest.(check bool) "page 0 resident" true (Tlb.access t 0x0000);
-  Alcotest.(check bool) "page 1 evicted" false (Tlb.access t 0x1000)
+  Alcotest.(check int) "three cold pages, one hit" 3
+    (Tlb.misses t [| 0x0000; 0x1000; 0x0000; 0x2000 |] 4);
+  (* page 2 evicted page 1 *)
+  Alcotest.(check bool) "page 0 resident" true (tlb_hit t 0x0000);
+  Alcotest.(check bool) "page 1 evicted" false (tlb_hit t 0x1000)
 
 (* -------------------------- LRU equivalence ------------------------ *)
 
@@ -202,7 +203,8 @@ let gen_tlb_case =
     let* addrs = list_size (int_range 1 800) addr in
     return (entries, page_bytes, addrs))
 
-(* The TLB and the buffer cache are both Stats.Lru over page numbers. *)
+(* The TLB and the buffer cache are both Stats.Lru over page numbers;
+   the TLB is driven through its batched call, one address at a time. *)
 let prop_tlb_matches_stamp_lru =
   QCheck2.Test.make ~name:"tlb agrees with timestamp LRU" ~count:300 gen_tlb_case
     (fun (entries, page_bytes, addrs) ->
@@ -212,27 +214,175 @@ let prop_tlb_matches_stamp_lru =
       List.for_all
         (fun addr ->
           let expected = Stamp_lru.access m ~group:0 (addr / page_bytes) in
-          Tlb.access t addr = expected && Dbengine.Bufcache.touch b addr = expected)
+          tlb_hit t addr = expected && Dbengine.Bufcache.touch b addr = expected)
         addrs)
 
 let test_lru_no_allocation () =
   let c = Cache.create ~size_bytes:32768 ~ways:4 ~line_bytes:64 in
   let t = Tlb.create ~entries:64 ~page_bytes:4096 in
   let b = Dbengine.Bufcache.create ~pages:64 ~page_bytes:4096 in
+  let path =
+    [|
+      Cache.create ~size_bytes:4096 ~ways:2 ~line_bytes:64;
+      Cache.create ~size_bytes:65536 ~ways:8 ~line_bytes:64;
+    |]
+  in
   let rng = Stats.Rng.create 7 in
-  (* 1 MB of addresses: both hits and evicting misses in all three. *)
+  (* 1 MB of addresses: both hits and evicting misses in all of them. *)
   let addrs = Array.init 100_000 (fun _ -> Stats.Rng.int rng (1 lsl 20)) in
-  let tlb_misses = ref 0 in
+  (* The batched walk runs over a 48-line fetch buffer refilled every
+     round and one level buffer, reused as [Cpu.run] and the driver reuse
+     theirs, and stops after every memory-level miss as it does under a
+     prefetcher. *)
+  let lines = Array.make 48 0 and levels = Bytes.create 48 in
   let before = Gc.minor_words () in
   for i = 0 to Array.length addrs - 1 do
     ignore (Cache.access c addrs.(i) : bool);
-    if not (Tlb.access t addrs.(i)) then incr tlb_misses;
     ignore (Dbengine.Bufcache.touch b addrs.(i) : bool)
+  done;
+  let tlb_misses = Tlb.misses t addrs (Array.length addrs) in
+  let walks = ref 0 in
+  for r = 0 to (Array.length addrs / 48) - 1 do
+    Array.blit addrs (r * 48) lines 0 48;
+    let i = ref 0 in
+    while !i < 48 do
+      i := Cache.walk_batch path lines ~from:!i ~upto:48 levels ~stop_at_memory:true;
+      incr walks
+    done
   done;
   let after = Gc.minor_words () in
   Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before);
   Alcotest.(check bool) "misses and hits both seen" true
-    (!tlb_misses > 1000 && !tlb_misses < 99_000)
+    (tlb_misses > 1000 && tlb_misses < 99_000);
+  Alcotest.(check bool) "the walk stopped at memory misses" true
+    (!walks > 2 * (Array.length addrs / 48))
+
+(* 1-3 level paths of random geometries, each level with its own line
+   size, over addresses spanning about three times the path's capacity. *)
+let gen_path_case =
+  QCheck2.Gen.(
+    let level =
+      let* sets = oneofl [ 1; 2; 4; 16 ] in
+      let* ways = oneofl [ 1; 2; 3; 4; 8 ] in
+      let* line_bytes = oneofl [ 16; 64; 128 ] in
+      return (sets, ways, line_bytes)
+    in
+    let* geoms = list_size (int_range 1 3) level in
+    let span = 3 * List.fold_left (fun acc (s, w, l) -> acc + (s * w * l)) 0 geoms in
+    let* addrs = list_size (int_range 1 400) (int_bound span) in
+    let* prefetch = bool in
+    return (geoms, span, addrs, prefetch))
+
+(* The batched walk against per-reference [Cache.walk] on a twin path.
+   With [prefetch], a stand-in prefetcher installs the next two 64-byte
+   lines into the outer levels (the only level of a 1-level path) after
+   every reference served by memory, before the next reference: the
+   batched side must stop there for it. *)
+let prop_walk_batch_matches_walk =
+  QCheck2.Test.make ~name:"batched walk agrees with per-reference walk" ~count:300
+    gen_path_case (fun (geoms, span, addrs, prefetch) ->
+      let make () =
+        Array.of_list
+          (List.map
+             (fun (sets, ways, line_bytes) ->
+               Cache.create ~size_bytes:(sets * ways * line_bytes) ~ways ~line_bytes)
+             geoms)
+      in
+      let a = make () and b = make () in
+      let mem = Array.length a in
+      let install path addr =
+        for k = Int.min 1 (mem - 1) to mem - 1 do
+          ignore (Cache.access path.(k) (addr + 64) : bool);
+          ignore (Cache.access path.(k) (addr + 128) : bool)
+        done
+      in
+      let addrs = Array.of_list addrs in
+      let n = Array.length addrs in
+      let expected =
+        Array.map
+          (fun addr ->
+            let lvl = Cache.walk a addr in
+            if prefetch && lvl = mem then install a addr;
+            lvl)
+          addrs
+      in
+      (* One spare byte past [n], which the walk must not write. *)
+      let levels = Bytes.make (n + 1) '\255' in
+      let ok = ref true and i = ref 0 in
+      while !i < n do
+        let j = Cache.walk_batch b addrs ~from:!i ~upto:n levels ~stop_at_memory:prefetch in
+        if j <= !i || j > n then begin
+          ok := false;
+          i := n
+        end
+        else begin
+          (* Only the last reference walked may have gone to memory, and
+             a stop short of [n] must be one that did. *)
+          for k = !i to j - 2 do
+            if prefetch && Bytes.get_uint8 levels k = mem then ok := false
+          done;
+          let stopped = Bytes.get_uint8 levels (j - 1) = mem in
+          if j < n && not (prefetch && stopped) then ok := false;
+          if prefetch && stopped then install b addrs.(j - 1);
+          i := j
+        end
+      done;
+      let same_levels =
+        Array.for_all Fun.id (Array.mapi (fun k l -> Bytes.get_uint8 levels k = l) expected)
+      in
+      let same_probes =
+        List.for_all
+          (fun k ->
+            List.for_all
+              (fun x -> Cache.probe a.(k) (x * 16) = Cache.probe b.(k) (x * 16))
+              (List.init ((span + 256) / 16) Fun.id))
+          (List.init mem Fun.id)
+      in
+      !ok && same_levels && Bytes.get levels n = '\255' && same_probes)
+
+(* The TLB's shape (1-128 entries of 256 B or 4 KiB pages) and the
+   buffer cache's (4,096 or 6,000 pages of 8 KiB), over about twice the
+   capacity's pages, cut into random batches. *)
+let gen_lru_batch_case =
+  QCheck2.Gen.(
+    let* capacity, shift =
+      oneof
+        [
+          pair (oneofl [ 1; 2; 3; 8; 64; 128 ]) (oneofl [ 8; 12 ]);
+          pair (oneofl [ 4096; 6000 ]) (return 13);
+        ]
+    in
+    let* len = int_range 1 (4 * capacity + 50) in
+    let* addrs = array_repeat len (int_bound ((2 * capacity) lsl shift)) in
+    let* batch = int_range 1 64 in
+    return (capacity, shift, addrs, batch))
+
+let prop_lru_misses_match_access =
+  QCheck2.Test.make ~name:"batched Lru misses agree with per-key access" ~count:100
+    gen_lru_batch_case (fun (capacity, shift, addrs, batch) ->
+      let t = Stats.Lru.create ~capacity and twin = Stats.Lru.create ~capacity in
+      let n = Array.length addrs in
+      let batched = ref 0 and pos = ref 0 in
+      while !pos < n do
+        let len = Int.min batch (n - !pos) in
+        batched := !batched + Stats.Lru.misses t ~shift (Array.sub addrs !pos len) len;
+        pos := !pos + len
+      done;
+      let per_key =
+        Array.fold_left
+          (fun m a -> if Stats.Lru.access twin (a asr shift) then m else m + 1)
+          0 addrs
+      in
+      (* Then both hold the same keys in the same recency order: a scan
+         over every key gets the same answer from each, key by key. *)
+      let same_after =
+        List.for_all
+          (fun key ->
+            Stats.Lru.misses t ~shift [| key lsl shift |] 1
+            = Bool.to_int (not (Stats.Lru.access twin key)))
+          (List.init (2 * capacity) Fun.id)
+      in
+      !batched = per_key && same_after)
 
 (* ------------------------------ Config ----------------------------- *)
 
@@ -398,6 +548,21 @@ let test_quantum_validation () =
     (Invalid_argument "Quantum.make: branch_taken length mismatch") (fun () ->
       ignore (Quantum.make ~instrs:1 ~branch_pcs:[| 1 |] ()))
 
+(* The second of two consecutive-line memory misses confirms a stream,
+   and the prefetcher installs the next lines in the L2 before the next
+   reference is walked, even when that reference is in the next
+   quantum. *)
+let test_cpu_prefetch_after_last_reference () =
+  let cfg = Config.with_prefetch Config.pentium4 in
+  let line = cfg.Config.l2.Config.line_bytes in
+  let cpu = Cpu.create cfg in
+  let base = 1 lsl 24 in
+  let first = Cpu.run cpu (Quantum.make ~instrs:100 ~ref_addrs:[| base; base + line |] ()) in
+  Alcotest.(check (float 0.0)) "two memory misses" 2.0 first.Cpu.l3_data_misses;
+  let next = Cpu.run cpu (Quantum.make ~instrs:100 ~ref_addrs:[| base + (2 * line) |] ()) in
+  Alcotest.(check (float 0.0)) "an L1 miss" 1.0 next.Cpu.dcache_misses;
+  Alcotest.(check (float 0.0)) "served by the L2" 0.0 next.Cpu.l3_data_misses
+
 let () =
   Alcotest.run "march"
     [
@@ -424,7 +589,12 @@ let () =
       ( "lru equivalence",
         Alcotest.test_case "no allocation" `Quick test_lru_no_allocation
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_cache_matches_stamp_lru; prop_tlb_matches_stamp_lru ] );
+             [
+               prop_cache_matches_stamp_lru;
+               prop_tlb_matches_stamp_lru;
+               prop_walk_batch_matches_walk;
+               prop_lru_misses_match_access;
+             ] );
       ( "config",
         [
           Alcotest.test_case "presets valid" `Quick test_config_presets_valid;
@@ -453,5 +623,7 @@ let () =
           Alcotest.test_case "extra other cycles" `Quick test_cpu_extra_other_cycles;
           Alcotest.test_case "pollute evicts" `Quick test_cpu_pollute_evicts;
           Alcotest.test_case "quantum validation" `Quick test_quantum_validation;
+          Alcotest.test_case "prefetch after a quantum's last reference" `Quick
+            test_cpu_prefetch_after_last_reference;
         ] );
     ]

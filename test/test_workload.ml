@@ -34,22 +34,45 @@ let test_code_map_lines_weight () =
   let m = Code_map.create () in
   Code_map.register m ~region:2 ~n_eips:500 ();
   let rng = Rng.create 2 in
-  let lines, weight = Code_map.code_lines m rng ~region_instrs:[| (2, 30_000) |] ~max_lines:32 in
-  Alcotest.(check bool) "some lines" true (Array.length lines > 0 && Array.length lines <= 32);
+  let buf = Array.make 32 (-1) in
+  let n = Code_map.code_lines m rng ~region_instrs:[| (2, 30_000) |] ~lines:buf in
+  Alcotest.(check bool) "some lines" true (n > 0 && n <= 32);
   (* total fetch events = instrs / instrs_per_line_fetch *)
-  let events = weight *. float_of_int (Array.length lines) in
+  let weight = Code_map.line_weight ~instrs:30_000 ~lines:n in
+  let events = weight *. float_of_int n in
   Alcotest.(check (float 1.0)) "weight calibrated" (30_000.0 /. Code_map.instrs_per_line_fetch)
     events;
-  Array.iter
-    (fun l -> Alcotest.(check int) "line aligned" 0 (l land 63))
-    lines
+  for i = 0 to n - 1 do
+    Alcotest.(check int) "line aligned" 0 (buf.(i) land 63)
+  done
 
 let test_code_map_empty_quantum () =
   let m = Code_map.create () in
   let rng = Rng.create 3 in
-  let lines, weight = Code_map.code_lines m rng ~region_instrs:[||] ~max_lines:8 in
-  Alcotest.(check int) "no lines" 0 (Array.length lines);
-  Alcotest.(check (float 1e-9)) "zero weight" 0.0 weight
+  let n = Code_map.code_lines m rng ~region_instrs:[||] ~lines:(Array.make 8 0) in
+  Alcotest.(check int) "no lines" 0 n;
+  Alcotest.(check (float 1e-9)) "zero weight" 0.0 (Code_map.line_weight ~instrs:0 ~lines:n)
+
+(* The lines are the region's draws, last drawn first, as the list the
+   buffer replaced gave them; a smaller second quantum reuses the buffer
+   and reports only its own count. *)
+let test_code_map_lines_newest_first () =
+  let m = Code_map.create () in
+  Code_map.register m ~region:2 ~n_eips:500 ();
+  let buf = Array.make 16 (-1) in
+  let n = Code_map.code_lines m (Rng.create 4) ~region_instrs:[| (2, 1000) |] ~lines:buf in
+  let replay = Rng.create 4 in
+  let drawn = List.init 16 (fun _ -> Code_map.draw_eip m replay ~region:2 land lnot 63) in
+  Alcotest.(check int) "full buffer" 16 n;
+  Alcotest.(check (list int)) "newest first" (List.rev drawn) (Array.to_list buf);
+  let m2 = Code_map.create () in
+  List.iter (fun region -> Code_map.register m2 ~region ~n_eips:10 ()) [ 1; 2; 3 ];
+  (* Three regions at 1/100 of the budget each: one line apiece. *)
+  let n =
+    Code_map.code_lines m2 (Rng.create 5) ~region_instrs:[| (1, 1); (2, 1); (3, 98) |] ~lines:buf
+  in
+  Alcotest.(check int) "one line per small region, the rest to the large one" 16 n;
+  Alcotest.(check int) "region 1's line last" 1 (Code_map.eip_region buf.(15))
 
 (* ------------------------------- Synth ----------------------------- *)
 
@@ -255,6 +278,7 @@ let () =
             test_code_map_rejects_double_registration;
           Alcotest.test_case "line weights calibrated" `Quick test_code_map_lines_weight;
           Alcotest.test_case "empty quantum" `Quick test_code_map_empty_quantum;
+          Alcotest.test_case "lines newest first" `Quick test_code_map_lines_newest_first;
         ] );
       ( "synth",
         [
