@@ -14,23 +14,60 @@ type t = {
   samples_per_interval : int;
 }
 
+(* Feature ids by EIP, in order of first sight.  The table is open
+   addressing over int keys with linear probing, a power-of-two size and
+   at most half its slots full, so interning hashes and compares no
+   polymorphic value. *)
 type interner = {
-  feature_of_eip : (int, int) Hashtbl.t;
-  mutable eips : int list;
+  mutable slot_eip : int array;
+  mutable slot_id : int array;  (** feature id + 1; 0 marks a free slot *)
+  mutable eips : int array;  (** feature id -> EIP, the first [next] used *)
   mutable next : int;
 }
 
-let new_interner () = { feature_of_eip = Hashtbl.create 1024; eips = []; next = 0 }
+let new_interner () =
+  { slot_eip = Array.make 1024 0; slot_id = Array.make 1024 0; eips = Array.make 256 0; next = 0 }
 
-let intern it eip =
-  match Hashtbl.find_opt it.feature_of_eip eip with
-  | Some f -> f
-  | None ->
-      let f = it.next in
-      it.next <- it.next + 1;
-      Hashtbl.add it.feature_of_eip eip f;
-      it.eips <- eip :: it.eips;
-      f
+let slot_of it eip =
+  let mask = Array.length it.slot_id - 1 in
+  let h = eip * 0x1E3779B97F4A7C15 in
+  let i = ref ((h lxor (h lsr 29)) land mask) in
+  while it.slot_id.(!i) <> 0 && it.slot_eip.(!i) <> eip do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let rehash it =
+  let size = 2 * Array.length it.slot_id in
+  it.slot_eip <- Array.make size 0;
+  it.slot_id <- Array.make size 0;
+  for f = 0 to it.next - 1 do
+    let i = slot_of it it.eips.(f) in
+    it.slot_eip.(i) <- it.eips.(f);
+    it.slot_id.(i) <- f + 1
+  done
+
+let rec intern it eip =
+  let i = slot_of it eip in
+  let id = it.slot_id.(i) in
+  if id > 0 then id - 1
+  else if 2 * (it.next + 1) > Array.length it.slot_id then begin
+    rehash it;
+    intern it eip
+  end
+  else begin
+    let f = it.next in
+    if f = Array.length it.eips then begin
+      let eips = Array.make (2 * f) 0 in
+      Array.blit it.eips 0 eips 0 f;
+      it.eips <- eips
+    end;
+    it.eips.(f) <- eip;
+    it.slot_eip.(i) <- eip;
+    it.slot_id.(i) <- f + 1;
+    it.next <- f + 1;
+    f
+  end
 
 (* The incremental interval builder: one sample at a time, sealing an
    interval every [samples_per_interval] feeds.  The batch constructors
@@ -41,10 +78,13 @@ module Builder = struct
   type builder = {
     it : interner;
     samples_per_interval : int;
-    mutable counts : (int, int) Hashtbl.t;
+    mutable counts : int array;  (** feature id -> samples in the current interval *)
+    touched : int array;  (** the ids [counts] holds non-zero, first [n_touched] *)
+    mutable n_touched : int;
+    sums : float array;
+        (** the current interval's cycles, then its work, fe, exe and other
+            stall cycles, each summed in feed order *)
     mutable instrs : int;
-    mutable cycles : float;
-    mutable bd : March.Breakdown.t;
     mutable filled : int;  (** samples in the current partial interval *)
     mutable fed : int;  (** total samples ever fed *)
     mutable n_sealed : int;
@@ -58,10 +98,11 @@ module Builder = struct
     {
       it;
       samples_per_interval;
-      counts = Hashtbl.create 64;
+      counts = Array.make (max 64 it.next) 0;
+      touched = Array.make samples_per_interval 0;
+      n_touched = 0;
+      sums = Array.make 5 0.0;
       instrs = 0;
-      cycles = 0.0;
-      bd = March.Breakdown.zero;
       filled = 0;
       fed = 0;
       n_sealed = 0;
@@ -69,32 +110,60 @@ module Builder = struct
 
   let create ~samples_per_interval = with_interner (new_interner ()) ~samples_per_interval
 
+  (* The interval's histogram, ids ascending, and a zeroed [counts]. *)
+  let histogram b =
+    let idx = Array.sub b.touched 0 b.n_touched in
+    Array.sort (fun (x : int) y -> compare x y) idx;
+    let v =
+      Array.init b.n_touched (fun k ->
+          let f = idx.(k) in
+          let c = b.counts.(f) in
+          b.counts.(f) <- 0;
+          float_of_int c)
+    in
+    b.n_touched <- 0;
+    Stats.Sparse_vec.of_sorted idx v
+
   let feed b (smp : Driver.sample) =
     let f = intern b.it smp.Driver.eip in
-    (match Hashtbl.find_opt b.counts f with
-    | Some c -> Hashtbl.replace b.counts f (c + 1)
-    | None -> Hashtbl.add b.counts f 1);
+    if f >= Array.length b.counts then begin
+      let counts = Array.make (max (f + 1) (2 * Array.length b.counts)) 0 in
+      Array.blit b.counts 0 counts 0 (Array.length b.counts);
+      b.counts <- counts
+    end;
+    let c = b.counts.(f) in
+    if c = 0 then begin
+      b.touched.(b.n_touched) <- f;
+      b.n_touched <- b.n_touched + 1
+    end;
+    b.counts.(f) <- c + 1;
     b.instrs <- b.instrs + smp.Driver.instrs;
-    b.cycles <- b.cycles +. smp.Driver.cycles;
-    b.bd <- March.Breakdown.add b.bd smp.Driver.breakdown;
+    let sums = b.sums and bd = smp.Driver.breakdown in
+    sums.(0) <- sums.(0) +. smp.Driver.cycles;
+    sums.(1) <- sums.(1) +. bd.March.Breakdown.work;
+    sums.(2) <- sums.(2) +. bd.March.Breakdown.fe;
+    sums.(3) <- sums.(3) +. bd.March.Breakdown.exe;
+    sums.(4) <- sums.(4) +. bd.March.Breakdown.other;
     b.filled <- b.filled + 1;
     b.fed <- b.fed + 1;
     if b.filled < b.samples_per_interval then None
     else begin
+      let instrs = max 1 b.instrs in
+      let bd =
+        { March.Breakdown.work = sums.(1); fe = sums.(2); exe = sums.(3); other = sums.(4) }
+      in
       let iv =
         {
-          eipv = Stats.Sparse_vec.of_counts b.counts;
-          cpi = b.cycles /. float_of_int (max 1 b.instrs);
+          eipv = histogram b;
+          cpi = sums.(0) /. float_of_int instrs;
           instrs = b.instrs;
-          cycles = b.cycles;
-          breakdown = March.Breakdown.per_instr b.bd ~instrs:(max 1 b.instrs);
+          cycles = sums.(0);
+          breakdown = March.Breakdown.per_instr bd ~instrs;
           first_sample = b.fed - b.samples_per_interval;
         }
       in
-      b.counts <- Hashtbl.create 64;
+      Array.fill sums 0 5 0.0;
       b.instrs <- 0;
-      b.cycles <- 0.0;
-      b.bd <- March.Breakdown.zero;
       b.filled <- 0;
       b.n_sealed <- b.n_sealed + 1;
       Some iv
@@ -126,7 +195,7 @@ let build_from_samples (samples : Driver.sample array) ~samples_per_interval =
   let intervals = intervals_of_samples it samples ~samples_per_interval in
   {
     intervals;
-    eip_of_feature = Array.of_list (List.rev it.eips);
+    eip_of_feature = Array.sub it.eips 0 it.next;
     n_features = it.next;
     samples_per_interval;
   }
@@ -167,7 +236,7 @@ let build_thread_separated (run : Driver.run) ~samples_per_interval =
     invalid_arg "Eipv.build_thread_separated: not enough samples for one interval";
   {
     intervals;
-    eip_of_feature = Array.of_list (List.rev it.eips);
+    eip_of_feature = Array.sub it.eips 0 it.next;
     n_features = it.next;
     samples_per_interval;
   }

@@ -24,17 +24,19 @@ val to_string : Driver.run -> string
     the persistent result store ([lib/store]) stores each memoized
     analysis's run this way. *)
 
-val of_string : label:string -> string -> Driver.run
+val of_string : label:string -> ?pos:int -> ?len:int -> string -> Driver.run
 (** Decode archive bytes produced by {!to_string} (or read from a file
-    {!save} wrote).  [label] stands in for the file path in error
-    messages.  Same validation and failure contract as {!load}.
+    {!save} wrote): the [len] bytes at [pos] (the whole string by
+    default), read in place.  [label] stands in for the file path in
+    error messages.  Same validation and failure contract as {!load};
+    raises [Invalid_argument] if the range is not inside the string.
 
     Sample lines must be exactly what {!to_string} writes: fields
     separated by one space, and ['\n'] right after the last region pair.
     Ints are [-?[0-9]+] within the [int] range, [min_int] included.
     Floats are [%h] tokens: ["0x..."] or ["-0x..."] ending in an exponent
     digit, or ["nan"], ["-nan"], ["infinity"], ["-infinity"], converted
-    by [float_of_string] as Scanf's ["%h"] converts them, so the bits are
+    as [float_of_string] and Scanf's ["%h"] convert them, so the bits are
     the same.  Lines past the declared sample count are not read. *)
 
 val load : path:string -> Driver.run

@@ -12,7 +12,10 @@ val adler32 : string -> int
 val seal : tag:string -> string -> string
 (** [seal ~tag body] is [body] followed by its trailer line. *)
 
-val unseal : tag:string -> string -> (string, string) result
-(** The body a sealed blob covers.  [Error] names the failure: an empty
-    blob, no final newline, no [<tag>-end] trailer, a body length other
-    than the declared one, or a checksum mismatch. *)
+val unseal : tag:string -> string -> pos:int -> len:int -> (int, string) result
+(** [unseal ~tag s ~pos ~len] checks the sealed blob [s.[pos .. pos+len-1]]
+    in place and returns the length of the body it covers, which starts
+    at [pos]; nothing is copied but the trailer line.  [Error] names the
+    failure: an empty blob, no final newline, no [<tag>-end] trailer, a
+    body length other than the declared one, or a checksum mismatch.
+    Raises [Invalid_argument] if the range is not inside [s]. *)

@@ -20,8 +20,14 @@ let of_assoc pairs =
     entries;
   { idx; v }
 
-let of_counts tbl =
-  of_assoc (List.map (fun (i, c) -> (i, float_of_int c)) (Det.hashtbl_bindings tbl))
+let of_sorted idx v =
+  let n = Array.length idx in
+  if Array.length v <> n then invalid_arg "Sparse_vec.of_sorted: lengths differ";
+  for k = 0 to n - 1 do
+    if (k = 0 && idx.(0) < 0) || (k > 0 && idx.(k) <= idx.(k - 1)) || v.(k) = 0.0 then
+      invalid_arg "Sparse_vec.of_sorted: indices not increasing or a zero value"
+  done;
+  { idx; v }
 
 let nnz t = Array.length t.idx
 

@@ -18,8 +18,12 @@ val of_assoc : (int * float) list -> t
 (** Build from (index, value) pairs.  Duplicate indices are summed; zero
     totals are dropped.  Negative indices are rejected. *)
 
-val of_counts : (int, int) Hashtbl.t -> t
-(** Build from a count table (the sampler's per-interval histogram). *)
+val of_sorted : int array -> float array -> t
+(** [of_sorted idx v] takes the two arrays as they are (no copy): indices
+    non-negative and strictly increasing, values non-zero, one value per
+    index — the sampler's per-interval histogram.  Raises
+    [Invalid_argument] otherwise.  The caller must not mutate them
+    afterwards. *)
 
 val nnz : t -> int
 (** Number of stored (non-zero) entries. *)

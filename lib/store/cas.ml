@@ -89,14 +89,17 @@ let frame ~key ~payload =
   Buffer.add_char b '\n';
   Stats.Checksum.seal ~tag:"fuzzystore" (Buffer.contents b)
 
-(* Validate a whole entry file; [Error reason] for anything short of a
-   byte-exact, checksummed, current-format entry. *)
+(* Validate a whole entry file in place; [Error reason] for anything
+   short of a byte-exact, checksummed, current-format entry.  The key
+   and the payload are the only bytes copied out. *)
 let unframe content =
   let ( let* ) r f = Result.bind r f in
-  let* body = Stats.Checksum.unseal ~tag:"fuzzystore" content in
+  let* body_len =
+    Stats.Checksum.unseal ~tag:"fuzzystore" content ~pos:0 ~len:(String.length content)
+  in
   let* format, key_len, payload_len, header_len =
     try
-      Scanf.sscanf body "fuzzystore %d %d %d\n%n" (fun f k p n -> Ok (f, k, p, n))
+      Scanf.sscanf content "fuzzystore %d %d %d\n%n" (fun f k p n -> Ok (f, k, p, n))
     with Scanf.Scan_failure _ | Failure _ | End_of_file -> Error "bad header"
   in
   let* () =
@@ -105,12 +108,12 @@ let unframe content =
     else Ok ()
   in
   let* () =
-    if String.length body <> header_len + key_len + 1 + payload_len + 1 then
-      Error "section lengths disagree with body length"
+    if key_len < 0 || payload_len < 0 || body_len <> header_len + key_len + 1 + payload_len + 1
+    then Error "section lengths disagree with body length"
     else Ok ()
   in
-  let key = String.sub body header_len key_len in
-  let payload = String.sub body (header_len + key_len + 1) payload_len in
+  let key = String.sub content header_len key_len in
+  let payload = String.sub content (header_len + key_len + 1) payload_len in
   Ok (key, payload)
 
 let read_file path =

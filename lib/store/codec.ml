@@ -32,7 +32,11 @@ let canonical_key (config : Fuzzy.Analysis.config) name =
 
 (* Split into lines and read "<field> <rest-of-line>" pairs in the fixed
    order [canonical_key] writes them.  [jobs] is not part of the key, so
-   the caller supplies the value for the config being rebuilt. *)
+   the caller supplies the value for the config being rebuilt.  A key is
+   accepted only if [canonical_key] writes it back byte for byte: the
+   number parsers also take forms it never writes ("0x2a", "+42", "4_2",
+   "0.25", "0o31"), and [find] for the canonical key could never read an
+   entry stored under one of those. *)
 let parse_key ~jobs key =
   let lines = String.split_on_char '\n' key in
   let field name line =
@@ -44,13 +48,8 @@ let parse_key ~jobs key =
   in
   let ( let* ) = Option.bind in
   match lines with
-  | [ magic; stamp_l; name_l; machine_l; seed_l; scale_l; intervals_l; spi_l; period_l;
+  | [ _magic; _stamp; name_l; machine_l; seed_l; scale_l; intervals_l; spi_l; period_l;
       kmax_l; folds_l; tol_l; "" ] ->
-      let* () =
-        if magic = Printf.sprintf "fuzzykey %d" Version.entry_format then Some () else None
-      in
-      let* stamp = field "stamp" stamp_l in
-      let* () = if stamp = Version.code_stamp then Some () else None in
       let* name = field "name" name_l in
       let* machine_name = field "machine" machine_l in
       let* machine =
@@ -74,20 +73,23 @@ let parse_key ~jobs key =
       let* kmax = int_field "kmax" kmax_l in
       let* folds = int_field "folds" folds_l in
       let* kopt_tol = float_field "kopt_tol" tol_l in
-      Some
-        ( {
-            Fuzzy.Analysis.seed;
-            scale;
-            machine;
-            intervals;
-            samples_per_interval;
-            period;
-            kmax;
-            folds;
-            kopt_tol;
-            jobs;
-          },
-          name )
+      let config =
+        {
+          Fuzzy.Analysis.seed;
+          scale;
+          machine;
+          intervals;
+          samples_per_interval;
+          period;
+          kmax;
+          folds;
+          kopt_tol;
+          jobs;
+        }
+      in
+      (* The magic line, the stamp and every number's spelling are
+         checked here. *)
+      if String.equal (canonical_key config name) key then Some (config, name) else None
   | _ -> None
 
 (* ----------------------------- payloads ----------------------------- *)
@@ -110,7 +112,7 @@ let encode_entry (a : Fuzzy.Analysis.t) =
 let decode_entry payload =
   (* Cursor over [payload]; the embedded trace archive is length-prefixed
      raw bytes, so everything reads by explicit position, not by line
-     splitting. *)
+     splitting, and the archive is decoded where it lies. *)
   let pos = ref 0 in
   let fail reason = raise (Failure ("store payload: " ^ reason)) in
   let next_line () =
@@ -147,8 +149,9 @@ let decode_entry payload =
     in
     if archive_len < 0 || !pos + archive_len <> String.length payload then
       fail "run length disagrees with payload size";
-    let archive = String.sub payload !pos archive_len in
-    let run = Sampling.Trace_io.of_string ~label:"<store entry>" archive in
+    let run =
+      Sampling.Trace_io.of_string ~label:"<store entry>" ~pos:!pos ~len:archive_len payload
+    in
     (run, { Rtree.Cv.k_values; e; re; variance })
   with
   | result -> Ok result

@@ -11,9 +11,11 @@ val canonical_key : Fuzzy.Analysis.config -> string -> string
     output bytes, and nothing else ([jobs] is excluded). *)
 
 val parse_key : jobs:int -> string -> (Fuzzy.Analysis.config * string) option
-(** Invert {!canonical_key}.  [None] for foreign stamps, unknown machine
-    names, or malformed text — warm-restart skips such entries.  [jobs]
-    fills the one config field the key deliberately omits. *)
+(** Invert {!canonical_key}.  [Some] only for a key that {!canonical_key}
+    writes back byte for byte; [None] for foreign stamps, unknown machine
+    names, numbers in any other spelling, or malformed text — warm-restart
+    skips such entries.  [jobs] fills the one config field the key
+    deliberately omits. *)
 
 val encode_entry : Fuzzy.Analysis.t -> string
 (** Payload bytes for a store entry: the run as a checksummed Trace_io v2

@@ -5,7 +5,8 @@
 # Round 1: serve with an empty --store and ask for analyze, quadrant and
 # re-curve of one workload from three concurrent clients.  The three
 # requests share one analysis, so single-flight must compute and persist
-# it once: exactly one store miss and one store write.  Shut down.
+# it once: exactly one store miss and one store write, whose bytes are
+# pinned by MD5.  Shut down.
 # Round 2: restart on the same store and analyze the same workload — the
 # response must come from the warmed cache (stats show exactly one store
 # hit, no store miss and zero analysis-cache misses, i.e. zero
@@ -102,6 +103,15 @@ store_misses=$(metric "$OUT/stats1.out" store.misses)
 writes=$(metric "$OUT/stats1.out" store.writes)
 [ "${writes:-0}" -eq 1 ] \
   || fail "round 1 expected 1 store write for one analysis (store.writes=$writes)"
+
+# The entry's bytes are pinned: the gcc entry `repro cache warm --quick`
+# writes, at any --jobs.  A change to them is a format change.
+GCC_ENTRY_MD5=3702f292e5f72a33195fc8d9782d8ca8
+entry=$(find "$STORE" -type f ! -path "*/quarantine/*" ! -name ".*")
+[ "$(echo "$entry" | wc -l)" -eq 1 ] || fail "round 1 expected one entry file, found: $entry"
+md5=$(md5sum "$entry" | cut -d' ' -f1)
+[ "$md5" = "$GCC_ENTRY_MD5" ] \
+  || fail "round 1 entry bytes changed (md5 $md5, pinned $GCC_ENTRY_MD5)"
 
 # ---- round 2: warm restart ---------------------------------------------
 start_server server2

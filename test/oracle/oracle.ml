@@ -182,6 +182,42 @@ module Cv = struct
     { Rtree.Cv.k_values = Array.init kmax (fun i -> i + 1); e; re; variance }
 end
 
+(* Stats.Checksum.unseal as it was before it checked a range in place:
+   it copies the body out of the blob. *)
+module Checksum = struct
+  let unseal ~tag blob =
+    let len = String.length blob in
+    if len = 0 then Error "empty file"
+    else if blob.[len - 1] <> '\n' then Error "truncated (no final newline)"
+    else
+      let start =
+        match String.rindex_from_opt blob (len - 2) '\n' with Some i -> i + 1 | None -> 0
+      in
+      let trailer = String.sub blob start (len - 1 - start) in
+      let body = String.sub blob 0 start in
+      let prefix = tag ^ "-end" in
+      let declared =
+        if not (String.starts_with ~prefix trailer) then None
+        else
+          let n = String.length prefix in
+          try
+            Scanf.sscanf (String.sub trailer n (String.length trailer - n)) " %d %d%!"
+              (fun l s -> Some (l, s))
+          with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+      in
+      match declared with
+      | None -> Error (Printf.sprintf "missing %s trailer (truncated or foreign)" prefix)
+      | Some (declared_len, _) when declared_len <> start ->
+          Error
+            (Printf.sprintf "truncated: %d body bytes, trailer declares %d" start declared_len)
+      | Some (_, declared_sum) ->
+          let sum = Stats.Checksum.adler32 body in
+          if sum <> declared_sum then
+            Error
+              (Printf.sprintf "checksum mismatch: %#x, trailer declares %#x" sum declared_sum)
+          else Ok body
+end
+
 (* The sample-line decoder Sampling.Trace_io had before it read by
    position: Scanf per line, region fields by splitting on spaces.  The
    shipped decoder must never accept what this one rejects, and must
@@ -205,7 +241,7 @@ module Trace_io = struct
          is the whole file.  Everything newer must carry a valid trailer. *)
       if file_version = 1 then content
       else
-        match Stats.Checksum.unseal ~tag:"fuzzytrace" content with
+        match Checksum.unseal ~tag:"fuzzytrace" content with
         | Ok body -> body
         | Error reason -> fail_fmt "Trace_io.load: %s: %s" path reason
     in
@@ -266,6 +302,174 @@ module Trace_io = struct
           | Scanf.Scan_failure m -> fail_fmt "Trace_io.load: sample %d: %s" i m
           | End_of_file -> fail_fmt "Trace_io.load: sample %d: truncated line" i)
     in
+    {
+      Driver.workload;
+      machine;
+      samples;
+      period;
+      context_switches = ctx;
+      io_blocks = io;
+      os_instr_total = os;
+      total_instrs;
+      total_cycles;
+    }
+
+  (* The position decoder that replaced the Scanf one above, as it was
+     before it read a range in place and converted %h tokens from their
+     digits: the body is copied out, and every float token is copied and
+     converted by float_of_string. *)
+  (* A sample-line token outside the grammar. *)
+  exception Bad_token
+
+  let is_digit = function '0' .. '9' -> true | _ -> false
+
+  (* The bytes %h prints.  float_of_string also takes '_', blanks after
+     the 'p' and upper case, where Scanf's "%h" stops short of them. *)
+  let is_float_byte = function
+    | '0' .. '9' | 'a' .. 'f' | 'x' | 'p' | '.' | '+' | '-' | 'i' | 'n' | 't' | 'y' -> true
+    | _ -> false
+
+  (* The token must end in a digit: "0x1." and "0x" convert, but Scanf's
+     "%h" rejects them before a separator. *)
+  let float_of_token tok =
+    let n = String.length tok in
+    let hex_at i = n > i + 2 && tok.[i] = '0' && tok.[i + 1] = 'x' in
+    let ok =
+      match tok with
+      | "nan" | "-nan" | "infinity" | "-infinity" -> true
+      | _ -> (hex_at 0 || (hex_at 1 && tok.[0] = '-')) && is_digit tok.[n - 1]
+    in
+    if ok then float_of_string_opt tok else None
+
+  let by_position ~label:path content =
+    if String.length content = 0 then fail_fmt "Trace_io.load: %s: empty file" path;
+    let file_version =
+      try Scanf.sscanf content "fuzzytrace %d" (fun v -> v)
+      with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+        fail_fmt "Trace_io.load: %s: not a fuzzytrace archive" path
+    in
+    let body =
+      (* v1 predates the trailer: nothing to validate against, so the body
+         is the whole file.  Everything newer must carry a valid trailer. *)
+      if file_version = 1 then content
+      else
+        match Checksum.unseal ~tag:"fuzzytrace" content with
+        | Ok body -> body
+        | Error reason -> fail_fmt "Trace_io.load: %s: %s" path reason
+    in
+    let len = String.length body in
+    let header_end = Option.value (String.index_opt body '\n') ~default:len in
+    let workload, machine, period, ctx, io, os, total_instrs, total_cycles, n =
+      try
+        Scanf.sscanf (String.sub body 0 header_end) "fuzzytrace %d %s %s %d %d %d %d %d %h %d"
+          (fun v workload machine period ctx io os ti tc n ->
+            if v <> 1 && v <> version then
+              fail_fmt "Trace_io.load: version %d, expected 1 or %d" v version;
+            (workload, machine, period, ctx, io, os, ti, tc, n))
+      with
+      | Scanf.Scan_failure m | Failure m -> fail_fmt "Trace_io.load: bad header: %s" m
+      | End_of_file ->
+          (* A v1 archive cut off inside the header line: no trailer to
+             catch it first, so the scan itself runs out of input. *)
+          fail_fmt "Trace_io.load: %s: truncated header" path
+    in
+    (* Too few complete lines.  The count is the newlines after the
+       header's own, as a line split of the body would report it. *)
+    let short () =
+      let lines = ref (-1) in
+      for i = header_end to len - 1 do
+        if String.unsafe_get body i = '\n' then incr lines
+      done;
+      fail_fmt "Trace_io.load: %d sample lines, header declares %d" !lines n
+    in
+    (* Every sample line takes at least its '\n', so a count past the
+       bytes left is short before any line is read. *)
+    if n < 0 || n >= len - header_end then short ();
+    let pos = ref (header_end + 1) in
+    (* A token ends at a separator; the body ending first cuts the line
+       short. *)
+    let ends_token p =
+      if p >= len then short ()
+      else match String.unsafe_get body p with ' ' | '\n' -> true | _ -> false
+    in
+    let int_token () =
+      let neg = !pos < len && String.unsafe_get body !pos = '-' in
+      let start = if neg then !pos + 1 else !pos in
+      let p = ref start in
+      (* [acc] is minus the digits read so far, so min_int fits. *)
+      let acc = ref 0 in
+      while !p < len && is_digit (String.unsafe_get body !p) do
+        let d = Char.code (String.unsafe_get body !p) - Char.code '0' in
+        if !acc < min_int / 10 || !acc * 10 < min_int + d then raise Bad_token;
+        acc := (!acc * 10) - d;
+        incr p
+      done;
+      if not (ends_token !p) || !p = start || ((not neg) && !acc = min_int) then
+        raise Bad_token;
+      pos := !p;
+      if neg then !acc else - !acc
+    in
+    let sep c =
+      if !pos >= len then short ();
+      if String.unsafe_get body !pos <> c then raise Bad_token;
+      incr pos
+    in
+    let next_int () =
+      sep ' ';
+      int_token ()
+    in
+    let next_float () =
+      sep ' ';
+      let start = !pos in
+      let p = ref start in
+      while !p < len && is_float_byte (String.unsafe_get body !p) do
+        incr p
+      done;
+      if not (ends_token !p) then raise Bad_token;
+      pos := !p;
+      match float_of_token (String.sub body start (!p - start)) with
+      | Some f -> f
+      | None -> raise Bad_token
+    in
+    let sample i =
+      let in_regions = ref false in
+      match
+        let eip = int_token () in
+        let tid = next_int () in
+        let instrs = next_int () in
+        let cycles = next_float () in
+        let work = next_float () in
+        let fe = next_float () in
+        let exe = next_float () in
+        let other = next_float () in
+        let os_instrs = next_int () in
+        in_regions := true;
+        let nregions = next_int () in
+        (* A count past the bytes left cannot be met: refuse it before
+           allocating for it. *)
+        if nregions < 0 || nregions > len - !pos then raise Bad_token;
+        let region_instrs = Array.make nregions (0, 0) in
+        for k = 0 to nregions - 1 do
+          let region = next_int () in
+          region_instrs.(k) <- (region, next_int ())
+        done;
+        sep '\n';
+        {
+          Driver.eip;
+          tid;
+          instrs;
+          cycles;
+          breakdown = { March.Breakdown.work; fe; exe; other };
+          os_instrs;
+          region_instrs;
+        }
+      with
+      | s -> s
+      | exception Bad_token ->
+          fail_fmt "Trace_io.load: sample %d: bad %s" i
+            (if !in_regions then "region field" else "field")
+    in
+    let samples = Array.init n sample in
     {
       Driver.workload;
       machine;
@@ -550,4 +754,255 @@ module Btree = struct
     in
     let c = count t.root in
     if c <> t.n_keys then fail "Btree: key count %d does not match recorded %d" c t.n_keys
+end
+
+
+(* Store's read path as it was before it read entries in place:
+   [Checksum.unseal] copies the body, [Cas.unframe] the key and the
+   payload, and [Codec.decode_entry] the archive, which
+   [Trace_io.by_position] unseals into one more copy.  The shipped path
+   must accept exactly what this accepts and return the same run and
+   curve bits. *)
+module Cas = struct
+  let unframe content =
+    let ( let* ) r f = Result.bind r f in
+    let* body = Checksum.unseal ~tag:"fuzzystore" content in
+    let* format, key_len, payload_len, header_len =
+      try
+        Scanf.sscanf body "fuzzystore %d %d %d\n%n" (fun f k p n -> Ok (f, k, p, n))
+      with Scanf.Scan_failure _ | Failure _ | End_of_file -> Error "bad header"
+    in
+    let* () =
+      if format <> Store.Version.entry_format then
+        Error (Printf.sprintf "entry format %d, expected %d" format Store.Version.entry_format)
+      else Ok ()
+    in
+    let* () =
+      if String.length body <> header_len + key_len + 1 + payload_len + 1 then
+        Error "section lengths disagree with body length"
+      else Ok ()
+    in
+    let key = String.sub body header_len key_len in
+    let payload = String.sub body (header_len + key_len + 1) payload_len in
+    Ok (key, payload)
+end
+
+module Codec = struct
+  let decode_entry payload =
+    (* Cursor over [payload]; the embedded trace archive is length-prefixed
+       raw bytes, so everything reads by explicit position, not by line
+       splitting. *)
+    let pos = ref 0 in
+    let fail reason = raise (Failure ("store payload: " ^ reason)) in
+    let next_line () =
+      match String.index_from_opt payload !pos '\n' with
+      | None -> fail "truncated line"
+      | Some nl ->
+          let line = String.sub payload !pos (nl - !pos) in
+          pos := nl + 1;
+          line
+    in
+    match
+      let magic = next_line () in
+      if magic <> Printf.sprintf "fuzzyresult %d" Store.Version.entry_format then
+        fail "bad payload magic";
+      let n, variance =
+        try Scanf.sscanf (next_line ()) "curve %d %h%!" (fun n v -> (n, v))
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad curve header"
+      in
+      if n < 0 || n > 100_000 then fail "implausible curve length";
+      let k_values = Array.make n 0 in
+      let e = Array.make n 0.0 in
+      let re = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        try
+          Scanf.sscanf (next_line ()) "%d %h %h%!" (fun k ev rv ->
+              k_values.(i) <- k;
+              e.(i) <- ev;
+              re.(i) <- rv)
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad curve point"
+      done;
+      let archive_len =
+        try Scanf.sscanf (next_line ()) "run %d%!" (fun l -> l)
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad run header"
+      in
+      if archive_len < 0 || !pos + archive_len <> String.length payload then
+        fail "run length disagrees with payload size";
+      let archive = String.sub payload !pos archive_len in
+      let run = Trace_io.by_position ~label:"<store entry>" archive in
+      (run, { Rtree.Cv.k_values; e; re; variance })
+    with
+    | result -> Ok result
+    | exception Failure reason -> Error reason
+    | exception Scanf.Scan_failure reason -> Error reason
+    | exception Invalid_argument reason -> Error reason
+end
+
+(* Sampling.Eipv's interner and interval builder as they were before
+   their int table and dense counts: polymorphic [Hashtbl]s, the
+   per-interval histogram through two sorted binding lists, and a fresh
+   breakdown record per sample.  The shipped builder must seal the same
+   intervals, bit for bit. *)
+module Eipv = struct
+  type interner = {
+    feature_of_eip : (int, int) Hashtbl.t;
+    mutable eips : int list;
+    mutable next : int;
+  }
+
+  let new_interner () = { feature_of_eip = Hashtbl.create 1024; eips = []; next = 0 }
+
+  let intern it eip =
+    match Hashtbl.find_opt it.feature_of_eip eip with
+    | Some f -> f
+    | None ->
+        let f = it.next in
+        it.next <- it.next + 1;
+        Hashtbl.add it.feature_of_eip eip f;
+        it.eips <- eip :: it.eips;
+        f
+
+  (* The incremental interval builder: one sample at a time, sealing an
+     interval every [samples_per_interval] feeds.  The batch constructors
+     below are thin wrappers over it, so the streaming subsystem
+     ([Online.Pipeline]) and the offline pipeline build identical intervals
+     by construction. *)
+  module Builder = struct
+    type builder = {
+      it : interner;
+      samples_per_interval : int;
+      mutable counts : (int, int) Hashtbl.t;
+      mutable instrs : int;
+      mutable cycles : float;
+      mutable bd : March.Breakdown.t;
+      mutable filled : int;  (** samples in the current partial interval *)
+      mutable fed : int;  (** total samples ever fed *)
+      mutable n_sealed : int;
+    }
+
+    type t = builder
+
+    let with_interner it ~samples_per_interval =
+      if samples_per_interval <= 0 then
+        invalid_arg "Eipv.Builder.create: samples_per_interval must be positive";
+      {
+        it;
+        samples_per_interval;
+        counts = Hashtbl.create 64;
+        instrs = 0;
+        cycles = 0.0;
+        bd = March.Breakdown.zero;
+        filled = 0;
+        fed = 0;
+        n_sealed = 0;
+      }
+
+    let create ~samples_per_interval = with_interner (new_interner ()) ~samples_per_interval
+
+    let feed b (smp : Sampling.Driver.sample) =
+      let f = intern b.it smp.Sampling.Driver.eip in
+      (match Hashtbl.find_opt b.counts f with
+      | Some c -> Hashtbl.replace b.counts f (c + 1)
+      | None -> Hashtbl.add b.counts f 1);
+      b.instrs <- b.instrs + smp.Sampling.Driver.instrs;
+      b.cycles <- b.cycles +. smp.Sampling.Driver.cycles;
+      b.bd <- March.Breakdown.add b.bd smp.Sampling.Driver.breakdown;
+      b.filled <- b.filled + 1;
+      b.fed <- b.fed + 1;
+      if b.filled < b.samples_per_interval then None
+      else begin
+        let iv =
+          {
+            Sampling.Eipv.eipv =
+              Sv.of_assoc
+                (List.map
+                   (fun (i, c) -> (i, float_of_int c))
+                   (Stats.Det.hashtbl_bindings b.counts));
+            cpi = b.cycles /. float_of_int (max 1 b.instrs);
+            instrs = b.instrs;
+            cycles = b.cycles;
+            breakdown = March.Breakdown.per_instr b.bd ~instrs:(max 1 b.instrs);
+            first_sample = b.fed - b.samples_per_interval;
+          }
+        in
+        b.counts <- Hashtbl.create 64;
+        b.instrs <- 0;
+        b.cycles <- 0.0;
+        b.bd <- March.Breakdown.zero;
+        b.filled <- 0;
+        b.n_sealed <- b.n_sealed + 1;
+        Some iv
+      end
+
+    let sealed b = b.n_sealed
+    let pending_samples b = b.filled
+    let n_features b = b.it.next
+  end
+
+  let intervals_of_samples it (samples : Sampling.Driver.sample array) ~samples_per_interval =
+    let b = Builder.with_interner it ~samples_per_interval in
+    (* Trailing samples that do not fill an interval are dropped before
+       feeding, so they intern no features (matching the documented batch
+       contract). *)
+    let n = Array.length samples / samples_per_interval * samples_per_interval in
+    let out = ref [] in
+    for i = 0 to n - 1 do
+      match Builder.feed b samples.(i) with Some iv -> out := iv :: !out | None -> ()
+    done;
+    Array.of_list (List.rev !out)
+
+  let build_from_samples (samples : Sampling.Driver.sample array) ~samples_per_interval =
+    if samples_per_interval <= 0 then
+      invalid_arg "Eipv.build: samples_per_interval must be positive";
+    if Array.length samples / samples_per_interval = 0 then
+      invalid_arg "Eipv.build: not enough samples for one interval";
+    let it = new_interner () in
+    let intervals = intervals_of_samples it samples ~samples_per_interval in
+    {
+      Sampling.Eipv.intervals;
+      eip_of_feature = Array.of_list (List.rev it.eips);
+      n_features = it.next;
+      samples_per_interval;
+    }
+
+  let build (run : Sampling.Driver.run) ~samples_per_interval =
+    build_from_samples run.Sampling.Driver.samples ~samples_per_interval
+
+  let samples_by_thread (run : Sampling.Driver.run) =
+    let by_tid = Hashtbl.create 16 in
+    Array.iter
+      (fun s ->
+        let l =
+          match Hashtbl.find_opt by_tid s.Sampling.Driver.tid with
+          | Some l -> l
+          | None ->
+              let l = ref [] in
+              Hashtbl.add by_tid s.Sampling.Driver.tid l;
+              l
+        in
+        l := s :: !l)
+      run.Sampling.Driver.samples;
+    Stats.Det.hashtbl_bindings by_tid
+    |> List.map (fun (tid, l) -> (tid, Array.of_list (List.rev !l)))
+
+  let build_thread_separated (run : Sampling.Driver.run) ~samples_per_interval =
+    if samples_per_interval <= 0 then
+      invalid_arg "Eipv.build_thread_separated: samples_per_interval must be positive";
+    let it = new_interner () in
+    let groups = samples_by_thread run in
+    let intervals =
+      List.concat_map
+        (fun (_, samples) ->
+          Array.to_list (intervals_of_samples it samples ~samples_per_interval))
+        groups
+      |> Array.of_list
+    in
+    if Array.length intervals = 0 then
+      invalid_arg "Eipv.build_thread_separated: not enough samples for one interval";
+    {
+      Sampling.Eipv.intervals;
+      eip_of_feature = Array.of_list (List.rev it.eips);
+      n_features = it.next;
+      samples_per_interval;
+    }
 end

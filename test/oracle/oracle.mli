@@ -1,7 +1,9 @@
-(** Specification implementations of the CART grower and the
-    cross-validated RE curve (DESIGN.md §12), the Scanf trace-archive
-    decoder ({!Trace_io}), and the boxed-state RNG and record-node B-tree
-    the simulator had before its per-event rewrite (§12a).  The shipped {!Rtree.Tree.build} and
+(** Specification implementations the shipped fast paths are held to:
+    the CART grower and the cross-validated RE curve (DESIGN.md §12),
+    the trace-archive decoders, the store's read path and the EIPV
+    builder as they were before reading in place (§14), and the
+    boxed-state RNG and record-node B-tree the simulator had before its
+    per-event rewrite (§12a).  The shipped {!Rtree.Tree.build} and
     {!Rtree.Cv.relative_error_curve} must be bit-identical to these,
     which QCheck asserts in [test_rtree.ml].  The oracle shares no code
     with [lib/rtree] beyond the data types: it has its own copy of the
@@ -27,6 +29,12 @@ module Cv : sig
       (row, k).  Defaults as {!Rtree.Cv.relative_error_curve}. *)
 end
 
+module Checksum : sig
+  val unseal : tag:string -> string -> (string, string) result
+  (** {!Stats.Checksum.unseal} before it checked a range in place: the
+      body comes back as a copy.  Same errors. *)
+end
+
 module Trace_io : sig
   val of_string : label:string -> string -> Sampling.Driver.run
   (** The archive decoder {!Sampling.Trace_io.of_string} replaced: Scanf
@@ -34,6 +42,48 @@ module Trace_io : sig
       shipped decoder may reject more, never less, and must return the
       same run bit for bit wherever it accepts; [test_fuzz.ml] checks
       both over random runs and over mutated v1/v2 archives. *)
+
+  val by_position : label:string -> string -> Sampling.Driver.run
+  (** The position decoder that followed it, before it read a range in
+      place and converted [%h] tokens from their digits: the body and
+      every float token are copied, and floats go through
+      [float_of_string].  The shipped decoder must accept and reject
+      exactly what this one does, with the same run and messages. *)
+end
+
+module Cas : sig
+  val unframe : string -> (string * string, string) result
+  (** {!Store.Cas}'s entry-file check before it read in place: [(key,
+      payload)] of a valid entry file, each a copy of a copied body. *)
+end
+
+module Codec : sig
+  val decode_entry : string -> (Sampling.Driver.run * Rtree.Cv.curve, string) result
+  (** {!Store.Codec.decode_entry} before it handed the archive to the
+      trace decoder in place: the archive is copied, then decoded by
+      {!Trace_io.by_position}.  [test_fuzz.ml] requires the shipped read
+      path to accept exactly the mutated entries this path accepts. *)
+end
+
+module Eipv : sig
+  (** {!Sampling.Eipv}'s builder before its int table and dense counts:
+      polymorphic [Hashtbl]s for the interner and the interval's counts,
+      the histogram through sorted binding lists, and a breakdown record
+      per sample.  The shipped builder must seal the same intervals bit
+      for bit ([test_sampling.ml]). *)
+
+  module Builder : sig
+    type t
+
+    val create : samples_per_interval:int -> t
+    val feed : t -> Sampling.Driver.sample -> Sampling.Eipv.interval option
+    val sealed : t -> int
+    val pending_samples : t -> int
+    val n_features : t -> int
+  end
+
+  val build : Sampling.Driver.run -> samples_per_interval:int -> Sampling.Eipv.t
+  val build_thread_separated : Sampling.Driver.run -> samples_per_interval:int -> Sampling.Eipv.t
 end
 
 module Rng : sig

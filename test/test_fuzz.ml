@@ -228,6 +228,93 @@ let test_trace_regressions () =
         "Trace_io.load: 40 sample lines, header declares -1" );
     ]
 
+(* Float tokens on each edge of the shape [Trace_io] converts from its
+   digits ("-?0x[01](.h{1,13})?p[+-]d{1,4}" and a separator), in every
+   float field of a one-sample archive.  The shipped decoder must accept
+   and reject exactly what the decoder before the digit conversion did
+   ([Oracle.Trace_io.by_position]), with the same bits and messages.
+   The Scanf decoder accepts the same lines, except the spellings %h
+   never prints that both position decoders refuse by design (upper
+   case, a leading '+'). *)
+type verdict = Accepted | Scanf_only | Rejected
+
+let float_edges =
+  [
+    ("0x1.fffffffffffffp+0", Accepted);
+    ("0x1.fffffffffffff0p+0", Accepted);
+    ("0x1.p+0", Accepted);
+    ("0x1.8", Accepted);
+    ("0x2p+0", Accepted);
+    ("0x3.8p+1", Accepted);
+    ("0xa.bp-3", Accepted);
+    ("0xfp+0", Accepted);
+    ("0x1p+1023", Accepted);
+    ("0x1.fffffffffffffp+1023", Accepted);
+    ("0x1p+1024", Accepted);
+    ("0x1p+9999", Accepted);
+    ("0x1p-9999", Accepted);
+    ("0x1p+01023", Accepted);
+    ("0x1p+10000", Accepted);
+    ("0x1p+0000", Accepted);
+    ("0x1p-0", Accepted);
+    ("0x0.0000000000001p-1022", Accepted);
+    ("0x1.8p-1075", Accepted);
+    ("0x1.8p-1074", Accepted);
+    ("-0x1.8p-1075", Accepted);
+    ("-0x0p+0", Accepted);
+    ("0x0p+0", Accepted);
+    ("nan", Accepted);
+    ("-nan", Accepted);
+    ("infinity", Accepted);
+    ("-infinity", Accepted);
+    ("0X1p+0", Scanf_only);
+    ("0x1P+0", Scanf_only);
+    ("+0x1p+0", Scanf_only);
+    ("0x1.ABp+0", Scanf_only);
+    ("0x1.a", Scanf_only);
+    ("0x1p+", Rejected);
+    ("0x", Rejected);
+    ("1.5", Rejected);
+    ("0x1p+0x", Rejected);
+    ("0x1pp+0", Rejected);
+  ]
+
+let decode f archive =
+  match f archive with run -> Ok run | exception Failure m -> Error m
+
+let test_float_edges () =
+  let archive ~version tok =
+    let body =
+      Printf.sprintf "fuzzytrace %d gzip itanium2 20000 0 0 0 100 0x1.9p+6 1\n4096 1 100%s 0 1 3 100\n"
+        version
+        (String.concat "" (List.init 5 (fun _ -> " " ^ tok)))
+    in
+    if version = 1 then body else Stats.Checksum.seal ~tag:"fuzzytrace" body
+  in
+  let check name archive verdict =
+    let shipped = decode (Sampling.Trace_io.of_string ~label:"edge") archive in
+    let before = decode (Oracle.Trace_io.by_position ~label:"edge") archive in
+    let scanf = decode (Oracle.Trace_io.of_string ~label:"edge") archive in
+    (match (shipped, before) with
+    | Ok a, Ok b -> if not (same_run a b) then Alcotest.failf "%s: bits differ" name
+    | Error a, Error b -> Alcotest.(check string) (name ^ ": message") b a
+    | Ok _, Error m -> Alcotest.failf "%s: accepted, before rejected (%s)" name m
+    | Error m, Ok _ -> Alcotest.failf "%s: rejected (%s), before accepted" name m);
+    match (verdict, shipped, scanf) with
+    | Accepted, Ok a, Ok b -> if not (same_run a b) then Alcotest.failf "%s: Scanf bits" name
+    | Scanf_only, Error _, Ok _ | Rejected, Error _, Error _ -> ()
+    | _ -> Alcotest.failf "%s: not the expected verdict" name
+  in
+  List.iter
+    (fun (tok, verdict) ->
+      check tok (archive ~version:2 tok) verdict;
+      check ("v1 " ^ tok) (archive ~version:1 tok) verdict)
+    float_edges;
+  (* A v1 body (no trailer) that ends right after a token in the shape:
+     no separator follows, so the line is short. *)
+  let cut = "fuzzytrace 1 gzip itanium2 20000 0 0 0 100 0x1.9p+6 1\n4096 1 100 0x1p+0" in
+  check "token at the end of the body" cut Rejected
+
 (* ---------------------------- store entries ------------------------- *)
 
 let entry = read_file "fixtures/store-entry.fuzzystore"
@@ -249,12 +336,29 @@ let rec remove_tree path =
 
 let () = at_exit (fun () -> if Sys.file_exists store_dir then remove_tree store_dir)
 
+let same_curve (a : Rtree.Cv.curve) (b : Rtree.Cv.curve) =
+  let bits = Array.map Int64.bits_of_float in
+  a.Rtree.Cv.k_values = b.Rtree.Cv.k_values
+  && bits a.Rtree.Cv.e = bits b.Rtree.Cv.e
+  && bits a.Rtree.Cv.re = bits b.Rtree.Cv.re
+  && Int64.bits_of_float a.Rtree.Cv.variance = Int64.bits_of_float b.Rtree.Cv.variance
+
+(* The read path before entries were read in place (test/oracle):
+   [Some (payload, decoded)] for a file [find] should hit. *)
+let oracle_read file =
+  match Oracle.Cas.unframe file with
+  | Ok (key, payload) when key = entry_key -> Some (payload, Oracle.Codec.decode_entry payload)
+  | Ok _ | Error _ -> None
+
 (* Mutate either the entry file on disk (find must validate it) or the
    payload before [put] (find returns it and the codec must reject or
-   accept it). *)
+   accept it); a quarter of the cases leave it intact.  The shipped path
+   must hit exactly the files the oracle accepts, with the same payload,
+   and decode exactly the payloads it decodes, to the same run and curve
+   bits or the same error. *)
 let prop_store =
   QCheck2.Test.make ~name:"store entry: Cas.find then Codec.decode_entry" ~count:300
-    QCheck2.Gen.(pair bool gen_mutations)
+    QCheck2.Gen.(pair bool (frequency [ (1, pure []); (3, gen_mutations) ]))
     (fun (in_file, ms) ->
       let cas = Store.Cas.open_dir ~dir:store_dir in
       let path = Store.Cas.path_of_digest cas (Store.Cas.digest_of_key entry_key) in
@@ -265,13 +369,24 @@ let prop_store =
         Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (mutate entry ms))
       end
       else Store.Cas.put cas ~key:entry_key (mutate entry_payload ms);
-      total "store read" (fun () ->
-          match Store.Cas.find cas ~key:entry_key with
-          | None -> ()
-          | Some payload ->
-              ignore
-                (Store.Codec.decode_entry payload
-                  : (Sampling.Driver.run * Rtree.Cv.curve, string) result)))
+      let expected = oracle_read (read_file path) in
+      match Store.Cas.find cas ~key:entry_key with
+      | exception e -> QCheck2.Test.fail_reportf "Cas.find raised %s" (Printexc.to_string e)
+      | found -> (
+          match (found, expected) with
+          | None, None -> true
+          | Some _, None -> QCheck2.Test.fail_reportf "hit a file the oracle rejects"
+          | None, Some _ -> QCheck2.Test.fail_reportf "missed a file the oracle accepts"
+          | Some payload, Some (payload', _) when payload <> payload' ->
+              QCheck2.Test.fail_reportf "payload differs from the oracle's"
+          | Some payload, Some (_, decoded) -> (
+              match (Store.Codec.decode_entry payload, decoded) with
+              | exception e ->
+                  QCheck2.Test.fail_reportf "decode_entry raised %s" (Printexc.to_string e)
+              | Ok (run, curve), Ok (run', curve') -> same_run run run' && same_curve curve curve'
+              | Error m, Error m' -> m = m' || QCheck2.Test.fail_reportf "%S, oracle %S" m m'
+              | Ok _, Error m -> QCheck2.Test.fail_reportf "decoded what the oracle rejects (%s)" m
+              | Error m, Ok _ -> QCheck2.Test.fail_reportf "rejected (%s) what the oracle decodes" m)))
 
 (* ------------------------------ HTTP heads -------------------------- *)
 
@@ -297,5 +412,9 @@ let () =
       ( "mutation fuzz",
         List.map QCheck_alcotest.to_alcotest
           [ prop_frame; prop_trace; prop_trace_random_runs; prop_store; prop_http ] );
-      ("regressions", [ Alcotest.test_case "trace archive" `Quick test_trace_regressions ]);
+      ( "regressions",
+        [
+          Alcotest.test_case "trace archive" `Quick test_trace_regressions;
+          Alcotest.test_case "float token edges" `Quick test_float_edges;
+        ] );
     ]

@@ -221,6 +221,91 @@ let test_breakdown_components_positive () =
         (March.Breakdown.total b))
     ev.Eipv.intervals
 
+(* The builder against its parent kept in test/oracle: random streams
+   over few or many distinct EIPs (any int, negative ones included, up
+   to about a thousand distinct),
+   samples_per_interval 1-64 and usually a partial last interval.  Every
+   feed must seal the same interval or none, compared by its marshalled
+   bytes (floats by their bits), with the same counts after it; the
+   batch constructors over the same samples must agree too. *)
+let prop_builder_matches_oracle =
+  let open QCheck2.Gen in
+  let float =
+    oneof
+      [
+        oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float; 1e300 ];
+        map Int64.float_of_bits int64;
+        float_range 0.0 1e6;
+      ]
+  in
+  let gen =
+    let* spi = int_range 1 64 in
+    let* eips =
+      no_shrink
+        (oneof
+           [
+             map Array.of_list (list_size (int_range 1 4) int);
+             map Array.of_list (list_size (int_range 5 3000) int);
+           ])
+    in
+    let sample =
+      let* eip = map (fun i -> eips.(i)) (int_bound (Array.length eips - 1)) in
+      let* tid = int_bound 3 and* instrs = oneof [ int_bound 100_000; int ] in
+      let* cycles = float and* work = float and* fe = float and* exe = float and* other = float in
+      return
+        {
+          Driver.eip;
+          tid;
+          instrs;
+          cycles;
+          breakdown = { March.Breakdown.work; fe; exe; other };
+          os_instrs = 0;
+          region_instrs = [||];
+        }
+    in
+    (* Past 512 distinct EIPs the interner's table grows.  A failure
+       shrinks spi and the stream's length only: removing samples or
+       EIPs one by one from thousands takes hours. *)
+    let* n = int_bound 1500 in
+    let* samples = array_repeat n (no_shrink sample) in
+    return (spi, samples)
+  in
+  let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let batch f samples spi =
+    let run =
+      {
+        Driver.workload = "w";
+        machine = "m";
+        samples;
+        period = 1;
+        context_switches = 0;
+        io_blocks = 0;
+        os_instr_total = 0;
+        total_instrs = 0;
+        total_cycles = 0.0;
+      }
+    in
+    match f run ~samples_per_interval:spi with
+    | t -> Some (bytes (t : Eipv.t))
+    | exception Invalid_argument _ -> None
+  in
+  QCheck2.Test.make ~name:"builder = Oracle.Eipv.Builder, bit for bit" ~count:300
+    ~print:(fun (spi, samples) -> Printf.sprintf "spi %d, %d samples" spi (Array.length samples))
+    gen
+    (fun (spi, samples) ->
+      let b = Eipv.Builder.create ~samples_per_interval:spi in
+      let o = Oracle.Eipv.Builder.create ~samples_per_interval:spi in
+      Array.for_all
+        (fun s ->
+          bytes (Eipv.Builder.feed b s) = bytes (Oracle.Eipv.Builder.feed o s)
+          && Eipv.Builder.sealed b = Oracle.Eipv.Builder.sealed o
+          && Eipv.Builder.pending_samples b = Oracle.Eipv.Builder.pending_samples o
+          && Eipv.Builder.n_features b = Oracle.Eipv.Builder.n_features o)
+        samples
+      && batch Eipv.build samples spi = batch Oracle.Eipv.build samples spi
+      && batch Eipv.build_thread_separated samples spi
+         = batch Oracle.Eipv.build_thread_separated samples spi)
+
 let () =
   Alcotest.run "sampling"
     [
@@ -248,5 +333,6 @@ let () =
           Alcotest.test_case "rejects too few samples" `Quick test_eipv_rejects_too_few;
           Alcotest.test_case "thread-separated pooling" `Quick test_eipv_thread_separated_pool;
           Alcotest.test_case "breakdown components" `Quick test_breakdown_components_positive;
+          QCheck_alcotest.to_alcotest prop_builder_matches_oracle;
         ] );
     ]

@@ -419,8 +419,15 @@ let test_seal_roundtrip () =
     (Printf.sprintf "%sfuzzytest-end %d %d\n" body (String.length body)
        (Stats.Checksum.adler32 body))
     sealed;
-  Alcotest.(check (result string string)) "unseal returns the body" (Ok body)
-    (Stats.Checksum.unseal ~tag:"fuzzytest" sealed)
+  Alcotest.(check (result int string)) "unseal returns the body's length"
+    (Ok (String.length body))
+    (Stats.Checksum.unseal ~tag:"fuzzytest" sealed ~pos:0 ~len:(String.length sealed));
+  (* In place: the blob as a range of a longer string, between bytes
+     that are themselves a sealed blob. *)
+  let around = sealed ^ sealed ^ sealed in
+  Alcotest.(check (result int string)) "unseal a range" (Ok (String.length body))
+    (Stats.Checksum.unseal ~tag:"fuzzytest" around ~pos:(String.length sealed)
+       ~len:(String.length sealed))
 
 (* Each way a sealed blob can be damaged, and the word its error must
    carry. *)
@@ -437,13 +444,18 @@ let unseal_rejections =
     ("wrong checksum", flipped, "checksum mismatch");
   ]
 
+(* Alone, and as a range between copies of a valid blob, whose bytes
+   must not be read. *)
 let test_unseal_rejects (_, blob, reason) () =
-  match Stats.Checksum.unseal ~tag:"fuzzytest" blob with
-  | Ok _ -> Alcotest.fail "damaged blob accepted"
-  | Error e ->
-      let n = String.length reason in
-      let rec has i = i + n <= String.length e && (String.sub e i n = reason || has (i + 1)) in
-      if not (has 0) then Alcotest.failf "error %S does not name %S" e reason
+  List.iter
+    (fun (s, pos) ->
+      match Stats.Checksum.unseal ~tag:"fuzzytest" s ~pos ~len:(String.length blob) with
+      | Ok _ -> Alcotest.fail "damaged blob accepted"
+      | Error e ->
+          let n = String.length reason in
+          let rec has i = i + n <= String.length e && (String.sub e i n = reason || has (i + 1)) in
+          if not (has 0) then Alcotest.failf "error %S does not name %S" e reason)
+    [ (blob, 0); (sealed ^ blob ^ sealed, String.length sealed) ]
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -129,6 +129,44 @@ let test_entry_decode_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign format version accepted"
 
+(* Keys [parse_key]'s number parsers take but [canonical_key] never
+   writes: each spells one field of a canonical key another way.  None
+   may parse, and [warm] must leave entries stored under them in place,
+   unread, as it does a foreign stamp's. *)
+let non_canonical_keys () =
+  let key = Store.Codec.canonical_key { config with Analysis.scale = 0.25; kmax = 25 } "gcc" in
+  List.map
+    (fun (line, respelled) ->
+      let lines = String.split_on_char '\n' key in
+      if not (List.mem line lines) then Alcotest.failf "no line %S in the key" line;
+      String.concat "\n" (List.map (fun l -> if l = line then respelled else l) lines))
+    [
+      ("seed 42", "seed 0x2a");
+      ("seed 42", "seed +42");
+      ("seed 42", "seed 4_2");
+      ("scale 0x1p-2", "scale 0.25");
+      ("kmax 25", "kmax 0o31");
+    ]
+
+let test_key_rejects_non_canonical () =
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (String.escaped key) true
+        (Option.is_none (Store.Codec.parse_key ~jobs:1 key)))
+    (non_canonical_keys ());
+  isolated (fun () ->
+      let dir = fresh_dir () in
+      let cas = Store.Cas.open_dir ~dir in
+      let payload = Store.Codec.encode_entry (Lazy.force analysis_fixture) in
+      List.iter (fun key -> Store.Cas.put cas ~key payload) (non_canonical_keys ());
+      Store.Result_cache.attach ~dir;
+      Alcotest.(check int) "nothing warmed" 0 (Store.Result_cache.warm ~jobs:1 ());
+      let c = Option.get (Store.Result_cache.counters ()) in
+      Alcotest.(check (pair int int)) "hits, corrupt" (0, 0) (c.Store.Cas.hits, c.Store.Cas.corrupt);
+      let st = Store.Cas.stats cas in
+      Alcotest.(check (pair int int)) "live and quarantined entries" (5, 0)
+        (st.Store.Cas.entries, st.Store.Cas.quarantined))
+
 let test_cas_put_find () =
   let cas = Store.Cas.open_dir ~dir:(fresh_dir ()) in
   Alcotest.(check (option string)) "empty store misses" None (Store.Cas.find cas ~key:"k");
@@ -182,6 +220,25 @@ let test_cas_fixture () =
       Alcotest.(check string) "payload carries the pinned trace"
         (read_file "fixtures/trace-v2.fuzzytrace")
         (Sampling.Trace_io.to_string run)
+
+(* An entry file whose trailer and checksum are valid but whose header
+   declares negative section lengths that still add up to its body
+   length: a quarantined miss, not an exception out of [find]. *)
+let test_cas_negative_lengths () =
+  let cas = Store.Cas.open_dir ~dir:(fresh_dir ()) in
+  Store.Cas.put cas ~key:"k" "payload";
+  let path = Store.Cas.path_of_digest cas (Store.Cas.digest_of_key "k") in
+  List.iter
+    (fun body ->
+      let oc = open_out_bin path in
+      output_string oc (Stats.Checksum.seal ~tag:"fuzzystore" body);
+      close_out oc;
+      Alcotest.(check (option string)) (String.escaped body) None (Store.Cas.find cas ~key:"k"))
+    [
+      Printf.sprintf "fuzzystore %d -1 -1\n" Store.Version.entry_format;
+      Printf.sprintf "fuzzystore %d 1 -2\nk" Store.Version.entry_format;
+    ];
+  Alcotest.(check int) "both quarantined" 2 (Store.Cas.stats cas).Store.Cas.quarantined
 
 (* Any single-byte flip or truncation of an entry file must read as a
    quarantined miss — and a fresh put of the same key must work again. *)
@@ -440,6 +497,8 @@ let () =
           Alcotest.test_case "key roundtrip" `Quick test_key_roundtrip;
           Alcotest.test_case "key ignores jobs" `Quick test_key_ignores_jobs;
           Alcotest.test_case "foreign keys rejected" `Quick test_key_rejects_foreign;
+          Alcotest.test_case "non-canonical keys rejected" `Quick
+            test_key_rejects_non_canonical;
           Alcotest.test_case "digest shape" `Quick test_digest_shape;
           Alcotest.test_case "entry roundtrip bit-identical" `Quick test_entry_roundtrip;
           Alcotest.test_case "entry decode rejects garbage" `Quick
@@ -452,6 +511,7 @@ let () =
           Alcotest.test_case "pinned entry fixture" `Quick test_cas_fixture;
           QCheck_alcotest.to_alcotest qcheck_cas_corruption;
           Alcotest.test_case "verify and deterministic gc" `Quick test_cas_verify_and_gc;
+          Alcotest.test_case "negative section lengths" `Quick test_cas_negative_lengths;
         ] );
       ( "tiers",
         [
